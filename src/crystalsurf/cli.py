@@ -1,8 +1,8 @@
 """Command line entry point: run, threshold, validate, and sweep.
 
 Exit codes are the machine contract: 0 success, 1 usage or config error,
-2 inadmissible initial data under --strict, 3 runtime singularity.  Stdout
-is for humans; the written files are for machines.
+2 inadmissible initial data under --strict, 3 runtime singularity or
+non-finite state.  Stdout is for humans; the written files are for machines.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .diagnostics import (
 )
 from .models import MODEL_KINDS, SingularityError
 from .spectral import SpectralField, wiener_norm
-from .stepper import integrate
+from .stepper import NonFiniteStateError, integrate
 from .theory import decay_envelope, delta, smallness_report, threshold_bracket, threshold_root
 from .validation import run_checks
 
@@ -158,14 +158,19 @@ def write_report_json(path: Path, report: RunReport) -> None:
 
 
 def execute_run(cfg: RunConfig, v0: SpectralField) -> RunReport:
-    """Integrate v0 under the configured model and collect the full report."""
+    """Integrate v0 under the configured model and collect the full report.
+
+    An overflow surfaces as NonFiniteStateError, so numpy's overflow and
+    invalid-value warnings, which would only repeat it, are silenced.
+    """
     grid = v0.grid
     mcfg = build_model(cfg, grid)
     scfg = build_stepper(cfg)
     x0 = wiener_norm(v0, 0.0)
     admissibility = smallness_report(cfg.model.kind, x0)
     recorder = TimeSeriesRecorder(cfg.model.kind)
-    integrate(mcfg, scfg, v0, observer=recorder)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrate(mcfg, scfg, v0, observer=recorder)
     series = recorder.finalize()
     certificate = None
     if admissibility.admissible:
@@ -237,6 +242,9 @@ def cmd_run(args) -> int:
         t = getattr(err, "time", None)
         where = f" at t = {t:.6g}" if t is not None else ""
         print(f"singularity{where}: {err}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except NonFiniteStateError as err:
+        print(err, file=sys.stderr)
         return EXIT_SINGULAR
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -346,15 +354,24 @@ def _sweep_worker(payload) -> dict:
     out_dir = Path(out_base) / f"amplitude_{amplitude:g}"
     try:
         report = execute_run(cfg, v0)
-    except SingularityError as err:
-        t = getattr(err, "time", None)
+    except ConfigError:
+        raise
+    except (SingularityError, NonFiniteStateError, ValueError) as err:
+        # A member that fails to run (singular, overflowed, or refused by the
+        # dt guard) is recorded as a failed row; the sweep goes on.
+        if isinstance(err, SingularityError):
+            t = err.time
+            note = f"singular at t = {t:.6g}" if t is not None else "singular"
+        else:
+            note = str(err)
+        x0 = wiener_norm(v0, 0.0)
         return {
             "amplitude": amplitude,
-            "x0": wiener_norm(v0, 0.0),
-            "delta": smallness_report(cfg.model.kind, wiener_norm(v0, 0.0)).delta,
+            "x0": x0,
+            "delta": smallness_report(cfg.model.kind, x0).delta,
             "fitted_rate": math.nan,
             "verdict": False,
-            "error": f"singular at t = {t:.6g}" if t is not None else "singular",
+            "error": note,
         }
     write_output_bundle(report, out_dir, cfg.outputs.formats)
     fitted = math.nan

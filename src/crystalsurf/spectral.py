@@ -14,6 +14,14 @@ The collocation nodes do not start at the origin, so the discrete transform
 carries an explicit phase (-1)^(k_1+...+k_d) relative to numpy's FFT bins;
 both transform directions below account for it.
 
+The transforms are real-to-complex: they work on the k_d >= 0 half of the
+last axis only (numpy's rfft/irfft in 1D, rfft2/irfft2 in 2D), so a forward
+transform is Hermitian by construction and the full (2M+1)^d layout is
+rebuilt from the half by conjugate mirroring.  The inverse reads only that
+half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
+constructor here produces such arrays and every operation keeps them so.
+`imag_residue` measures how far an array is from that invariant.
+
 Values are immutable: every operation returns a new SpectralField and no
 function mutates the coefficient array of its argument.
 """
@@ -129,24 +137,48 @@ class GridSpec:
 
 @functools.lru_cache(maxsize=None)
 def _plan(grid: GridSpec):
-    """Cached index and multiplier tables for transforms on a given grid."""
+    """Cached multiplier tables for transforms and operators on a given grid.
+
+    `inverse` and `forward` are the phase and scale multipliers of the
+    retained k_d >= 0 half, shaped like coeffs[..., M:].
+    """
     m = grid.modes_per_axis
-    p = grid.phys_points_per_axis
+    scale = float(grid.phys_points_per_axis) ** grid.dim
     k = np.arange(-m, m + 1)
-    bins = k % p
     # (-1)^k per axis; the product over axes gives the node-offset phase.
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     if grid.dim == 1:
-        embed = (bins,)
         phase = sign
         ksq = (k.astype(float)) ** 2
     else:
-        embed = np.ix_(bins, bins)
         phase = np.outer(sign, sign)
         kf = k.astype(float)
         ksq = kf[:, None] ** 2 + kf[None, :] ** 2
+    half_phase = phase[..., m:]
     kmag = np.sqrt(ksq)
-    return {"embed": embed, "phase": phase, "ksq": ksq, "k4": ksq**2, "kmag": kmag}
+    return {
+        "inverse": half_phase * scale,
+        "forward": half_phase / scale,
+        "ksq": ksq,
+        "k4": ksq**2,
+        "kmag": kmag,
+    }
+
+
+@functools.lru_cache(maxsize=256)
+def _norm_weights(grid: GridSpec, kind: str, alpha: float) -> np.ndarray:
+    """Per-mode weights of wiener_norm ("wiener") or sobolev_norm ("sobolev")."""
+    kmag = _plan(grid)["kmag"]
+    if kind == "wiener":
+        w = kmag**alpha
+    elif alpha == 0:
+        w = np.ones_like(kmag)
+    else:
+        w = np.zeros_like(kmag)
+        mask = kmag > 0
+        w[mask] = kmag[mask] ** (2.0 * alpha)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -190,46 +222,64 @@ class SpectralField:
         return bool(np.max(np.abs(c - flipped)) <= tol * scale)
 
 
-def _hermitian_symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Average coefficients with their conjugate mirror; exact symmetry after."""
-    flipped = np.conj(coeffs[::-1] if dim == 1 else coeffs[::-1, ::-1])
-    return 0.5 * (coeffs + flipped)
-
-
 def _phys_from_coeffs(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Raw-array inverse transform; returns real samples on the P^d grid."""
-    plan = _plan(grid)
-    spec = np.zeros(grid.phys_shape, dtype=np.complex128)
-    scale = float(grid.phys_points_per_axis) ** grid.dim
-    spec[plan["embed"]] = coeffs * (plan["phase"] * scale)
-    return np.fft.ifftn(spec).real
+    """Raw-array inverse transform of Hermitian coefficients; real P^d samples.
+
+    Only the k_d >= 0 half of the last axis is read; irfft zero-pads it to
+    the P//2 + 1 bins of the grid.
+    """
+    m = grid.modes_per_axis
+    p = grid.phys_points_per_axis
+    table = _plan(grid)["inverse"]
+    if grid.dim == 1:
+        return np.fft.irfft(coeffs[m:] * table, n=p)
+    # Rows in FFT order: k_1 = 0..M first, k_1 = -M..-1 last, zeros between.
+    spec = np.zeros((p, m + 1), dtype=np.complex128)
+    np.multiply(coeffs[m:, m:], table[m:], out=spec[: m + 1])
+    np.multiply(coeffs[:m, m:], table[:m], out=spec[p - m :])
+    return np.fft.irfft2(spec, s=(p, p))
 
 
 def _coeffs_from_phys(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Raw-array forward transform with exact Hermitian symmetrization."""
-    plan = _plan(grid)
-    spec = np.fft.fftn(samples)
-    coeffs = spec[plan["embed"]] * (plan["phase"] / float(samples.size))
-    return _hermitian_symmetrize(coeffs, grid.dim)
+    """Raw-array forward transform; the result is exactly Hermitian."""
+    m = grid.modes_per_axis
+    table = _plan(grid)["forward"]
+    if grid.dim == 1:
+        half = np.fft.rfft(samples)[: m + 1] * table
+        return np.concatenate((np.conj(half[:0:-1]), half))
+    spec = np.fft.rfft2(samples)
+    coeffs = np.empty(grid.coeff_shape, dtype=np.complex128)
+    np.multiply(spec[: m + 1, : m + 1], table[m:], out=coeffs[m:, m:])
+    np.multiply(spec[-m:, : m + 1], table[:m], out=coeffs[:m, m:])
+    # The k_2 = 0 column comes from a complex FFT along axis 0, which leaves
+    # its k_1 -> -k_1 symmetry inexact; every other column is mirrored below.
+    col = coeffs[:, m]
+    coeffs[:, m] = 0.5 * (col + np.conj(col[::-1]))
+    coeffs[:, :m] = np.conj(coeffs[::-1, :m:-1])
+    return coeffs
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Sample the field at the collocation nodes of its grid.
 
-    Returns a real array of shape (P,) in 1D or (P, P) in 2D.  For the
-    band-limited fields this module constructs, the imaginary residue
-    discarded here is at rounding level; `imag_residue` exposes it.
+    Returns a real array of shape (P,) in 1D or (P, P) in 2D.  Only the
+    k_d >= 0 half of the coefficients is read, which is exact for the
+    Hermitian fields this module constructs; `imag_residue` measures how
+    far a coefficient array is from that invariant.
     """
     return _phys_from_coeffs(f.grid, f.coeffs)
 
 
 def imag_residue(f: SpectralField) -> float:
-    """Largest imaginary part left by the inverse transform, before discarding."""
-    plan = _plan(f.grid)
-    spec = np.zeros(f.grid.phys_shape, dtype=np.complex128)
-    scale = float(f.grid.phys_points_per_axis) ** f.grid.dim
-    spec[plan["embed"]] = f.coeffs * (plan["phase"] * scale)
-    return float(np.max(np.abs(np.fft.ifftn(spec).imag)))
+    """Largest imaginary part of the full complex inverse transform.
+
+    That imaginary part is the inverse transform of -i times the
+    anti-Hermitian part of the coefficients, so it is zero exactly when the
+    coefficients are Hermitian, the invariant `to_physical` relies on.
+    """
+    c = f.coeffs
+    anti = 0.5 * (c - np.conj(c[::-1] if f.grid.dim == 1 else c[::-1, ::-1]))
+    return float(np.max(np.abs(_phys_from_coeffs(f.grid, -1j * anti))))
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -347,7 +397,7 @@ def wiener_norm(f: SpectralField, alpha: float = 0.0) -> float:
     """
     if alpha < 0:
         raise ValueError("wiener_norm requires alpha >= 0")
-    w = _plan(f.grid)["kmag"] ** alpha
+    w = _norm_weights(f.grid, "wiener", alpha)
     return float(np.sum(w * np.abs(f.coeffs)))
 
 
@@ -358,13 +408,7 @@ def sobolev_norm(f: SpectralField, alpha: float = 0.0) -> float:
     contributes only at alpha = 0.  Negative alpha is supported for
     zero-mean fields; the mean mode is excluded then.
     """
-    kmag = _plan(f.grid)["kmag"]
-    if alpha == 0:
-        w = np.ones_like(kmag)
-    else:
-        w = np.zeros_like(kmag)
-        mask = kmag > 0
-        w[mask] = kmag[mask] ** (2.0 * alpha)
+    w = _norm_weights(f.grid, "sobolev", alpha)
     return float(math.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 

@@ -40,6 +40,18 @@ _PHI_SERIES_TERMS = 14
 DT_GUARD_HEADROOM = 10.0
 
 
+class NonFiniteStateError(ArithmeticError):
+    """The state overflowed or went NaN during integrate.
+
+    NaN and inf propagate through every later step, so the state is checked
+    only at the sample cadence; `time` is the first sample found non-finite.
+    """
+
+    def __init__(self, time: float):
+        super().__init__(f"non-finite state at t = {time:.6g}")
+        self.time = time
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     """Time integration parameters.
@@ -158,9 +170,10 @@ class _Stepper:
         if self.scheme == SCHEME_ETD1:
             return self.propagator * c + self.etd1_weight * self.remainder(c, time=t)
         n0 = self.remainder(c, time=t)
-        a = self.half_propagator * c + self.stage_weight * n0
+        half_c = self.half_propagator * c
+        a = half_c + self.stage_weight * n0
         n1 = self.remainder(a, time=t)
-        b = self.half_propagator * c + self.stage_weight * n1
+        b = half_c + self.stage_weight * n1
         n2 = self.remainder(b, time=t)
         s = self.half_propagator * a + self.stage_weight * (2.0 * n2 - n0)
         n3 = self.remainder(s, time=t)
@@ -206,8 +219,9 @@ def integrate(
     """March v0 to t_end with fixed steps, sampling along the way.
 
     The observer, when given, is called as observer(t, v) at step 0, then
-    every sample_every steps, and at the final step.  Runs are deterministic:
-    identical inputs produce bitwise identical trajectories.
+    every sample_every steps, and at the final step.  The state is checked
+    for finiteness at those same steps, observer or not.  Runs are
+    deterministic: identical inputs produce bitwise identical trajectories.
 
     Args:
         nonlinearity: optional override of the remainder evaluator, mapping
@@ -219,6 +233,7 @@ def integrate(
             max_steps, or a dt rejected by the guard.
         SingularityError: propagated from the adl nonlinearity with the
             failing time attached.
+        NonFiniteStateError: the state held an inf or NaN at a sample.
     """
     if v0.grid != cfg.grid:
         raise ValueError("initial field grid does not match the model configuration grid")
@@ -251,6 +266,8 @@ def integrate(
     c[cfg.grid.index_of(0 if cfg.grid.dim == 1 else (0, 0))] = 0.0
 
     def emit(step_index: int) -> None:
+        if not np.isfinite(c).all():
+            raise NonFiniteStateError(step_index * scfg.dt)
         if observer is not None:
             observer(step_index * scfg.dt, SpectralField(cfg.grid, c.copy()))
 

@@ -430,6 +430,23 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "singularity at t = 0" in err
 
+    def test_overflowing_run_exits_three_without_report(self, tmp_path, capsys):
+        """An exp run at amplitude 3 overflows: one line naming the time,
+        exit 3, and no report of NaN rows."""
+        raw = base_run_dict()
+        raw["grid"]["modes"] = 16
+        raw["stepper"].update(dt=0.01, t_end=1.0, allow_large_dt=True)
+        raw["initial_data"]["modes"][0]["amplitude"] = 3.0
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_SINGULAR
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if "past the decay" not in line]
+        assert len(lines) == 1
+        assert lines[0].startswith("non-finite state at t = ")
+        assert "positivity" not in captured.out
+        assert not (out / "report.json").exists()
+
     def test_config_errors_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == EXIT_USAGE
         raw = base_run_dict()
@@ -548,6 +565,44 @@ class TestCliSweep:
         assert float(row[0]) == report["x0"]
         assert float(row[1]) == report["delta"]
         assert float(row[2]) == report["certificate"]["fitted_rate"]
+
+    def test_member_refused_by_dt_guard_does_not_abort(self, tmp_path, capsys):
+        """Amplitude 20 makes the dt guard refuse dt = 0.01; that member is
+        a failed row and the other two still run and aggregate."""
+        raw = {
+            "sweep": {"amplitudes": [0.01, 0.05, 20.0], "workers": 1},
+            "base": base_run_dict(),
+        }
+        raw["base"]["stepper"].update(dt=0.01, t_end=0.1)
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_OK
+        lines = (out / "sweep_aggregate.csv").read_text().splitlines()
+        assert lines[0] == "x0,delta,fitted_rate,verdict"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[0]) for r in rows] == pytest.approx([0.01, 0.05, 20.0], rel=1e-12)
+        assert [r[3] for r in rows] == ["true", "true", "false"]
+        assert math.isnan(float(rows[2][2]))
+        assert "exceeds" in capsys.readouterr().out
+        assert not (out / "amplitude_20").exists()
+
+    def test_overflowing_member_is_a_failed_row(self, tmp_path, capsys):
+        raw = {
+            "sweep": {"amplitudes": [0.05, 3.0], "workers": 1},
+            "base": base_run_dict(),
+        }
+        raw["base"]["grid"]["modes"] = 16
+        raw["base"]["stepper"].update(dt=0.01, t_end=1.0, allow_large_dt=True)
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_OK
+        rows = [
+            line.split(",")
+            for line in (out / "sweep_aggregate.csv").read_text().splitlines()[1:]
+        ]
+        assert [r[3] for r in rows] == ["true", "false"]
+        assert math.isnan(float(rows[1][2]))
+        assert "non-finite state at t = " in capsys.readouterr().out
 
     def test_invalid_sweep_config_exits_one(self, tmp_path, capsys):
         raw = {"sweep": {"amplitudes": []}, "base": base_run_dict()}

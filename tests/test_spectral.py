@@ -211,6 +211,101 @@ class TestTransforms:
         assert np.allclose(flipped, f.coeffs, atol=1e-15)
 
 
+def hermitian_coeffs(grid, seed):
+    """Random coefficient array made exactly Hermitian by averaging."""
+    rng = np.random.default_rng(seed)
+    shape = grid.coeff_shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flipped = np.conj(raw[::-1] if grid.dim == 1 else raw[::-1, ::-1])
+    return 0.5 * (raw + flipped)
+
+
+def full_fft_bins(grid):
+    """Index of every retained wavenumber in numpy's full FFT layout, plus
+    the node-offset phase (-1)^(k_1 + ... + k_d)."""
+    k = grid.wavenumbers
+    bins = k % grid.phys_points_per_axis
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    if grid.dim == 1:
+        return (bins,), sign
+    return np.ix_(bins, bins), np.outer(sign, sign)
+
+
+def reference_inverse(grid, coeffs):
+    """Full complex inverse FFT of the zero-padded coefficients."""
+    embed, phase = full_fft_bins(grid)
+    spec = np.zeros(grid.phys_shape, dtype=complex)
+    spec[embed] = coeffs * phase * grid.phys_points_per_axis**grid.dim
+    return np.fft.ifftn(spec)
+
+
+def reference_forward(grid, samples):
+    """Full complex forward FFT restricted to the retained modes."""
+    embed, phase = full_fft_bins(grid)
+    return np.fft.fftn(samples)[embed] * phase / samples.size
+
+
+# (dim, M, padding): odd and even M, and padding 1 at the smallest even P.
+CORE_GRIDS = [
+    (1, 7, 2.0),
+    (1, 8, 2.0),
+    (1, 5, 1.0),
+    (1, 6, 1.0),
+    (2, 5, 2.0),
+    (2, 6, 2.0),
+    (2, 3, 1.0),
+    (2, 4, 1.0),
+]
+
+
+class TestRealToComplexCore:
+    """The half-spectrum transforms against full complex FFT references."""
+
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_inverse_matches_full_complex_ifft(self, dim, m, padding, seed):
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        c = hermitian_coeffs(grid, seed)
+        got = to_physical(SpectralField(grid, c))
+        ref = reference_inverse(grid, c)
+        scale = float(np.sum(np.abs(c)))
+        assert got.shape == grid.phys_shape
+        assert not np.iscomplexobj(got)
+        assert np.max(np.abs(got - ref.real)) <= 1e-13 * scale
+        assert np.max(np.abs(ref.imag)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forward_matches_full_complex_fft(self, dim, m, padding, seed):
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        samples = np.random.default_rng(seed).standard_normal(grid.phys_shape)
+        got = from_physical(samples, grid).coeffs
+        ref = reference_forward(grid, samples)
+        scale = float(np.max(np.abs(samples)))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
+    def test_forward_is_bitwise_hermitian(self, dim, m, padding):
+        """Exact symmetry, including the k_2 = 0 column in 2D, which a complex
+        FFT along the first axis leaves inexact."""
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        samples = np.random.default_rng(5).standard_normal(grid.phys_shape)
+        c = from_physical(samples, grid).coeffs
+        assert np.array_equal(c, np.conj(c[::-1] if dim == 1 else c[::-1, ::-1]))
+
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
+    def test_imag_residue_separates_hermitian_from_not(self, dim, m, padding):
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        c = hermitian_coeffs(grid, 3)
+        assert imag_residue(SpectralField(grid, c)) <= 1e-13
+        skewed = c.copy()
+        skewed[grid.index_of(1 if dim == 1 else (1, 0))] += 0.5j
+        residue = imag_residue(SpectralField(grid, skewed))
+        expected = np.max(np.abs(reference_inverse(grid, skewed).imag))
+        assert residue > 0.1
+        assert residue == pytest.approx(expected, rel=1e-12)
+
+
 class TestFieldFromModes:
     def test_amplitude_and_phase(self):
         """a sin(kx + phase) at phase pi/2 is a cos(kx)."""
@@ -398,6 +493,27 @@ class TestNorms:
         f = field_from_modes(grid, [(4, 0.9, 0.0)])
         # the collocation grid hits the sine's extrema when P is a multiple of 4k
         assert linf_norm(f) == pytest.approx(0.9, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cached_weights_give_bitwise_identical_norms(self, dim):
+        """The per-(grid, alpha) weight tables reproduce the direct formulas
+        bit for bit, on repeated calls too."""
+        grid = GridSpec.create(dim, 6)
+        f = random_field(grid, seed=13)
+        k = grid.wavenumbers.astype(float)
+        kmag = np.abs(k) if dim == 1 else np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+        a = np.abs(f.coeffs)
+        for alpha in (0.0, 1.0, 1.9, 2.0, 4.0):
+            direct = float(np.sum(kmag**alpha * a))
+            assert wiener_norm(f, alpha) == direct
+            assert wiener_norm(f, alpha) == direct
+        for alpha in (0.0, 1.0, 1.9, 2.0, -1.0):
+            w = np.ones_like(kmag) if alpha == 0 else np.zeros_like(kmag)
+            if alpha != 0:
+                w[kmag > 0] = kmag[kmag > 0] ** (2.0 * alpha)
+            direct = float(math.sqrt(np.sum(w * a**2)))
+            assert sobolev_norm(f, alpha) == direct
+            assert sobolev_norm(f, alpha) == direct
 
     def test_zero_field_norms(self):
         grid = GridSpec.create(2, 3)

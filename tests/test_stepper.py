@@ -24,6 +24,7 @@ from crystalsurf.spectral import (
 )
 from crystalsurf.stepper import (
     DT_GUARD_HEADROOM,
+    NonFiniteStateError,
     SCHEME_ETD1,
     SCHEME_ETDRK4,
     StepperConfig,
@@ -316,6 +317,43 @@ class TestIntegrate:
                 nonlinearity=explode,
             )
         assert exc.value.time == 5 * dt
+
+
+    @pytest.mark.parametrize("with_observer", [False, True])
+    def test_overflow_raises_at_first_non_finite_sample(self, with_observer):
+        """An exp run at amplitude 3 overflows; integrate stops at the first
+        sample whose state is not finite instead of marching NaN to t_end."""
+        grid = GridSpec.create(1, 16)
+        v0 = field_from_modes(grid, [(1, 3.0, 0.0)])
+        cfg = ModelConfig(EXPONENTIAL, grid)
+        scfg = StepperConfig(dt=0.01, t_end=1.0, sample_every=5, allow_large_dt=True)
+        seen = []
+        observer = (lambda t, v: seen.append(t)) if with_observer else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError, match="non-finite state at t = ") as exc:
+                integrate(cfg, scfg, v0, observer=observer)
+        t = exc.value.time
+        assert 0.0 < t < scfg.t_end
+        assert math.isclose(t / scfg.dt / scfg.sample_every, round(t / scfg.dt / scfg.sample_every))
+        if with_observer:
+            assert seen and max(seen) < t
+
+    def test_non_finite_state_checked_at_final_step(self):
+        """The last step is checked even when it is off the sample cadence."""
+        grid = GridSpec.create(1, 4)
+        v0 = field_from_modes(grid, [(1, 0.01, 0.0)])
+        cfg = ModelConfig(EXPONENTIAL, grid)
+        dt = 0.01
+        calls = {"n": 0}
+
+        def poison(c):
+            calls["n"] += 1
+            return np.full_like(c, np.nan) if calls["n"] > 8 else np.zeros_like(c)
+
+        scfg = StepperConfig(dt=dt, scheme=SCHEME_ETD1, t_end=0.1, sample_every=1000)
+        with pytest.raises(NonFiniteStateError) as exc:
+            integrate(cfg, scfg, v0, nonlinearity=poison)
+        assert exc.value.time == pytest.approx(scfg.n_steps * dt)
 
 
 class TestDilationSymmetry:
