@@ -28,6 +28,7 @@ from .config import (
     load_sweep_config,
     parse_run_config,
     run_config_to_dict,
+    sweep_member_dirname,
 )
 from .diagnostics import (
     RunReport,
@@ -351,7 +352,7 @@ def _sweep_worker(payload) -> dict:
     cfg = parse_run_config(raw_cfg)
     cdir = Path(config_dir) if config_dir else None
     v0 = _scaled_initial_field(cfg, amplitude, cdir)
-    out_dir = Path(out_base) / f"amplitude_{amplitude:g}"
+    out_dir = Path(out_base) / sweep_member_dirname(amplitude)
     try:
         report = execute_run(cfg, v0)
     except ConfigError:

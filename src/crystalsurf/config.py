@@ -179,10 +179,22 @@ def _parse_stepper(raw, path: str) -> StepperSection:
     _reject_unknown(
         m, {"scheme", "dt", "t_end", "sample_every", "max_steps", "allow_large_dt"}, path
     )
+    scheme = _as_str(_get(m, "scheme", path), f"{path}.scheme", SCHEMES)
+    dt = _as_number(_get(m, "dt", path), f"{path}.dt")
+    t_end = _as_number(_get(m, "t_end", path), f"{path}.t_end")
+    # The stepper takes round(t_end / dt) fixed steps, so any other t_end
+    # would silently end the run early or late; 1e-9 absorbs the rounding
+    # of decimal inputs such as 5.0 / 1e-4.
+    if dt > 0:
+        steps = t_end / dt
+        if not (math.isfinite(steps) and math.isclose(round(steps) * dt, t_end, rel_tol=1e-9)):
+            raise ConfigError(
+                f"{path}.t_end: {t_end!r} is not a whole number of steps of dt = {dt!r}"
+            )
     return StepperSection(
-        scheme=_as_str(_get(m, "scheme", path), f"{path}.scheme", SCHEMES),
-        dt=_as_number(_get(m, "dt", path), f"{path}.dt"),
-        t_end=_as_number(_get(m, "t_end", path), f"{path}.t_end"),
+        scheme=scheme,
+        dt=dt,
+        t_end=t_end,
         sample_every=_as_int(
             _get(m, "sample_every", path, required=False, default=1),
             f"{path}.sample_every",
@@ -276,6 +288,11 @@ def parse_run_config(raw, path: str = "") -> RunConfig:
     )
 
 
+def sweep_member_dirname(amplitude: float) -> str:
+    """Output directory name of one sweep member, relative to the sweep's."""
+    return f"amplitude_{amplitude:g}"
+
+
 def parse_sweep_config(raw) -> SweepConfig:
     m = _as_mapping(raw, "<config>")
     _reject_unknown(m, {"sweep", "base"}, "<config>")
@@ -289,9 +306,17 @@ def parse_sweep_config(raw) -> SweepConfig:
     amplitudes = tuple(
         _as_number(a, f"sweep.amplitudes[{i}]") for i, a in enumerate(araw)
     )
+    first_index = {}
     for i, a in enumerate(amplitudes):
         if a <= 0:
             raise ConfigError(f"sweep.amplitudes[{i}]: must be positive, got {a}")
+        name = sweep_member_dirname(a)
+        if name in first_index:
+            raise ConfigError(
+                f"sweep.amplitudes[{i}]: {a!r} would write the same directory {name}/ "
+                f"as sweep.amplitudes[{first_index[name]}]"
+            )
+        first_index[name] = i
     workers = _as_int(_get(sw, "workers", "sweep", required=False, default=4), "sweep.workers")
     if workers < 1:
         raise ConfigError(f"sweep.workers: must be >= 1, got {workers}")

@@ -30,6 +30,7 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _coeffs_from_phys,
+    _mirror,
     _phys_from_coeffs,
     _plan,
     from_physical,
@@ -179,12 +180,12 @@ def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None
 def remainder_fn(cfg: ModelConfig):
     """Raw-array evaluator of the superlinear remainder, for the stepper.
 
-    Returns a callable mapping a coefficient array to the coefficient array
-    of bilaplacian(superlinear part), with an optional `time` keyword used
-    to tag singularity errors.
+    Returns a callable mapping the k_d >= 0 half of a Hermitian coefficient
+    array, coeffs[..., M:], to the same half of bilaplacian(superlinear
+    part), with an optional `time` keyword used to tag singularity errors.
     """
     grid = cfg.grid
-    k4 = _plan(grid)["k4"]
+    k4 = np.ascontiguousarray(_plan(grid)["k4"][..., grid.modes_per_axis :])
     is_adl = cfg.kind == ADL
     needs_guard = is_adl and (cfg.mode == FULL)
 
@@ -206,7 +207,8 @@ def nonlinear_remainder(cfg: ModelConfig, v: SpectralField) -> SpectralField:
     """
     _require_model_grid(cfg, v)
     require_zero_mean(v)
-    return SpectralField(v.grid, remainder_fn(cfg)(v.coeffs))
+    half = remainder_fn(cfg)(v.coeffs[..., v.grid.modes_per_axis :])
+    return SpectralField(v.grid, _mirror(v.grid, half))
 
 
 def rhs(cfg: ModelConfig, v: SpectralField) -> SpectralField:
@@ -215,7 +217,8 @@ def rhs(cfg: ModelConfig, v: SpectralField) -> SpectralField:
     require_zero_mean(v)
     k4 = _plan(v.grid)["k4"]
     linear = v.coeffs * (-cfg.linear_coefficient * k4)
-    return SpectralField(v.grid, linear + remainder_fn(cfg)(v.coeffs))
+    half = remainder_fn(cfg)(v.coeffs[..., v.grid.modes_per_axis :])
+    return SpectralField(v.grid, linear + _mirror(v.grid, half))
 
 
 def _require_model_grid(cfg: ModelConfig, v: SpectralField) -> None:
@@ -286,5 +289,5 @@ def v_from_u(kind: str, u: SpectralField, grid: GridSpec | None = None) -> Spect
         raise ValueError("target grid must share the collocation resolution")
     out = from_physical(w - 1.0, target)
     c = out.coeffs.copy()
-    c[target.index_of(0 if target.dim == 1 else (0, 0))] = 0.0
+    c[target.zero_index] = 0.0
     return SpectralField(target, c)

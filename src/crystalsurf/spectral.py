@@ -16,8 +16,12 @@ both transform directions below account for it.
 
 The transforms are real-to-complex: they work on the k_d >= 0 half of the
 last axis only (numpy's rfft/irfft in 1D, rfft2/irfft2 in 2D), so a forward
-transform is Hermitian by construction and the full (2M+1)^d layout is
-rebuilt from the half by conjugate mirroring.  The inverse reads only that
+transform is Hermitian by construction.  The private pair
+`_phys_from_coeffs`/`_coeffs_from_phys` takes and returns that half,
+coeffs[..., M:] of shape (M+1,) in 1D and (2M+1, M+1) in 2D; the stepper
+marches it directly, because the other half is its conjugate mirror and
+carries no information.  `_mirror` rebuilds the full (2M+1)^d layout, which
+SpectralField keeps, once per public result.  The inverse reads only the
 half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
 constructor here produces such arrays and every operation keeps them so.
 `imag_residue` measures how far an array is from that invariant.
@@ -115,6 +119,11 @@ class GridSpec:
         return (2 * self.modes_per_axis + 1,) * self.dim
 
     @property
+    def zero_index(self) -> tuple[int, ...]:
+        """Storage index of the mean mode k = 0."""
+        return (self.modes_per_axis,) * self.dim
+
+    @property
     def phys_shape(self) -> tuple[int, ...]:
         return (self.phys_points_per_axis,) * self.dim
 
@@ -208,12 +217,12 @@ class SpectralField:
 
     @property
     def mean_value(self) -> float:
-        return float(self.coeffs[self.grid.index_of(0 if self.grid.dim == 1 else (0, 0))].real)
+        return float(self.coeffs[self.grid.zero_index].real)
 
     @property
     def has_zero_mean(self) -> bool:
         """True when the mean-mode coefficient is exactly zero."""
-        return self.coeffs[self.grid.index_of(0 if self.grid.dim == 1 else (0, 0))] == 0
+        return self.coeffs[self.grid.zero_index] == 0
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         c = self.coeffs
@@ -222,41 +231,55 @@ class SpectralField:
         return bool(np.max(np.abs(c - flipped)) <= tol * scale)
 
 
-def _phys_from_coeffs(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Raw-array inverse transform of Hermitian coefficients; real P^d samples.
+def _phys_from_coeffs(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Raw-array inverse transform of a Hermitian half; real P^d samples.
 
-    Only the k_d >= 0 half of the last axis is read; irfft zero-pads it to
-    the P//2 + 1 bins of the grid.
+    `half` is the k_d >= 0 half of the coefficients, coeffs[..., M:]:
+    shape (M+1,) in 1D, (2M+1, M+1) in 2D.  irfft zero-pads it to the
+    P//2 + 1 bins of the grid.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
     table = _plan(grid)["inverse"]
     if grid.dim == 1:
-        return np.fft.irfft(coeffs[m:] * table, n=p)
+        return np.fft.irfft(half * table, n=p)
     # Rows in FFT order: k_1 = 0..M first, k_1 = -M..-1 last, zeros between.
     spec = np.zeros((p, m + 1), dtype=np.complex128)
-    np.multiply(coeffs[m:, m:], table[m:], out=spec[: m + 1])
-    np.multiply(coeffs[:m, m:], table[:m], out=spec[p - m :])
+    np.multiply(half[m:], table[m:], out=spec[: m + 1])
+    np.multiply(half[:m], table[:m], out=spec[p - m :])
     return np.fft.irfft2(spec, s=(p, p))
 
 
 def _coeffs_from_phys(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """Raw-array forward transform; the result is exactly Hermitian."""
+    """Raw-array forward transform to the k_d >= 0 half, coeffs[..., M:].
+
+    `_mirror` rebuilds the full layout from it, exactly Hermitian.
+    """
     m = grid.modes_per_axis
     table = _plan(grid)["forward"]
     if grid.dim == 1:
-        half = np.fft.rfft(samples)[: m + 1] * table
-        return np.concatenate((np.conj(half[:0:-1]), half))
+        return np.fft.rfft(samples)[: m + 1] * table
     spec = np.fft.rfft2(samples)
-    coeffs = np.empty(grid.coeff_shape, dtype=np.complex128)
-    np.multiply(spec[: m + 1, : m + 1], table[m:], out=coeffs[m:, m:])
-    np.multiply(spec[-m:, : m + 1], table[:m], out=coeffs[:m, m:])
+    half = np.empty((2 * m + 1, m + 1), dtype=np.complex128)
+    np.multiply(spec[: m + 1, : m + 1], table[m:], out=half[m:])
+    np.multiply(spec[-m:, : m + 1], table[:m], out=half[:m])
     # The k_2 = 0 column comes from a complex FFT along axis 0, which leaves
-    # its k_1 -> -k_1 symmetry inexact; every other column is mirrored below.
-    col = coeffs[:, m]
-    coeffs[:, m] = 0.5 * (col + np.conj(col[::-1]))
-    coeffs[:, :m] = np.conj(coeffs[::-1, :m:-1])
-    return coeffs
+    # its k_1 -> -k_1 symmetry inexact; the other columns have no partner
+    # inside the half.
+    col = half[:, 0]
+    half[:, 0] = 0.5 * (col + np.conj(col[::-1]))
+    return half
+
+
+def _mirror(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Full (2M+1)^d coefficient array from its k_d >= 0 half, c(-k) = conj(c(k))."""
+    m = grid.modes_per_axis
+    if grid.dim == 1:
+        return np.concatenate((np.conj(half[:0:-1]), half))
+    full = np.empty(grid.coeff_shape, dtype=np.complex128)
+    full[:, m:] = half
+    full[:, :m] = np.conj(half[::-1, :0:-1])
+    return full
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
@@ -267,7 +290,7 @@ def to_physical(f: SpectralField) -> np.ndarray:
     Hermitian fields this module constructs; `imag_residue` measures how
     far a coefficient array is from that invariant.
     """
-    return _phys_from_coeffs(f.grid, f.coeffs)
+    return _phys_from_coeffs(f.grid, f.coeffs[..., f.grid.modes_per_axis :])
 
 
 def imag_residue(f: SpectralField) -> float:
@@ -279,7 +302,8 @@ def imag_residue(f: SpectralField) -> float:
     """
     c = f.coeffs
     anti = 0.5 * (c - np.conj(c[::-1] if f.grid.dim == 1 else c[::-1, ::-1]))
-    return float(np.max(np.abs(_phys_from_coeffs(f.grid, -1j * anti))))
+    half = -1j * anti[..., f.grid.modes_per_axis :]
+    return float(np.max(np.abs(_phys_from_coeffs(f.grid, half))))
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -300,7 +324,7 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ValueError(
             f"sample shape {s.shape} does not match grid {grid.phys_shape}"
         )
-    return SpectralField(grid, _coeffs_from_phys(grid, s.astype(float)))
+    return SpectralField(grid, _mirror(grid, _coeffs_from_phys(grid, s.astype(float))))
 
 
 def field_from_modes(grid: GridSpec, modes, drop_unrepresentable: bool = False) -> SpectralField:
@@ -337,13 +361,13 @@ def zero_field(grid: GridSpec) -> SpectralField:
 def with_zero_mean(f: SpectralField) -> SpectralField:
     """Copy of the field with the mean-mode coefficient set to exactly zero."""
     c = f.coeffs.copy()
-    c[f.grid.index_of(0 if f.grid.dim == 1 else (0, 0))] = 0.0
+    c[f.grid.zero_index] = 0.0
     return SpectralField(f.grid, c)
 
 
 def require_zero_mean(f: SpectralField, tol: float = 1e-12) -> None:
     """Raise ValueError unless the mean coefficient is negligible."""
-    center = f.coeffs[f.grid.index_of(0 if f.grid.dim == 1 else (0, 0))]
+    center = f.coeffs[f.grid.zero_index]
     scale = 1.0 + float(np.sum(np.abs(f.coeffs)))
     if abs(center) > tol * scale:
         raise ValueError(

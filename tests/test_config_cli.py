@@ -229,6 +229,13 @@ class TestSweepParsing:
                 lambda d: d["sweep"].update(amplitudes=[0.1, -0.2]),
                 r"amplitudes\[1\]: must be positive",
             ),
+            (
+                # Both amplitudes format to amplitude_0.01; the second
+                # member would overwrite the first.
+                lambda d: d["sweep"].update(amplitudes=[0.01, 0.02, 0.010000001]),
+                r"amplitudes\[2\]: .* same directory amplitude_0\.01/ "
+                r"as sweep\.amplitudes\[0\]",
+            ),
             (lambda d: d["sweep"].update(workers=0), "workers: must be >= 1"),
             (lambda d: d["sweep"].update(threads=2), r"sweep: unknown key\(s\) 'threads'"),
             (lambda d: d.pop("base"), "missing required key 'base'"),
@@ -447,6 +454,24 @@ class TestCliRun:
         assert "positivity" not in captured.out
         assert not (out / "report.json").exists()
 
+    def test_t_end_off_the_step_grid_exits_one(self, tmp_path, capsys):
+        """round(t_end / dt) steps would end this run at t = 0.051; the
+        config is refused instead, before anything is written."""
+        raw = base_run_dict()
+        raw["stepper"].update(dt=0.003, t_end=0.05)
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "stepper.t_end: 0.05 is not a whole number of steps of dt = 0.003" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-4, 5.0), (0.1, 0.3), (1e-3, 0.0)])
+    def test_t_end_on_the_step_grid_accepted(self, dt, t_end):
+        raw = base_run_dict()
+        raw["stepper"].update(dt=dt, t_end=t_end)
+        assert parse_run_config(raw).stepper.t_end == t_end
+
     def test_config_errors_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == EXIT_USAGE
         raw = base_run_dict()
@@ -603,6 +628,14 @@ class TestCliSweep:
         assert [r[3] for r in rows] == ["true", "false"]
         assert math.isnan(float(rows[1][2]))
         assert "non-finite state at t = " in capsys.readouterr().out
+
+    def test_colliding_member_directories_exit_one(self, tmp_path, capsys):
+        raw = {"sweep": {"amplitudes": [0.01, 0.010000001]}, "base": base_run_dict()}
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        out = tmp_path / "results"
+        assert main(["sweep", config, "--workers", "1", "--out", str(out)]) == EXIT_USAGE
+        assert "same directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_sweep_config_exits_one(self, tmp_path, capsys):
         raw = {"sweep": {"amplitudes": []}, "base": base_run_dict()}

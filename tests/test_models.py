@@ -22,7 +22,9 @@ from crystalsurf.models import (
     binomial_coeff,
     exp_series_partial_sum,
     linear_coefficient,
+    _superlinear_pointwise,
     nonlinear_remainder,
+    remainder_fn,
     rhs,
     u_from_v,
     v_from_u,
@@ -30,6 +32,7 @@ from crystalsurf.models import (
 from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
+    _plan,
     bilaplacian,
     field_from_modes,
     from_physical,
@@ -255,6 +258,25 @@ class TestRemainder:
         v = from_physical(np.sin(grid.nodes) + 0.2, grid)
         with pytest.raises(ValueError, match="mean"):
             rhs(cfg, v)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    def test_half_remainder_matches_public_pipeline(self, dim, kind):
+        """remainder_fn maps the k_d >= 0 half to the same half, bitwise equal
+        to to_physical -> pointwise -> from_physical -> x k^4 on the full
+        layout, for random Hermitian fields."""
+        grid = GridSpec.create(dim, 8 if dim == 1 else 5)
+        m = grid.modes_per_axis
+        cfg = ModelConfig(kind, grid)
+        k4 = _plan(grid)["k4"]
+        rng = np.random.default_rng(20 + dim)
+        for _ in range(5):
+            v = from_physical(0.05 * rng.standard_normal(grid.phys_shape), grid)
+            w = _superlinear_pointwise(cfg, to_physical(v))
+            want = (from_physical(w, grid).coeffs * k4)[..., m:]
+            got = remainder_fn(cfg)(v.coeffs[..., m:])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_rhs_has_zero_mean(self):
         grid = GridSpec.create(1, 8)

@@ -29,6 +29,7 @@ from crystalsurf.stepper import (
     SCHEME_ETDRK4,
     StepperConfig,
     TrajectoryState,
+    _Stepper,
     dt_guard,
     integrate,
     phi_functions,
@@ -354,6 +355,87 @@ class TestIntegrate:
         with pytest.raises(NonFiniteStateError) as exc:
             integrate(cfg, scfg, v0, nonlinearity=poison)
         assert exc.value.time == pytest.approx(scfg.n_steps * dt)
+
+
+SUBNORMAL = 1e-310
+
+# The truncated exponential model at order 1 has an identically zero
+# remainder, so a step is the bare propagator and a subnormal input can only
+# leave through the flush; the full adl model covers a nonlinear remainder.
+LINEAR_FLOW = ("exp", "truncated", 1)
+NONLINEAR = ("adl", "full", 20)
+
+
+def _march_setup(dim, model):
+    grid = GridSpec.create(dim, 8 if dim == 1 else 4)
+    kind, mode, order = model
+    cfg = ModelConfig(kind, grid, mode=mode, truncation_order=order)
+    k = 1 if dim == 1 else (1, 1)
+    v = field_from_modes(grid, [(k, 0.05, 0.3)])
+    return grid, cfg, v
+
+
+def _seed_high_modes(grid, coeffs):
+    """Copy of `coeffs` with Hermitian subnormal pairs at |k_1| = M."""
+    c = coeffs.copy()
+    m = grid.modes_per_axis
+    for k in ([m] if grid.dim == 1 else [(m, 0), (m, 1), (-m, 2), (m, m)]):
+        ks = (k,) if grid.dim == 1 else k
+        value = complex(SUBNORMAL, -2 * SUBNORMAL)
+        c[grid.index_of(k)] = value
+        c[grid.index_of(tuple(-x for x in ks) if grid.dim == 2 else -k)] = np.conj(value)
+    return c
+
+
+def _has_subnormal(a):
+    parts = np.abs(np.asarray(a).view(np.float64))
+    return bool(np.any((parts > 0) & (parts < np.finfo(np.float64).tiny)))
+
+
+class TestHalfSpectrumMarch:
+    """The march carries the k_d >= 0 half and flushes subnormal parts."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    def test_advance_returns_no_subnormals(self, dim, scheme):
+        grid, cfg, v = _march_setup(dim, LINEAR_FLOW)
+        m = grid.modes_per_axis
+        half = _seed_high_modes(grid, v.coeffs)[..., m:].copy()
+        assert _has_subnormal(half)
+        before = half.copy()
+        out = _Stepper(cfg, StepperConfig(dt=1e-4, scheme=scheme)).advance(half, 0.0)
+        assert out.shape == half.shape
+        assert not _has_subnormal(out)
+        assert half.tobytes() == before.tobytes()  # the input is left alone
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    @pytest.mark.parametrize("model", [LINEAR_FLOW, NONLINEAR], ids=["linear", "adl"])
+    def test_step_ignores_subnormal_high_modes(self, dim, scheme, model):
+        """Subnormal high modes change nothing: the step from the seeded
+        state is bitwise the step from the state with those modes zeroed."""
+        grid, cfg, v = _march_setup(dim, model)
+        seeded = SpectralField(grid, _seed_high_modes(grid, v.coeffs))
+        scfg = StepperConfig(dt=1e-4, scheme=scheme)
+        got = step(cfg, scfg, TrajectoryState(0.0, seeded, 0)).v.coeffs
+        want = step(cfg, scfg, TrajectoryState(0.0, v, 0)).v.coeffs
+        assert got.shape == grid.coeff_shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nonlinearity_override_sees_full_layout(self, dim):
+        grid, cfg, v = _march_setup(dim, NONLINEAR)
+        shapes = set()
+
+        def zero(c):
+            shapes.add(c.shape)
+            return np.zeros_like(c)
+
+        scfg = StepperConfig(dt=1e-3, scheme=SCHEME_ETDRK4, t_end=5e-3)
+        state = integrate(cfg, scfg, v, nonlinearity=zero)
+        assert shapes == {grid.coeff_shape}
+        assert state.v.coeffs.shape == grid.coeff_shape
+        assert state.v.is_hermitian(tol=0.0)
 
 
 class TestDilationSymmetry:
