@@ -401,16 +401,20 @@ def write_sweep_aggregate(path: Path, rows) -> None:
 def cmd_sweep(args) -> int:
     try:
         sweep = load_sweep_config(args.config)
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    workers = args.workers if args.workers else sweep.workers
     out_base = Path(args.out) if args.out else Path(sweep.base.outputs.directory)
     config_dir = str(Path(args.config).resolve().parent)
     raw_cfg = run_config_to_dict(sweep.base)
     payloads = [(raw_cfg, a, str(out_base), config_dir) for a in sweep.amplitudes]
+    # A process pool starts all its workers up front, so it is never larger
+    # than the number of members.
+    workers = min(sweep.workers if args.workers is None else args.workers, len(payloads))
     try:
-        if workers == 1 or len(payloads) == 1:
+        if workers == 1:
             rows = [_sweep_worker(p) for p in payloads]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,12 +4,18 @@ Configs are YAML with a fixed nested schema; unknown keys anywhere are
 rejected with the offending key path, so typos fail fast instead of being
 silently ignored.  parse -> serialize -> parse is an identity on the
 validated dataclasses.
+
+Each key is declared once, as a field of its `*Section` dataclass: the
+field's default is the key's default (no default: a required key) and its
+metadata holds the key's check.  `_parse` reads every section from those
+fields and `run_config_to_dict` writes them back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +26,9 @@ from .spectral import GridSpec, SpectralField, field_from_modes, from_physical, 
 from .stepper import SCHEMES, StepperConfig
 
 OUTPUT_FORMATS = ("csv", "json", "plot")
+
+# The key that holds the data of each initial_data kind.
+INITIAL_DATA_KEYS = {"modes": "modes", "file": "path"}
 
 
 class ConfigError(ValueError):
@@ -45,18 +54,22 @@ def _reject_unknown(mapping: dict, allowed, path: str) -> None:
         )
 
 
-def _get(mapping: dict, key: str, path: str, required: bool = True, default=None):
+def _get(mapping: dict, key: str, path: str):
     if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return default
+        raise ConfigError(f"{path}: missing required key {key!r}")
     return mapping[key]
 
 
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {_type_name(value)}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -79,58 +92,104 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-@dataclass(frozen=True)
+def _within(check, ok, rule: str):
+    """`check`, then refuse a value for which `ok` is false: 'must be {rule}'."""
+
+    def checked(value, path: str):
+        value = check(value, path)
+        if not ok(value):
+            raise ConfigError(f"{path}: must be {rule}, got {value}")
+        return value
+
+    return checked
+
+
+def _as_list(item_check, what: str = "a non-empty list"):
+    """A non-empty list, each item checked at `path[i]`; parsed to a tuple."""
+
+    def checked(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected {what}")
+        return tuple(item_check(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return checked
+
+
+def _as_wavenumber(value, path: str, dim: int) -> tuple[int, ...]:
+    """A mode's k: a scalar (or one-item list) in 1D, a pair in 2D."""
+    if dim == 1:
+        if isinstance(value, list):
+            if len(value) != 1:
+                raise ConfigError(f"{path}: expected one wavenumber for dim=1")
+            value = value[0]
+        return (_as_int(value, path),)
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a pair [k1, k2] for dim=2")
+    return tuple(_as_int(ki, f"{path}[{i}]") for i, ki in enumerate(value))
+
+
+def _key(check, **default):
+    """Declare one config key: its check, and its default if it is optional."""
+    return field(metadata={"check": check}, **default)
+
+
+@dataclass(frozen=True, kw_only=True)
 class ModelSection:
-    kind: str
-    mode: str = "full"
-    truncation_order: int = DEFAULT_TRUNCATION_ORDER
+    kind: str = _key(partial(_as_str, choices=MODEL_KINDS))
+    mode: str = _key(partial(_as_str, choices=NONLINEARITY_MODES), default="full")
+    truncation_order: int = _key(
+        _within(_as_int, lambda n: n >= 0, ">= 0"), default=DEFAULT_TRUNCATION_ORDER
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GridSection:
-    dim: int = 1
-    modes: int = 32
-    phys_points: int | None = None
-    padding: float = 2.0
+    dim: int = _key(_within(_as_int, lambda d: d in (1, 2), "1 or 2"), default=1)
+    modes: int = _key(_as_int)
+    padding: float = _key(_as_number, default=2.0)
+    phys_points: int | None = _key(_as_int, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StepperSection:
-    scheme: str
-    dt: float
-    t_end: float
-    sample_every: int = 1
-    max_steps: int = 10_000_000
-    allow_large_dt: bool = False
+    scheme: str = _key(partial(_as_str, choices=SCHEMES))
+    dt: float = _key(_as_number)
+    t_end: float = _key(_as_number)
+    sample_every: int = _key(_as_int, default=1)
+    max_steps: int = _key(_as_int, default=10_000_000)
+    allow_large_dt: bool = _key(_as_bool, default=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModeEntry:
-    k: tuple[int, ...]
-    amplitude: float
-    phase: float = 0.0
+    k: tuple[int, ...] = _key(None)  # its shape depends on grid.dim: _as_wavenumber
+    amplitude: float = _key(_as_number)
+    phase: float = _key(_as_number, default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class InitialDataSection:
-    kind: str  # "modes" | "file"
-    modes: tuple[ModeEntry, ...] = ()
-    path: str | None = None
+    kind: str = _key(partial(_as_str, choices=tuple(INITIAL_DATA_KEYS)))
+    modes: tuple[ModeEntry, ...] = _key(None, default=())  # entries need grid.dim
+    path: str | None = _key(_as_str, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OutputsSection:
-    directory: str = "out"
-    formats: tuple[str, ...] = OUTPUT_FORMATS
+    directory: str = _key(_as_str, default="out")
+    formats: tuple[str, ...] = _key(
+        _as_list(partial(_as_str, choices=OUTPUT_FORMATS)), default=OUTPUT_FORMATS
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
+    # Fields in the order run_config_to_dict writes them.
     model: ModelSection
     grid: GridSection
     stepper: StepperSection
-    initial_data: InitialDataSection
     outputs: OutputsSection = OutputsSection()
+    initial_data: InitialDataSection
 
 
 @dataclass(frozen=True)
@@ -140,48 +199,26 @@ class SweepConfig:
     workers: int = 4
 
 
-def _parse_model(raw, path: str) -> ModelSection:
-    m = _as_mapping(raw, path)
-    _reject_unknown(m, {"kind", "mode", "truncation_order"}, path)
-    kind = _as_str(_get(m, "kind", path), f"{path}.kind", MODEL_KINDS)
-    mode = _as_str(
-        _get(m, "mode", path, required=False, default="full"),
-        f"{path}.mode",
-        NONLINEARITY_MODES,
-    )
-    order = _as_int(
-        _get(m, "truncation_order", path, required=False, default=DEFAULT_TRUNCATION_ORDER),
-        f"{path}.truncation_order",
-    )
-    if order < 0:
-        raise ConfigError(f"{path}.truncation_order: must be >= 0, got {order}")
-    return ModelSection(kind, mode, order)
+def _parse(cls, raw, path: str, /, **context_checks):
+    """Validate a raw mapping into the section dataclass `cls`.
 
-
-def _parse_grid(raw, path: str) -> GridSection:
+    Keys are checked in field order with each field's own check, unless
+    `context_checks` gives one that depends on the rest of the config.
+    """
     m = _as_mapping(raw, path)
-    _reject_unknown(m, {"dim", "modes", "phys_points", "padding"}, path)
-    dim = _as_int(_get(m, "dim", path, required=False, default=1), f"{path}.dim")
-    if dim not in (1, 2):
-        raise ConfigError(f"{path}.dim: must be 1 or 2, got {dim}")
-    modes = _as_int(_get(m, "modes", path), f"{path}.modes")
-    phys = _get(m, "phys_points", path, required=False)
-    if phys is not None:
-        phys = _as_int(phys, f"{path}.phys_points")
-    padding = _as_number(
-        _get(m, "padding", path, required=False, default=2.0), f"{path}.padding"
-    )
-    return GridSection(dim, modes, phys, padding)
+    keys = fields(cls)
+    _reject_unknown(m, [f.name for f in keys], path)
+    values = {}
+    for f in keys:
+        if f.name in m or f.default is MISSING:
+            check = context_checks.get(f.name, f.metadata["check"])
+            values[f.name] = check(_get(m, f.name, path), f"{path}.{f.name}")
+    return cls(**values)
 
 
 def _parse_stepper(raw, path: str) -> StepperSection:
-    m = _as_mapping(raw, path)
-    _reject_unknown(
-        m, {"scheme", "dt", "t_end", "sample_every", "max_steps", "allow_large_dt"}, path
-    )
-    scheme = _as_str(_get(m, "scheme", path), f"{path}.scheme", SCHEMES)
-    dt = _as_number(_get(m, "dt", path), f"{path}.dt")
-    t_end = _as_number(_get(m, "t_end", path), f"{path}.t_end")
+    section = _parse(StepperSection, raw, path)
+    dt, t_end = section.dt, section.t_end
     # The stepper takes round(t_end / dt) fixed steps, so any other t_end
     # would silently end the run early or late; 1e-9 absorbs the rounding
     # of decimal inputs such as 5.0 / 1e-4.
@@ -191,100 +228,48 @@ def _parse_stepper(raw, path: str) -> StepperSection:
             raise ConfigError(
                 f"{path}.t_end: {t_end!r} is not a whole number of steps of dt = {dt!r}"
             )
-    return StepperSection(
-        scheme=scheme,
-        dt=dt,
-        t_end=t_end,
-        sample_every=_as_int(
-            _get(m, "sample_every", path, required=False, default=1),
-            f"{path}.sample_every",
-        ),
-        max_steps=_as_int(
-            _get(m, "max_steps", path, required=False, default=10_000_000),
-            f"{path}.max_steps",
-        ),
-        allow_large_dt=_as_bool(
-            _get(m, "allow_large_dt", path, required=False, default=False),
-            f"{path}.allow_large_dt",
-        ),
-    )
+    return section
 
 
-def _parse_mode_entry(raw, path: str, dim: int) -> ModeEntry:
-    m = _as_mapping(raw, path)
-    _reject_unknown(m, {"k", "amplitude", "phase"}, path)
-    kraw = _get(m, "k", path)
-    if dim == 1:
-        if isinstance(kraw, list):
-            if len(kraw) != 1:
-                raise ConfigError(f"{path}.k: expected one wavenumber for dim=1")
-            kraw = kraw[0]
-        k = (_as_int(kraw, f"{path}.k"),)
-    else:
-        if not isinstance(kraw, list) or len(kraw) != 2:
-            raise ConfigError(f"{path}.k: expected a pair [k1, k2] for dim=2")
-        k = tuple(_as_int(ki, f"{path}.k[{i}]") for i, ki in enumerate(kraw))
-    return ModeEntry(
-        k=k,
-        amplitude=_as_number(_get(m, "amplitude", path), f"{path}.amplitude"),
-        phase=_as_number(
-            _get(m, "phase", path, required=False, default=0.0), f"{path}.phase"
-        ),
-    )
+def _refuse(message: str):
+    """A check that refuses any value of its key with `message`."""
+
+    def check(value, path: str):
+        raise ConfigError(message)
+
+    return check
 
 
 def _parse_initial_data(raw, path: str, dim: int) -> InitialDataSection:
     m = _as_mapping(raw, path)
-    _reject_unknown(m, {"kind", "modes", "path"}, path)
-    kind = _as_str(_get(m, "kind", path), f"{path}.kind", ("modes", "file"))
-    if kind == "modes":
-        entries = _get(m, "modes", path)
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError(f"{path}.modes: expected a non-empty list of mode entries")
-        if "path" in m:
-            raise ConfigError(f"{path}: key 'path' is only valid with kind: file")
-        modes = tuple(
-            _parse_mode_entry(e, f"{path}.modes[{i}]", dim) for i, e in enumerate(entries)
-        )
-        return InitialDataSection(kind="modes", modes=modes)
-    if "modes" in m:
-        raise ConfigError(f"{path}: key 'modes' is only valid with kind: modes")
-    return InitialDataSection(kind="file", path=_as_str(_get(m, "path", path), f"{path}.path"))
-
-
-def _parse_outputs(raw, path: str) -> OutputsSection:
-    if raw is None:
-        return OutputsSection()
-    m = _as_mapping(raw, path)
-    _reject_unknown(m, {"directory", "formats"}, path)
-    directory = _as_str(
-        _get(m, "directory", path, required=False, default="out"), f"{path}.directory"
-    )
-    fraw = _get(m, "formats", path, required=False, default=list(OUTPUT_FORMATS))
-    if not isinstance(fraw, list) or not fraw:
-        raise ConfigError(f"{path}.formats: expected a non-empty list")
-    formats = tuple(
-        _as_str(f, f"{path}.formats[{i}]", OUTPUT_FORMATS) for i, f in enumerate(fraw)
-    )
-    return OutputsSection(directory, formats)
+    entry = partial(_parse, ModeEntry, k=partial(_as_wavenumber, dim=dim))
+    checks = {"modes": _as_list(entry, "a non-empty list of mode entries")}
+    # Each kind requires its own data key and refuses the other kind's.
+    for kind, key in INITIAL_DATA_KEYS.items():
+        if kind != m.get("kind"):
+            checks[key] = _refuse(f"{path}: key {key!r} is only valid with kind: {kind}")
+    section = _parse(InitialDataSection, m, path, **checks)
+    _get(m, INITIAL_DATA_KEYS[section.kind], path)
+    return section
 
 
 def parse_run_config(raw, path: str = "") -> RunConfig:
     """Validate a raw mapping into a RunConfig; `path` prefixes diagnostics."""
     prefix = f"{path}." if path else ""
     m = _as_mapping(raw, path or "<config>")
-    _reject_unknown(
-        m, {"model", "grid", "stepper", "initial_data", "outputs"}, path or "<config>"
-    )
-    grid = _parse_grid(_get(m, "grid", path or "<config>"), f"{prefix}grid")
+    _reject_unknown(m, [f.name for f in fields(RunConfig)], path or "<config>")
+    grid = _parse(GridSection, _get(m, "grid", path or "<config>"), f"{prefix}grid")
+    outputs = m.get("outputs")
     return RunConfig(
-        model=_parse_model(_get(m, "model", path or "<config>"), f"{prefix}model"),
+        model=_parse(ModelSection, _get(m, "model", path or "<config>"), f"{prefix}model"),
         grid=grid,
         stepper=_parse_stepper(_get(m, "stepper", path or "<config>"), f"{prefix}stepper"),
         initial_data=_parse_initial_data(
             _get(m, "initial_data", path or "<config>"), f"{prefix}initial_data", grid.dim
         ),
-        outputs=_parse_outputs(m.get("outputs"), f"{prefix}outputs"),
+        outputs=OutputsSection()
+        if outputs is None
+        else _parse(OutputsSection, outputs, f"{prefix}outputs"),
     )
 
 
@@ -303,13 +288,10 @@ def parse_sweep_config(raw) -> SweepConfig:
         raise ConfigError("sweep.amplitudes: expected a list of amplitudes")
     if not araw:
         raise ConfigError("sweep.amplitudes: amplitude grid is empty")
-    amplitudes = tuple(
-        _as_number(a, f"sweep.amplitudes[{i}]") for i, a in enumerate(araw)
-    )
+    positive = _within(_as_number, lambda a: a > 0, "positive")
+    amplitudes = tuple(positive(a, f"sweep.amplitudes[{i}]") for i, a in enumerate(araw))
     first_index = {}
     for i, a in enumerate(amplitudes):
-        if a <= 0:
-            raise ConfigError(f"sweep.amplitudes[{i}]: must be positive, got {a}")
         name = sweep_member_dirname(a)
         if name in first_index:
             raise ConfigError(
@@ -317,9 +299,8 @@ def parse_sweep_config(raw) -> SweepConfig:
                 f"as sweep.amplitudes[{first_index[name]}]"
             )
         first_index[name] = i
-    workers = _as_int(_get(sw, "workers", "sweep", required=False, default=4), "sweep.workers")
-    if workers < 1:
-        raise ConfigError(f"sweep.workers: must be >= 1, got {workers}")
+    at_least_one = _within(_as_int, lambda n: n >= 1, ">= 1")
+    workers = at_least_one(sw.get("workers", SweepConfig.workers), "sweep.workers")
     base = parse_run_config(_get(m, "base", "<config>"), "base")
     return SweepConfig(amplitudes, base, workers)
 
@@ -346,48 +327,23 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     return parse_sweep_config(load_yaml(path))
 
 
+def _to_raw(value):
+    """File form of a parsed value: sections become mappings without their
+    unset (None) and empty keys, and tuples become lists."""
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {k: _to_raw(v) for k, v in items if v is not None and v != ()}
+    if isinstance(value, tuple):
+        return [_to_raw(v) for v in value]
+    return value
+
+
 def run_config_to_dict(cfg: RunConfig) -> dict:
     """Serialize back to the file schema; inverse of parse_run_config."""
-    out: dict = {
-        "model": {
-            "kind": cfg.model.kind,
-            "mode": cfg.model.mode,
-            "truncation_order": cfg.model.truncation_order,
-        },
-        "grid": {
-            "dim": cfg.grid.dim,
-            "modes": cfg.grid.modes,
-            "padding": cfg.grid.padding,
-        },
-        "stepper": {
-            "scheme": cfg.stepper.scheme,
-            "dt": cfg.stepper.dt,
-            "t_end": cfg.stepper.t_end,
-            "sample_every": cfg.stepper.sample_every,
-            "max_steps": cfg.stepper.max_steps,
-            "allow_large_dt": cfg.stepper.allow_large_dt,
-        },
-        "outputs": {
-            "directory": cfg.outputs.directory,
-            "formats": list(cfg.outputs.formats),
-        },
-    }
-    if cfg.grid.phys_points is not None:
-        out["grid"]["phys_points"] = cfg.grid.phys_points
-    if cfg.initial_data.kind == "modes":
-        out["initial_data"] = {
-            "kind": "modes",
-            "modes": [
-                {
-                    "k": e.k[0] if cfg.grid.dim == 1 else list(e.k),
-                    "amplitude": e.amplitude,
-                    "phase": e.phase,
-                }
-                for e in cfg.initial_data.modes
-            ],
-        }
-    else:
-        out["initial_data"] = {"kind": "file", "path": cfg.initial_data.path}
+    out = _to_raw(cfg)
+    if cfg.grid.dim == 1:  # a 1D wavenumber is written as a scalar
+        for entry in out["initial_data"].get("modes", ()):
+            entry["k"] = entry["k"][0]
     return out
 
 
@@ -413,14 +369,7 @@ def build_model(cfg: RunConfig, grid: GridSpec) -> ModelConfig:
 
 def build_stepper(cfg: RunConfig) -> StepperConfig:
     try:
-        return StepperConfig(
-            dt=cfg.stepper.dt,
-            scheme=cfg.stepper.scheme,
-            t_end=cfg.stepper.t_end,
-            sample_every=cfg.stepper.sample_every,
-            max_steps=cfg.stepper.max_steps,
-            allow_large_dt=cfg.stepper.allow_large_dt,
-        )
+        return StepperConfig(**asdict(cfg.stepper))
     except ValueError as err:
         raise ConfigError(f"stepper: {err}") from err
 

@@ -115,22 +115,31 @@ class ModelConfig:
         return linear_coefficient(self.kind)
 
 
+# Coefficient a_j of x^j in the Taylor series of each nonlinearity:
+# exp(x) with x = -v, and (1 + x)^(-3) with x = v.
+_SERIES_COEFFICIENT = {
+    EXPONENTIAL: lambda j: 1.0 / math.factorial(j),
+    ADL: lambda j: float((-1) ** j * binomial_coeff(j + 2, j)),
+}
+
+
+def _horner(kind: str, x: np.ndarray, order: int, low: int = 0) -> np.ndarray:
+    """sum_{j=low}^{N} a_j x^(j - low) for the series coefficients a_j of `kind`."""
+    coefficient = _SERIES_COEFFICIENT[kind]
+    acc = np.full_like(x, coefficient(order))
+    for j in range(order - 1, low - 1, -1):
+        acc = acc * x + coefficient(j)
+    return acc
+
+
 def exp_series_partial_sum(values: np.ndarray, order: int) -> np.ndarray:
     """Partial sum sum_{j=0}^{N} (-v)^j / j! of exp(-v), evaluated pointwise."""
-    y = -np.asarray(values, dtype=float)
-    acc = np.full_like(y, 1.0 / math.factorial(order))
-    for j in range(order - 1, -1, -1):
-        acc = acc * y + 1.0 / math.factorial(j)
-    return acc
+    return _horner(EXPONENTIAL, -np.asarray(values, dtype=float), order)
 
 
 def adl_series_partial_sum(values: np.ndarray, order: int) -> np.ndarray:
     """Partial sum sum_{j=0}^{N} (-1)^j C(j+2, j) v^j of (1 + v)^(-3)."""
-    v = np.asarray(values, dtype=float)
-    acc = np.full_like(v, float((-1) ** order * binomial_coeff(order + 2, order)))
-    for j in range(order - 1, -1, -1):
-        acc = acc * v + float((-1) ** j * binomial_coeff(j + 2, j))
-    return acc
+    return _horner(ADL, np.asarray(values, dtype=float), order)
 
 
 def _superlinear_pointwise(cfg: ModelConfig, v_phys: np.ndarray) -> np.ndarray:
@@ -141,31 +150,18 @@ def _superlinear_pointwise(cfg: ModelConfig, v_phys: np.ndarray) -> np.ndarray:
     analytically rather than numerically.
     """
     kind, mode, order = cfg.kind, cfg.mode, cfg.truncation_order
-    if kind == EXPONENTIAL:
-        if mode == FULL:
+    if mode == FULL:
+        if kind == EXPONENTIAL:
             # exp(-v) - 1 + v via expm1 to avoid cancellation at small v
             return np.expm1(-v_phys) + v_phys
-        if order == 0:
-            return v_phys.astype(float)  # partial sum is 1; remainder restores +v
-        if order == 1:
-            return np.zeros_like(v_phys, dtype=float)
-        y = -v_phys
-        acc = np.full_like(y, 1.0 / math.factorial(order))
-        for j in range(order - 1, 1, -1):
-            acc = acc * y + 1.0 / math.factorial(j)
-        return acc * y * y
-    # adl
-    if mode == FULL:
         # (1+v)^(-3) - 1 + 3v = expm1(-3 log1p(v)) + 3v, stable for small v
         return np.expm1(-3.0 * np.log1p(v_phys)) + 3.0 * v_phys
-    if order == 0:
-        return 3.0 * v_phys
+    if order == 0:  # partial sum is 1; the remainder restores +c v
+        return v_phys.astype(float) if kind == EXPONENTIAL else 3.0 * v_phys
     if order == 1:
         return np.zeros_like(v_phys, dtype=float)
-    acc = np.full_like(v_phys, float((-1) ** order * binomial_coeff(order + 2, order)))
-    for j in range(order - 1, 1, -1):
-        acc = acc * v_phys + float((-1) ** j * binomial_coeff(j + 2, j))
-    return acc * v_phys * v_phys
+    x = -v_phys if kind == EXPONENTIAL else v_phys
+    return _horner(kind, x, order, low=2) * x * x
 
 
 def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None:

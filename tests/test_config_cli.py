@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from crystalsurf import __version__
+from crystalsurf import __version__, cli
 from crystalsurf.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -265,7 +265,24 @@ class TestRoundTrip:
             "kind": "modes",
             "modes": [{"k": [1, 2], "amplitude": 0.03}],
         }
-        return [one_d, file_based, two_d]
+        every_key = {
+            "model": {"kind": "adl", "mode": "truncated", "truncation_order": 7},
+            "grid": {"dim": 2, "modes": 6, "padding": 3.0, "phys_points": 30},
+            "stepper": {
+                "scheme": "etd1",
+                "dt": 0.002,
+                "t_end": 0.1,
+                "sample_every": 10,
+                "max_steps": 5000,
+                "allow_large_dt": True,
+            },
+            "initial_data": {
+                "kind": "modes",
+                "modes": [{"k": [2, -1], "amplitude": 0.02, "phase": 1.25}],
+            },
+            "outputs": {"directory": "results/every", "formats": ["json", "csv"]},
+        }
+        return [one_d, file_based, two_d, every_key]
 
     def test_parse_serialize_parse_identity(self):
         for raw in self.variants():
@@ -472,6 +489,50 @@ class TestCliRun:
         raw["stepper"].update(dt=dt, t_end=t_end)
         assert parse_run_config(raw).stepper.t_end == t_end
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda d: d["grid"].update(padding=math.inf),
+                "grid.padding: expected a finite number, got inf",
+            ),
+            (
+                lambda d: d["stepper"].update(dt=math.nan),
+                "stepper.dt: expected a finite number, got nan",
+            ),
+            (
+                lambda d: d["stepper"].update(t_end=math.inf),
+                "stepper.t_end: expected a finite number, got inf",
+            ),
+            (
+                # An integer past the float range does not convert at all.
+                lambda d: d["stepper"].update(t_end=10**400),
+                f"stepper.t_end: expected a finite number, got {10**400}",
+            ),
+            (
+                lambda d: d["initial_data"]["modes"][0].update(amplitude=math.nan),
+                "initial_data.modes[0].amplitude: expected a finite number, got nan",
+            ),
+            (
+                lambda d: d["initial_data"]["modes"][0].update(phase=-math.inf),
+                "initial_data.modes[0].phase: expected a finite number, got -inf",
+            ),
+        ],
+        ids=[
+            "padding-inf", "dt-nan", "t_end-inf", "t_end-huge-int", "amplitude-nan", "phase-neg-inf"
+        ],
+    )
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, mutate, message):
+        """YAML .inf and .nan load as floats; each is refused with its key
+        path in one line, not a traceback or a path-less message."""
+        raw = base_run_dict()
+        mutate(raw)
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
     def test_config_errors_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == EXIT_USAGE
         raw = base_run_dict()
@@ -635,6 +696,68 @@ class TestCliSweep:
         out = tmp_path / "results"
         assert main(["sweep", config, "--workers", "1", "--out", str(out)]) == EXIT_USAGE
         assert "same directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_amplitude_exits_one(self, tmp_path, capsys):
+        config = self.sweep_config(tmp_path, [0.05, math.inf])
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep.amplitudes[1]: expected a finite number, got inf"
+        ]
+        assert not out.exists()
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool by a serial fake that records its size."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "config_workers, flag, amplitudes, sizes",
+        [
+            (500, [], [0.03, 0.06], [2]),
+            (2, ["--workers", "8"], [0.02, 0.03, 0.06], [3]),
+            (2, [], [0.02, 0.03, 0.06], [2]),
+            (4, [], [0.03], []),
+            (4, ["--workers", "1"], [0.03, 0.06], []),
+        ],
+    )
+    def test_pool_is_never_larger_than_the_member_count(
+        self, tmp_path, capsys, pool_sizes, config_workers, flag, amplitudes, sizes
+    ):
+        """A pool starts all its workers at once, so it gets at most one per
+        member; one worker runs the members in this process."""
+        config = self.sweep_config(tmp_path, amplitudes, workers=config_workers)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, *flag, "--out", str(out)]) == EXIT_OK
+        assert pool_sizes == sizes
+        assert len((out / "sweep_aggregate.csv").read_text().splitlines()) == 1 + len(amplitudes)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_below_one_exits_one(self, tmp_path, capsys, pool_sizes, workers):
+        config = self.sweep_config(tmp_path, [0.03, 0.06], workers=2)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--workers", workers, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --workers: must be >= 1, got {workers}"
+        ]
+        assert pool_sizes == []
         assert not out.exists()
 
     def test_invalid_sweep_config_exits_one(self, tmp_path, capsys):

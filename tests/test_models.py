@@ -169,6 +169,17 @@ class TestSeriesPartialSums:
         v = np.array([0.3])
         assert adl_series_partial_sum(v, 60)[0] == pytest.approx(1.3**-3, rel=1e-12)
 
+    @pytest.mark.parametrize("order", [2, 3, 7, 20])
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    def test_truncated_remainder_is_the_partial_sum_less_its_low_terms(self, kind, order):
+        """The remainder the solver evaluates in truncated mode is the public
+        partial sum g_N(v) minus g(0) = 1 and g'(0) v = -c v."""
+        v = np.linspace(-0.5, 0.5, 201)
+        partial_sum = exp_series_partial_sum if kind == EXPONENTIAL else adl_series_partial_sum
+        cfg = ModelConfig(kind, GridSpec.create(1, 8), "truncated", order)
+        want = partial_sum(v, order) - 1.0 + linear_coefficient(kind) * v
+        assert np.allclose(_superlinear_pointwise(cfg, v), want, rtol=0.0, atol=1e-14)
+
 
 class TestRemainder:
     def test_truncated_order_one_is_exactly_zero(self):
