@@ -44,7 +44,7 @@ from .diagnostics import (
 from .models import MODEL_KINDS, SingularityError
 from .spectral import SpectralField, wiener_norm
 from .stepper import NonFiniteStateError, integrate
-from .theory import decay_envelope, delta, smallness_report, threshold_bracket, threshold_root
+from .theory import decay_envelope, delta, smallness_report, threshold_bracket
 from .validation import run_checks
 
 EXIT_OK = 0

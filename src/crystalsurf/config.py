@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .models import MODEL_KINDS, NONLINEARITY_MODES, DEFAULT_TRUNCATION_ORDER, ModelConfig
-from .spectral import GridSpec, SpectralField, field_from_modes, from_physical, with_zero_mean
+from .spectral import GridSpec, SpectralField, field_from_modes, from_physical, max_abs, with_zero_mean
 from .stepper import SCHEMES, StepperConfig
 
 OUTPUT_FORMATS = ("csv", "json", "plot")
@@ -406,7 +406,7 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
         ) from err
     f = from_physical(samples, grid)
     mean = abs(f.mean_value)
-    if mean > 1e-10 * (1.0 + float(np.max(np.abs(samples)))):
+    if mean > 1e-10 * (1.0 + max_abs(samples)):
         raise ConfigError(
             f"initial_data.path: samples have mean {f.mean_value:.3e}; "
             "the slope field must have zero mean"

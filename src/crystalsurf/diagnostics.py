@@ -12,22 +12,24 @@ truncation studies) all operate on that record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import stepper as _stepper
-from .models import ADL, EXPONENTIAL, ModelConfig, nonlinear_remainder, rhs
+from .models import ADL, EXPONENTIAL, ModelConfig, rhs
 from .spectral import (
     GridSpec,
     SpectralField,
     field_from_modes,
+    l2_quadrature,
     linf_norm,
+    max_abs,
     sobolev_norm,
     to_physical,
     wiener_norm,
 )
-from .theory import ENVELOPE_SLACK_FACTOR, decay_envelope, lyapunov
+from .theory import ENVELOPE_SLACK_FACTOR, decay_envelope, lyapunov_quadrature
 
 WIENER_ORDERS = (0.0, 1.0, 2.0, 4.0)
 SOBOLEV_ORDERS = (0.0, 1.0, 1.9, 2.0)
@@ -82,13 +84,9 @@ class TimeSeriesRecorder:
             self._wiener[a].append(wiener_norm(v, a))
         for a in SOBOLEV_ORDERS:
             self._sobolev[a].append(sobolev_norm(v, a))
-        cell = v.grid.cell_volume
-        self._l2.append(float(math.sqrt(cell * np.sum(s * s))))
-        self._linf.append(float(np.max(np.abs(s))))
-        if self.kind == EXPONENTIAL:
-            self._lyapunov.append(float(cell * np.sum(np.exp(-s))))
-        else:
-            self._lyapunov.append(float(cell * np.sum((1.0 + s) ** -2)))
+        self._l2.append(l2_quadrature(v.grid, s))
+        self._linf.append(max_abs(s))
+        self._lyapunov.append(lyapunov_quadrature(self.kind, v.grid, s))
         self._min1pv.append(float(1.0 + np.min(s)))
         self._max1pv.append(float(1.0 + np.max(s)))
 
@@ -304,7 +302,7 @@ def truncation_study(kind: str, v: SpectralField, orders) -> TruncationResult:
     orders = tuple(int(n) for n in orders)
     if len(orders) < 2 or any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError("orders must be at least two strictly increasing integers")
-    if kind == ADL and float(np.max(np.abs(to_physical(v)))) >= 1:
+    if kind == ADL and linf_norm(v) >= 1:
         raise ValueError("adl truncation study requires max|v| < 1 for convergence")
     full_cfg = ModelConfig(kind, v.grid, "full")
     reference = rhs(full_cfg, v)

@@ -226,7 +226,7 @@ class SpectralField:
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         c = self.coeffs
-        flipped = np.conj(c[::-1] if self.grid.dim == 1 else c[::-1, ::-1])
+        flipped = np.conj(np.flip(c))
         scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
         return bool(np.max(np.abs(c - flipped)) <= tol * scale)
 
@@ -301,9 +301,9 @@ def imag_residue(f: SpectralField) -> float:
     coefficients are Hermitian, the invariant `to_physical` relies on.
     """
     c = f.coeffs
-    anti = 0.5 * (c - np.conj(c[::-1] if f.grid.dim == 1 else c[::-1, ::-1]))
+    anti = 0.5 * (c - np.conj(np.flip(c)))
     half = -1j * anti[..., f.grid.modes_per_axis :]
-    return float(np.max(np.abs(_phys_from_coeffs(f.grid, half))))
+    return max_abs(_phys_from_coeffs(f.grid, half))
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -336,21 +336,23 @@ def field_from_modes(grid: GridSpec, modes, drop_unrepresentable: bool = False) 
             pair (2D).
         drop_unrepresentable: silently skip modes with |k_i| > M instead of
             raising; used by refinement studies that coarsen on purpose.
+            k = 0 always raises: that sine is a constant, not a mode.
     """
     coeffs = np.zeros(grid.coeff_shape, dtype=np.complex128)
+    m = grid.modes_per_axis
     for k, amplitude, phase in modes:
         try:
             idx = grid.index_of(k)
-            ks = (k,) if grid.dim == 1 else tuple(k)
-            neg_idx = grid.index_of(tuple(-ki for ki in ks) if grid.dim == 2 else -k)
         except ValueError:
             if drop_unrepresentable:
                 continue
             raise
+        if idx == grid.zero_index:
+            raise ValueError(f"wavenumber {k!r} is the mean mode; a sine mode needs k != 0")
         # a*sin(theta) = (a/(2i)) e^{i theta} - (a/(2i)) e^{-i theta}
         half = amplitude * np.exp(1j * phase) / 2j
         coeffs[idx] += half
-        coeffs[neg_idx] += np.conj(half)
+        coeffs[tuple(2 * m - i for i in idx)] += np.conj(half)  # -k
     return SpectralField(grid, coeffs)
 
 
@@ -436,21 +438,31 @@ def sobolev_norm(f: SpectralField, alpha: float = 0.0) -> float:
     return float(math.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
+def l2_quadrature(grid: GridSpec, samples: np.ndarray) -> float:
+    """L2 norm of collocation samples by grid quadrature."""
+    return float(math.sqrt(grid.cell_volume * np.sum(samples * samples)))
+
+
+def max_abs(samples: np.ndarray) -> float:
+    """Largest absolute value among collocation samples."""
+    return float(np.max(np.abs(samples)))
+
+
 def l2_norm(f: SpectralField) -> float:
     """L2 norm by grid quadrature; Parseval ties it to (2 pi)^{d/2} H^0."""
-    return lp_norm(f, 2.0)
+    return l2_quadrature(f.grid, to_physical(f))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
     """Lebesgue norm by collocation-grid quadrature; p = inf gives the max."""
-    s = to_physical(f)
     if math.isinf(p):
-        return float(np.max(np.abs(s)))
+        return linf_norm(f)
     if p <= 0:
         raise ValueError("lp_norm requires p > 0")
+    s = to_physical(f)
     return float((f.grid.cell_volume * np.sum(np.abs(s) ** p)) ** (1.0 / p))
 
 
 def linf_norm(f: SpectralField) -> float:
     """Maximum absolute sample value on the collocation grid."""
-    return float(np.max(np.abs(to_physical(f))))
+    return max_abs(to_physical(f))

@@ -14,14 +14,14 @@ directly from expm1-based formulas away from the origin and from a Taylor
 series near it; the series radius is chosen so the subtracted forms never
 lose more than ~1e-13 relative accuracy to cancellation.
 
-The march runs on the k_d >= 0 half of the coefficients (see spectral):
-the other half of a real field is the conjugate mirror, so stepping it
-repeats the same arithmetic, and the transforms read only the half anyway.
+The march, and the propagator and phi tables, use only the k_d >= 0 half
+of the coefficients (see spectral): the other half of a real field is the
+conjugate mirror, and the transforms read only the half anyway.
 Each step also flushes coefficient parts below the smallest normal float64
 to zero.  The decayed high modes of a long run otherwise become subnormal
 floats, which cost x86 microcode assists in every later transform; removing
-values below 2.2e-308 changes no reported number.  `step` and `integrate`
-still take and return full-layout SpectralFields.
+values below 2.2e-308 changes no reported number.  `integrate` still takes
+and returns full-layout SpectralFields.
 """
 
 from __future__ import annotations
@@ -160,33 +160,26 @@ class _Stepper:
     """Precomputed per-mode propagator tables plus the advance rule.
 
     Works on the k_d >= 0 half of the coefficients, coeffs[..., M:], the
-    layout `remainder_fn` maps.  The tables are built on the full layout and
-    then sliced, so every entry is the value a full-layout march would use.
+    layout `remainder_fn` maps; every table is built on that half of |k|^4,
+    elementwise, so it holds the full-layout value of each wavenumber.
     """
 
     def __init__(self, cfg: ModelConfig, scfg: StepperConfig):
         self.remainder = remainder_fn(cfg)
-        m = cfg.grid.modes_per_axis
-
-        def nonneg_half(table: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(table[..., m:])
-
+        k4 = _plan(cfg.grid)["k4"][..., cfg.grid.modes_per_axis :]
         dt = scfg.dt
-        z = -cfg.linear_coefficient * _plan(cfg.grid)["k4"] * dt
-        _, phi1, phi2, phi3 = phi_functions(z)
-        self.propagator = nonneg_half(np.exp(z))
+        z = -cfg.linear_coefficient * k4 * dt
+        self.propagator, phi1, phi2, phi3 = phi_functions(z)
         self.scheme = scfg.scheme
-        self.dt = dt
         if scfg.scheme == SCHEME_ETD1:
-            self.etd1_weight = nonneg_half(dt * phi1)
+            self.etd1_weight = dt * phi1
         else:
             zh = 0.5 * z
-            self.half_propagator = nonneg_half(np.exp(zh))
-            _, phi1h, _, _ = phi_functions(zh)
-            self.stage_weight = nonneg_half(0.5 * dt * phi1h)
-            self.w_first = nonneg_half(dt * (phi1 - 3.0 * phi2 + 4.0 * phi3))
-            self.w_mid = nonneg_half(dt * (phi2 - 2.0 * phi3))
-            self.w_last = nonneg_half(dt * (4.0 * phi3 - phi2))
+            self.half_propagator, phi1h, _, _ = phi_functions(zh)
+            self.stage_weight = 0.5 * dt * phi1h
+            self.w_first = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
+            self.w_mid = dt * (phi2 - 2.0 * phi3)
+            self.w_last = dt * (4.0 * phi3 - phi2)
 
     def advance(self, c: np.ndarray, t: float) -> np.ndarray:
         """One step of the half coefficient array `c`; returns a new array.
@@ -232,14 +225,6 @@ def dt_guard(cfg: ModelConfig, v: SpectralField) -> float:
     else:
         rate = wiener_norm(nonlinear_remainder(cfg, v), 0.0) / x
     return 0.5 / (c * (1.0 + x) * max(1.0, rate))
-
-
-def step(cfg: ModelConfig, scfg: StepperConfig, state: TrajectoryState) -> TrajectoryState:
-    """Advance one step with the configured scheme; mean stays exactly zero."""
-    worker = _Stepper(cfg, scfg)
-    c = worker.advance(state.v.coeffs[..., cfg.grid.modes_per_axis :], state.t)
-    v = SpectralField(cfg.grid, _mirror(cfg.grid, c))
-    return TrajectoryState(state.t + scfg.dt, v, state.step_count + 1)
 
 
 def integrate(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ADL, EXPONENTIAL, SingularityError
-from .spectral import SpectralField, to_physical, wiener_norm
+from .spectral import GridSpec, SpectralField, to_physical, wiener_norm
 
 # Absolute slack granted when checking a trajectory against its decay
 # envelope, as a fraction of the initial amplitude.  Shared by the decay
@@ -109,13 +109,20 @@ def decay_envelope(x0: float, delta_value: float, t) -> np.ndarray | float:
     return x0 * np.exp(-delta_value * np.asarray(t, dtype=float))
 
 
+def lyapunov_quadrature(kind: str, grid: GridSpec, samples: np.ndarray) -> float:
+    """Quadrature of the Lyapunov density, exp(-v) (exp) or (1 + v)^{-2} (adl),
+    over collocation samples.  No singularity check: that is lyapunov_l2's."""
+    if kind == EXPONENTIAL:
+        return float(grid.cell_volume * np.sum(np.exp(-samples)))
+    return float(grid.cell_volume * np.sum((1.0 + samples) ** -2))
+
+
 def lyapunov_l1(v: SpectralField) -> float:
     """Integral of exp(-v) by collocation quadrature; equals (2 pi)^d at v = 0.
 
     Nonincreasing along exponential-model trajectories.
     """
-    s = to_physical(v)
-    return float(v.grid.cell_volume * np.sum(np.exp(-s)))
+    return lyapunov_quadrature(EXPONENTIAL, v.grid, to_physical(v))
 
 
 def lyapunov_l2(v: SpectralField) -> float:
@@ -129,7 +136,7 @@ def lyapunov_l2(v: SpectralField) -> float:
         raise SingularityError(
             f"lyapunov_l2 undefined: min(1 + v) = {floor:.3e} on the collocation grid"
         )
-    return float(v.grid.cell_volume * np.sum((1.0 + s) ** -2))
+    return lyapunov_quadrature(ADL, v.grid, s)
 
 
 def lyapunov(kind: str, v: SpectralField) -> float:

@@ -29,18 +29,12 @@ class CheckResult:
     detail: str
 
 
-def _hermitian_symmetrize(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Average coefficients with their conjugate mirror; exact symmetry after."""
-    flipped = np.conj(coeffs[::-1] if dim == 1 else coeffs[::-1, ::-1])
-    return 0.5 * (coeffs + flipped)
-
-
 def random_field(grid: spectral.GridSpec, rng: np.random.Generator, scale: float = 1.0):
-    """Random band-limited real field with coefficients of the given scale."""
+    """Random band-limited real field with coefficients of the given scale,
+    averaged with their conjugate mirror so they are exactly Hermitian."""
     shape = grid.coeff_shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = _hermitian_symmetrize(raw * scale, grid.dim)
-    return spectral.SpectralField(grid, coeffs)
+    raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    return spectral.SpectralField(grid, 0.5 * (raw + np.conj(np.flip(raw))))
 
 
 def _ensemble(rng: np.random.Generator, count: int):

@@ -533,6 +533,22 @@ class TestCliRun:
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("phase", [0.0, 1.0])
+    def test_zero_wavenumber_mode_exits_one(self, tmp_path, capsys, phase):
+        """A k: 0 mode is a constant, not a sine: with phase 0 it used to run
+        identically zero data to a passing verdict, with phase 1 it failed
+        with a mean-coefficient message that named no key."""
+        raw = base_run_dict()
+        raw["initial_data"]["modes"] = [{"k": 0, "amplitude": 0.05, "phase": phase}]
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: initial_data.modes: wavenumber 0 is the mean mode; "
+            "a sine mode needs k != 0"
+        ]
+        assert not out.exists()
+
     def test_config_errors_exit_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.yaml")]) == EXIT_USAGE
         raw = base_run_dict()

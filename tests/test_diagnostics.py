@@ -26,16 +26,18 @@ from crystalsurf.diagnostics import (
     refinement_study,
     truncation_study,
 )
-from crystalsurf.models import ADL, EXPONENTIAL
+from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
 from crystalsurf.spectral import (
     GridSpec,
     field_from_modes,
+    l2_norm,
     linf_norm,
     sobolev_norm,
+    to_physical,
     wiener_norm,
     zero_field,
 )
-from crystalsurf.theory import lyapunov
+from crystalsurf.theory import lyapunov, lyapunov_l2, lyapunov_quadrature
 
 
 def synthetic_series(times, w0, kind=EXPONENTIAL, lyapunov_values=None,
@@ -85,8 +87,27 @@ class TestTimeSeriesRecorder:
                 assert series.wiener[a][i] == wiener_norm(v, a)
             for a in SOBOLEV_ORDERS:
                 assert series.sobolev[a][i] == sobolev_norm(v, a)
+            assert series.l2[i] == l2_norm(v)
             assert series.linf[i] == linf_norm(v)
             assert series.lyapunov[i] == lyapunov(kind, v)
+            s = to_physical(v)
+            assert series.min_one_plus_v[i] == 1.0 + np.min(s)
+            assert series.max_one_plus_v[i] == 1.0 + np.max(s)
+
+    def test_singular_adl_sample_recorded_without_raising(self):
+        """At amplitude 1.2 the surface 1 + v dips below zero: the recorder
+        keeps the sample and the positivity check fails, while lyapunov_l2
+        refuses the same field."""
+        grid = GridSpec.create(1, 8)
+        v = field_from_modes(grid, [(1, 1.2, 0.0)])
+        recorder = TimeSeriesRecorder(ADL)
+        recorder(0.0, v)
+        series = recorder.finalize()
+        assert series.min_one_plus_v[0] < 0
+        assert series.lyapunov[0] == lyapunov_quadrature(ADL, grid, to_physical(v))
+        assert check_positivity(series, 1.2) is False
+        with pytest.raises(SingularityError, match="lyapunov_l2 undefined"):
+            lyapunov_l2(v)
 
     def test_range_of_height_recorded(self):
         """With the point count divisible by four the nodes hit the sine

@@ -340,6 +340,17 @@ class TestFieldFromModes:
         )
         assert wiener_norm(f) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("dim, k", [(1, 0), (2, (0, 0))])
+    @pytest.mark.parametrize("phase", [0.0, 1.0])
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_zero_wavenumber_raises(self, dim, k, phase, drop):
+        """sin(0.x + phase) is a constant: it would set the mean (phase 1)
+        or add nothing at all (phase 0), so k = 0 is refused even when
+        unrepresentable modes are being dropped."""
+        grid = GridSpec.create(dim, 4)
+        with pytest.raises(ValueError, match="mean mode"):
+            field_from_modes(grid, [(k, 0.05, phase)], drop_unrepresentable=drop)
+
     def test_result_has_zero_mean(self):
         grid = GridSpec.create(1, 6)
         f = field_from_modes(grid, [(2, 0.3, 0.7)])
