@@ -1,8 +1,9 @@
 """Command line entry point: run, threshold, validate, and sweep.
 
-Exit codes are the machine contract: 0 success, 1 usage or config error,
-2 inadmissible initial data under --strict, 3 runtime singularity or
-non-finite state.  Stdout is for humans; the written files are for machines.
+Exit codes are the machine contract: 0 success, 1 usage or config error
+or an output directory that cannot be written, 2 inadmissible initial data
+under --strict, 3 runtime singularity or non-finite state.  Stdout is for
+humans; the written files are for machines.
 """
 
 from __future__ import annotations
@@ -252,7 +253,11 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
-    written = write_output_bundle(report, out_dir, cfg.outputs.formats)
+    try:
+        written = write_output_bundle(report, out_dir, cfg.outputs.formats)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"model: {cfg.model.kind} ({cfg.model.mode})")
     print(f"x0 = {report.x0:.12g}, delta = {report.delta:.12g}, admissible: {report.admissible}")
@@ -419,13 +424,16 @@ def cmd_sweep(args) -> int:
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_worker, payloads))
+        rows.sort(key=lambda r: r["x0"])
+        out_base.mkdir(parents=True, exist_ok=True)
+        aggregate = out_base / "sweep_aggregate.csv"
+        write_sweep_aggregate(aggregate, rows)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    rows.sort(key=lambda r: r["x0"])
-    out_base.mkdir(parents=True, exist_ok=True)
-    aggregate = out_base / "sweep_aggregate.csv"
-    write_sweep_aggregate(aggregate, rows)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{'x0':>12} {'delta':>14} {'fitted_rate':>14} {'verdict':>8}")
     for row in rows:
         note = f"  ({row['error']})" if row["error"] else ""

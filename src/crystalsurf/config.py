@@ -347,10 +347,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def serialize_run_config(cfg: RunConfig) -> str:
-    return yaml.safe_dump(run_config_to_dict(cfg), sort_keys=False)
-
-
 def build_grid(cfg: RunConfig) -> GridSpec:
     try:
         return GridSpec.create(

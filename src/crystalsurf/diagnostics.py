@@ -1,12 +1,12 @@
 """Trajectory instrumentation: norm time series, decay certificates, and
-convergence studies.
+the nonlinearity-truncation study.
 
 A TimeSeriesRecorder is handed to the integrator as its observer and
 collects, per sample, the Wiener norms |v|_0,1,2,4, Sobolev norms at orders
 0, 1, 1.9 and 2, the quadrature L2 and max norms, the model's Lyapunov
 functional, and the range of 1 + v.  The downstream checks (envelope
-certification, Lyapunov monotonicity, fitted decay rates, refinement and
-truncation studies) all operate on that record.
+certification, Lyapunov monotonicity, positivity, fitted decay rates) all
+operate on that record.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stepper as _stepper
 from .models import ADL, EXPONENTIAL, ModelConfig, rhs
 from .spectral import (
-    GridSpec,
     SpectralField,
-    field_from_modes,
     l2_quadrature,
     linf_norm,
     max_abs,
@@ -179,12 +176,6 @@ def check_lyapunov_monotone(series: TimeSeries, rel_slack: float = MONOTONE_REL_
     return bool(np.all(ly[1:] <= ly[:-1] * (1.0 + rel_slack)))
 
 
-def check_wiener_monotone(series: TimeSeries, rel_slack: float = MONOTONE_REL_SLACK) -> bool:
-    """True when |v(t)|_0 never increases sample-to-sample beyond slack."""
-    w = series.wiener[0.0]
-    return bool(np.all(w[1:] <= w[:-1] * (1.0 + rel_slack) + 1e-300))
-
-
 def hr_decay_fit(series: TimeSeries, order: float) -> float:
     """Fitted decay rate of the Sobolev norm at the given order."""
     if order not in series.sobolev:
@@ -220,54 +211,6 @@ class RunReport:
     lyapunov_monotone: bool
     positivity_ok: bool
     hr_decay_fits: dict[float, float]
-
-
-@dataclass(frozen=True)
-class RefinementResult:
-    """Final amplitudes across (modes, points, dt) refinement levels."""
-
-    levels: tuple
-    final_wiener0: tuple
-    diffs: tuple
-    converged: bool
-
-
-def refinement_study(
-    kind: str,
-    initial_modes,
-    t_end: float,
-    levels,
-    scheme: str = "etdrk4",
-    mode: str = "full",
-    truncation_order: int = 20,
-    dim: int = 1,
-) -> RefinementResult:
-    """Re-run the same initial data across refinement levels.
-
-    Args:
-        initial_modes: (k, amplitude, phase) list; modes a coarse level
-            cannot represent are dropped there, which is the point of the
-            non-band-limited variant of this study.
-        levels: iterable of (modes_per_axis, phys_points_per_axis, dt)
-            with phys_points_per_axis None for the padding default.
-
-    Returns the per-level final |v(T)|_0, successive absolute differences,
-    and a verdict that the differences shrink monotonically.
-    """
-    levels = tuple(levels)
-    if len(levels) < 2:
-        raise ValueError("refinement_study needs at least two levels")
-    finals = []
-    for m, p, dt in levels:
-        grid = GridSpec.create(dim, m, phys_points_per_axis=p)
-        cfg = ModelConfig(kind, grid, mode, truncation_order)
-        v0 = field_from_modes(grid, initial_modes, drop_unrepresentable=True)
-        scfg = _stepper.StepperConfig(dt=dt, scheme=scheme, t_end=t_end, sample_every=10**9)
-        final = _stepper.integrate(cfg, scfg, v0)
-        finals.append(wiener_norm(final.v, 0.0))
-    diffs = tuple(abs(b - a) for a, b in zip(finals, finals[1:]))
-    converged = all(b <= a for a, b in zip(diffs, diffs[1:])) if len(diffs) > 1 else True
-    return RefinementResult(levels, tuple(finals), diffs, converged)
 
 
 @dataclass(frozen=True)

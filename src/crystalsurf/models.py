@@ -33,12 +33,10 @@ from .spectral import (
     _mirror,
     _phys_from_coeffs,
     _plan,
-    from_physical,
-    inverse_laplacian_zero_mean,
-    laplacian,
     require_zero_mean,
-    to_physical,
 )
+# Unused here, but the benchmark's span table patches these two names.
+from .spectral import from_physical, to_physical  # noqa: F401
 
 EXPONENTIAL = "exp"
 ADL = "adl"
@@ -220,70 +218,3 @@ def rhs(cfg: ModelConfig, v: SpectralField) -> SpectralField:
 def _require_model_grid(cfg: ModelConfig, v: SpectralField) -> None:
     if v.grid != cfg.grid:
         raise ValueError("field grid does not match the model configuration grid")
-
-
-def _reconstruction_grid(grid: GridSpec) -> GridSpec:
-    """Finest grid representable on the same collocation points.
-
-    Used for pointwise changes of variables whose result is not band-limited
-    to the model's M modes; keeping every resolvable mode makes the sampled
-    identity hold to rounding accuracy.
-    """
-    p = grid.phys_points_per_axis
-    return GridSpec(grid.dim, p // 2 - 1, p, padding_factor=1.0)
-
-
-def _truncate_to(f: SpectralField, grid: GridSpec) -> SpectralField:
-    """Restrict a field to a coarser mode set on the same collocation grid."""
-    if grid.phys_points_per_axis != f.grid.phys_points_per_axis or grid.dim != f.grid.dim:
-        raise ValueError("target grid must share the collocation resolution")
-    shift = f.grid.modes_per_axis - grid.modes_per_axis
-    if shift < 0:
-        raise ValueError("target grid retains more modes than the source field")
-    sl = slice(shift, shift + 2 * grid.modes_per_axis + 1)
-    c = f.coeffs[sl] if f.grid.dim == 1 else f.coeffs[sl, sl]
-    return SpectralField(grid, c.copy())
-
-
-def u_from_v(kind: str, v: SpectralField) -> SpectralField:
-    """Recover the surface representation u from the slope field v.
-
-    Exponential model: u solves laplacian(u) = v with zero mean, on the same
-    grid.  Adl model: u = 1/(1 + v) sampled pointwise and returned on the
-    reconstruction grid of all modes resolvable on the collocation points.
-    """
-    if kind == EXPONENTIAL:
-        return inverse_laplacian_zero_mean(v)
-    if kind == ADL:
-        v_phys = to_physical(v)
-        _check_adl_positivity(v_phys)
-        return from_physical(1.0 / (1.0 + v_phys), _reconstruction_grid(v.grid))
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def v_from_u(kind: str, u: SpectralField, grid: GridSpec | None = None) -> SpectralField:
-    """Inverse of u_from_v up to re-truncation onto `grid` (default: u's grid).
-
-    For the adl model the reciprocal surface 1/u is normalized to mean one
-    before conversion, and the result is re-centered to exactly zero mean.
-    """
-    target = grid if grid is not None else u.grid
-    if kind == EXPONENTIAL:
-        out = laplacian(u)
-        return out if target == u.grid else _truncate_to(out, target)
-    if kind != ADL:
-        raise ValueError(f"unknown model kind {kind!r}")
-    u_phys = to_physical(u)
-    floor = float(np.min(u_phys))
-    if floor <= ADL_SINGULAR_FLOOR:
-        raise SingularityError(
-            f"surface not positive: min(u) = {floor:.3e} on the collocation grid"
-        )
-    w = 1.0 / u_phys
-    w = w / float(np.mean(w))
-    if target.phys_shape != u_phys.shape:
-        raise ValueError("target grid must share the collocation resolution")
-    out = from_physical(w - 1.0, target)
-    c = out.coeffs.copy()
-    c[target.zero_index] = 0.0
-    return SpectralField(target, c)

@@ -24,7 +24,6 @@ carries no information.  `_mirror` rebuilds the full (2M+1)^d layout, which
 SpectralField keeps, once per public result.  The inverse reads only the
 half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
 constructor here produces such arrays and every operation keeps them so.
-`imag_residue` measures how far an array is from that invariant.
 
 Values are immutable: every operation returns a new SpectralField and no
 function mutates the coefficient array of its argument.
@@ -39,9 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# i**n for integer n, used to build exact derivative inverse_laplacian multipliers.
-_I_POWER = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,6 @@ def _plan(grid: GridSpec):
     return {
         "inverse": half_phase * scale,
         "forward": half_phase / scale,
-        "ksq": ksq,
         "k4": ksq**2,
         "kmag": kmag,
     }
@@ -287,23 +282,9 @@ def to_physical(f: SpectralField) -> np.ndarray:
 
     Returns a real array of shape (P,) in 1D or (P, P) in 2D.  Only the
     k_d >= 0 half of the coefficients is read, which is exact for the
-    Hermitian fields this module constructs; `imag_residue` measures how
-    far a coefficient array is from that invariant.
+    Hermitian fields this module constructs.
     """
     return _phys_from_coeffs(f.grid, f.coeffs[..., f.grid.modes_per_axis :])
-
-
-def imag_residue(f: SpectralField) -> float:
-    """Largest imaginary part of the full complex inverse transform.
-
-    That imaginary part is the inverse transform of -i times the
-    anti-Hermitian part of the coefficients, so it is zero exactly when the
-    coefficients are Hermitian, the invariant `to_physical` relies on.
-    """
-    c = f.coeffs
-    anti = 0.5 * (c - np.conj(np.flip(c)))
-    half = -1j * anti[..., f.grid.modes_per_axis :]
-    return max_abs(_phys_from_coeffs(f.grid, half))
 
 
 def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -327,26 +308,22 @@ def from_physical(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     return SpectralField(grid, _mirror(grid, _coeffs_from_phys(grid, s.astype(float))))
 
 
-def field_from_modes(grid: GridSpec, modes, drop_unrepresentable: bool = False) -> SpectralField:
+def field_from_modes(grid: GridSpec, modes) -> SpectralField:
     """Build sum_i a_i * sin(k_i . x + phase_i) as a SpectralField.
 
     Args:
         grid: target discretization.
         modes: iterable of (k, amplitude, phase) with k an int (1D) or a
             pair (2D).
-        drop_unrepresentable: silently skip modes with |k_i| > M instead of
-            raising; used by refinement studies that coarsen on purpose.
-            k = 0 always raises: that sine is a constant, not a mode.
+
+    Raises:
+        ValueError: for a mode with |k_i| > M, or for k = 0, whose sine is
+            a constant, not a mode.
     """
     coeffs = np.zeros(grid.coeff_shape, dtype=np.complex128)
     m = grid.modes_per_axis
     for k, amplitude, phase in modes:
-        try:
-            idx = grid.index_of(k)
-        except ValueError:
-            if drop_unrepresentable:
-                continue
-            raise
+        idx = grid.index_of(k)
         if idx == grid.zero_index:
             raise ValueError(f"wavenumber {k!r} is the mean mode; a sine mode needs k != 0")
         # a*sin(theta) = (a/(2i)) e^{i theta} - (a/(2i)) e^{-i theta}
@@ -375,44 +352,6 @@ def require_zero_mean(f: SpectralField, tol: float = 1e-12) -> None:
         raise ValueError(
             f"field has non-zero mean coefficient {center!r}; expected a zero-mean field"
         )
-
-
-def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:
-    """Partial derivative d^order / dx_axis^order, computed mode-wise.
-
-    The multiplier (i k)^order is assembled as i^order * k^order so that
-    integer wavenumbers produce exact products.
-    """
-    if axis < 0 or axis >= f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim={f.grid.dim}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    k = f.grid.wavenumbers.astype(float)
-    mult = _I_POWER[order % 4] * k**order
-    if f.grid.dim == 2:
-        shape = [1, 1]
-        shape[axis] = k.size
-        mult = mult.reshape(shape)
-    return SpectralField(f.grid, f.coeffs * mult)
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * (-_plan(f.grid)["ksq"]))
-
-
-def bilaplacian(f: SpectralField) -> SpectralField:
-    """Biharmonic operator; multiplies coefficients by |k|^4."""
-    return SpectralField(f.grid, f.coeffs * _plan(f.grid)["k4"])
-
-
-def inverse_laplacian_zero_mean(f: SpectralField) -> SpectralField:
-    """Solve laplacian(u) = f with zero-mean u; rejects f with nonzero mean."""
-    require_zero_mean(f)
-    ksq = _plan(f.grid)["ksq"]
-    inv = np.zeros_like(f.coeffs)
-    mask = ksq > 0
-    inv[mask] = f.coeffs[mask] / (-ksq[mask])
-    return SpectralField(f.grid, inv)
 
 
 def wiener_norm(f: SpectralField, alpha: float = 0.0) -> float:
@@ -451,16 +390,6 @@ def max_abs(samples: np.ndarray) -> float:
 def l2_norm(f: SpectralField) -> float:
     """L2 norm by grid quadrature; Parseval ties it to (2 pi)^{d/2} H^0."""
     return l2_quadrature(f.grid, to_physical(f))
-
-
-def lp_norm(f: SpectralField, p: float) -> float:
-    """Lebesgue norm by collocation-grid quadrature; p = inf gives the max."""
-    if math.isinf(p):
-        return linf_norm(f)
-    if p <= 0:
-        raise ValueError("lp_norm requires p > 0")
-    s = to_physical(f)
-    return float((f.grid.cell_volume * np.sum(np.abs(s) ** p)) ** (1.0 / p))
 
 
 def linf_norm(f: SpectralField) -> float:

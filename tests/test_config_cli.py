@@ -34,7 +34,6 @@ from crystalsurf.config import (
     parse_run_config,
     parse_sweep_config,
     run_config_to_dict,
-    serialize_run_config,
 )
 from crystalsurf.spectral import wiener_norm
 
@@ -288,7 +287,8 @@ class TestRoundTrip:
         for raw in self.variants():
             cfg = parse_run_config(copy.deepcopy(raw))
             assert parse_run_config(run_config_to_dict(cfg)) == cfg
-            assert parse_run_config(yaml.safe_load(serialize_run_config(cfg))) == cfg
+            dumped = yaml.safe_dump(run_config_to_dict(cfg), sort_keys=False)
+            assert parse_run_config(yaml.safe_load(dumped)) == cfg
 
 
 class TestLoadYaml:
@@ -470,6 +470,19 @@ class TestCliRun:
         assert lines[0].startswith("non-finite state at t = ")
         assert "positivity" not in captured.out
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unwritable_output_directory_exits_one(self, tmp_path, capsys, below):
+        """--out at an existing file, or below one, is a one-line error and
+        exit 1, not a traceback from mkdir after the run."""
+        config = write_config(tmp_path, base_run_dict())
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cannot write output: ")
 
     def test_t_end_off_the_step_grid_exits_one(self, tmp_path, capsys):
         """round(t_end / dt) steps would end this run at t = 0.051; the
@@ -713,6 +726,21 @@ class TestCliSweep:
         assert main(["sweep", config, "--workers", "1", "--out", str(out)]) == EXIT_USAGE
         assert "same directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unwritable_output_directory_exits_one(
+        self, tmp_path, capsys, workers, below
+    ):
+        config = self.sweep_config(tmp_path, [0.02, 0.05])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        argv = ["sweep", config, "--workers", workers, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cannot write output: ")
 
     def test_non_finite_amplitude_exits_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, [0.05, math.inf])

@@ -1,5 +1,5 @@
 """Tests for trajectory instrumentation, decay certification, and the
-refinement and truncation studies.
+truncation study.
 
 Synthetic time series with known closed-form content drive the fitting and
 certification code, so every numeric expectation is computable by hand.
@@ -20,10 +20,8 @@ from crystalsurf.diagnostics import (
     certify_decay,
     check_lyapunov_monotone,
     check_positivity,
-    check_wiener_monotone,
     fit_decay_rate,
     hr_decay_fit,
-    refinement_study,
     truncation_study,
 )
 from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
@@ -211,13 +209,6 @@ class TestMonotoneChecks:
         series = synthetic_series([0, 1], [1, 1], lyapunov_values=[6.2, 6.3])
         assert check_lyapunov_monotone(series) is False
 
-    def test_wiener_monotone_handles_zero_trajectory(self):
-        series = synthetic_series([0, 1, 2], [0.0, 0.0, 0.0])
-        assert check_wiener_monotone(series) is True
-
-    def test_wiener_uptick_fails(self):
-        series = synthetic_series([0, 1], [0.1, 0.2])
-        assert check_wiener_monotone(series) is False
 
 
 class TestHrDecayFit:
@@ -262,29 +253,6 @@ class TestCheckPositivity:
                                   min1pv=[0.9, 0.9], max1pv=[1.1, 2.5])
         assert check_positivity(series, 0.02) is False
         assert check_positivity(series, 1.5) is True
-
-
-class TestRefinementStudy:
-    LEVELS = [(4, None, 5e-3), (8, None, 2.5e-3), (16, None, 1.25e-3)]
-
-    def test_differences_shrink_under_refinement(self):
-        result = refinement_study(EXPONENTIAL, [(1, 0.1, 0.0)], 0.05, self.LEVELS)
-        assert result.converged is True
-        assert len(result.final_wiener0) == 3
-        assert result.diffs[1] < result.diffs[0]
-
-    def test_unrepresentable_modes_dropped_on_coarse_levels(self):
-        """Initial data beyond a coarse level's band is dropped there, and
-        refinement still converges once the band covers it."""
-        result = refinement_study(
-            EXPONENTIAL, [(1, 0.1, 0.0), (6, 0.02, 0.0)], 0.05, self.LEVELS
-        )
-        assert result.converged is True
-        assert result.diffs[1] < result.diffs[0]
-
-    def test_needs_two_levels(self):
-        with pytest.raises(ValueError, match="at least two levels"):
-            refinement_study(EXPONENTIAL, [(1, 0.1, 0.0)], 0.05, [(4, None, 1e-3)])
 
 
 class TestTruncationStudy:

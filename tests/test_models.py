@@ -1,4 +1,4 @@
-"""Tests for the two model right-hand sides and their changes of variables.
+"""Tests for the two model right-hand sides and their series.
 
 The central oracle is a direct discrete-Fourier evaluation of
 bilaplacian(g(v)) with explicit O(P * K) loops: slow, obviously correct,
@@ -26,21 +26,15 @@ from crystalsurf.models import (
     nonlinear_remainder,
     remainder_fn,
     rhs,
-    u_from_v,
-    v_from_u,
 )
 from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
     _plan,
-    bilaplacian,
     field_from_modes,
     from_physical,
-    inverse_laplacian_zero_mean,
-    laplacian,
     to_physical,
     wiener_norm,
-    with_zero_mean,
 )
 
 
@@ -233,8 +227,8 @@ class TestRemainder:
         amp = 1e-4
         v = field_from_modes(grid, [(1, amp, 0.0)])
         got = nonlinear_remainder(cfg, v)
-        lead = bilaplacian(from_physical(to_physical(v) ** 2 / 2.0, grid))
-        gap = wiener_norm(SpectralField(grid, got.coeffs - lead.coeffs))
+        lead = from_physical(to_physical(v) ** 2 / 2.0, grid).coeffs * _plan(grid)["k4"]
+        gap = wiener_norm(SpectralField(grid, got.coeffs - lead))
         assert gap < 50 * amp**3
 
     def test_adl_full_guards_positivity(self):
@@ -341,76 +335,3 @@ class TestRhsAgainstDirectTransform:
         got = rhs(ModelConfig(ADL, grid), v)
         want = direct_rhs_coeffs(v, ADL)
         assert_close_per_mode(got.coeffs, want, grid)
-
-
-class TestSurfaceSlopeMaps:
-    def test_exp_u_solves_poisson(self):
-        """The exponential-model surface satisfies laplacian(u) = v."""
-        grid = GridSpec.create(1, 8)
-        v = field_from_modes(grid, [(2, 0.3, 0.0), (5, 0.1, 0.4)])
-        u = u_from_v(EXPONENTIAL, v)
-        assert u.has_zero_mean
-        assert np.allclose(laplacian(u).coeffs, v.coeffs, atol=1e-13)
-
-    def test_exp_round_trip(self):
-        grid = GridSpec.create(1, 9)
-        v = with_zero_mean(
-            from_physical(np.sin(grid.nodes) + 0.3 * np.cos(4 * grid.nodes), grid)
-        )
-        back = v_from_u(EXPONENTIAL, u_from_v(EXPONENTIAL, v))
-        assert np.allclose(back.coeffs, v.coeffs, atol=1e-12)
-
-    def test_adl_round_trip(self):
-        """u = 1/(1+v) then back; exact because all resolvable modes are kept."""
-        grid = GridSpec.create(1, 8)
-        v = field_from_modes(grid, [(1, 0.25, 0.0), (3, 0.1, 0.7)])
-        u = u_from_v(ADL, v)
-        back = v_from_u(ADL, u, grid=grid)
-        assert np.allclose(back.coeffs, v.coeffs, atol=1e-12)
-
-    def test_adl_reconstruction_identity(self):
-        """The sampled product u (1 + v) is one on every node."""
-        grid = GridSpec.create(1, 8)
-        v = field_from_modes(grid, [(2, 0.4, 0.0)])
-        u = u_from_v(ADL, v)
-        product = to_physical(u) * (1.0 + to_physical(v))
-        assert np.allclose(product, 1.0, atol=1e-12)
-
-    def test_adl_scale_invariance_of_slope(self):
-        """1/u is normalized to mean one, so rescaling u changes nothing."""
-        grid = GridSpec.create(1, 8)
-        v = field_from_modes(grid, [(2, 0.3, 0.0)])
-        u = u_from_v(ADL, v)
-        doubled = SpectralField(u.grid, 2.0 * u.coeffs)
-        a = v_from_u(ADL, u, grid=grid)
-        b = v_from_u(ADL, doubled, grid=grid)
-        assert np.allclose(a.coeffs, b.coeffs, atol=1e-13)
-
-    def test_adl_u_from_v_rejects_singular_slope(self):
-        grid = GridSpec.create(1, 8)
-        v = field_from_modes(grid, [(1, 1.4, 0.0)])
-        with pytest.raises(SingularityError):
-            u_from_v(ADL, v)
-
-    def test_adl_v_from_u_rejects_nonpositive_surface(self):
-        grid = GridSpec.create(1, 8)
-        u = from_physical(np.sin(grid.nodes), grid)
-        with pytest.raises(SingularityError, match="min\\(u\\)"):
-            v_from_u(ADL, u)
-
-    def test_unknown_kind_raises(self):
-        grid = GridSpec.create(1, 4)
-        v = field_from_modes(grid, [(1, 0.1, 0.0)])
-        with pytest.raises(ValueError, match="kind"):
-            u_from_v("cubic", v)
-        with pytest.raises(ValueError, match="kind"):
-            v_from_u("cubic", v)
-
-    def test_exp_inverse_laplacian_consistency(self):
-        grid = GridSpec.create(1, 8)
-        v = field_from_modes(grid, [(3, 0.2, 0.0)])
-        assert np.allclose(
-            u_from_v(EXPONENTIAL, v).coeffs,
-            inverse_laplacian_zero_mean(v).coeffs,
-            atol=0.0,
-        )

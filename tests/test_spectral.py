@@ -1,6 +1,6 @@
-"""Tests for grids, transforms, calculus operators, and norms.
+"""Tests for grids, transforms, operator tables, and norms.
 
-Single trigonometric modes have known coefficients, derivatives, and norms,
+Single trigonometric modes have known coefficients, eigenvalues, and norms,
 so most checks compare against closed forms.  Random-field properties
 (round trips, Parseval, norm inequalities) run under hypothesis with seeded
 generators so failures are reproducible.
@@ -16,16 +16,11 @@ from hypothesis import given, settings, strategies as st
 from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
-    bilaplacian,
-    derivative,
+    _plan,
     field_from_modes,
     from_physical,
-    imag_residue,
-    inverse_laplacian_zero_mean,
     l2_norm,
-    laplacian,
     linf_norm,
-    lp_norm,
     require_zero_mean,
     sobolev_norm,
     to_physical,
@@ -199,9 +194,11 @@ class TestTransforms:
             from_physical(np.zeros(7), grid)
 
     def test_imag_residue_is_rounding_level(self):
+        """The full complex inverse of a real field's spectrum is real to
+        rounding, so the k_d < 0 half that to_physical skips adds nothing."""
         grid = GridSpec.create(1, 12)
         f = random_field(grid, seed=7)
-        assert imag_residue(f) < 1e-13
+        assert np.max(np.abs(reference_inverse(grid, f.coeffs).imag)) < 1e-13
 
     def test_hermitian_symmetry_of_real_fields(self):
         grid = GridSpec.create(2, 4)
@@ -295,15 +292,17 @@ class TestRealToComplexCore:
 
     @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
     def test_imag_residue_separates_hermitian_from_not(self, dim, m, padding):
+        """A Hermitian spectrum passes is_hermitian and has a real full
+        inverse; a skew of 0.5j at one mode fails is_hermitian and leaves an
+        imaginary residue of order one in the full inverse."""
         grid = GridSpec.create(dim, m, padding_factor=padding)
         c = hermitian_coeffs(grid, 3)
-        assert imag_residue(SpectralField(grid, c)) <= 1e-13
+        assert SpectralField(grid, c).is_hermitian()
+        assert np.max(np.abs(reference_inverse(grid, c).imag)) <= 1e-13
         skewed = c.copy()
         skewed[grid.index_of(1 if dim == 1 else (1, 0))] += 0.5j
-        residue = imag_residue(SpectralField(grid, skewed))
-        expected = np.max(np.abs(reference_inverse(grid, skewed).imag))
-        assert residue > 0.1
-        assert residue == pytest.approx(expected, rel=1e-12)
+        assert not SpectralField(grid, skewed).is_hermitian()
+        assert np.max(np.abs(reference_inverse(grid, skewed).imag)) > 0.1
 
 
 class TestFieldFromModes:
@@ -333,23 +332,30 @@ class TestFieldFromModes:
         with pytest.raises(ValueError, match="outside retained band"):
             field_from_modes(grid, [(5, 0.1, 0.0)])
 
-    def test_drop_unrepresentable_skips(self):
-        grid = GridSpec.create(1, 4)
-        f = field_from_modes(
-            grid, [(2, 0.1, 0.0), (9, 1.0, 0.0)], drop_unrepresentable=True
-        )
-        assert wiener_norm(f) == pytest.approx(0.1)
+    @pytest.mark.parametrize(
+        "dim, k", [(1, -5), (1, 9), (2, (5, 0)), (2, (0, -5)), (2, (5, 5))]
+    )
+    def test_mode_beyond_band_raises_after_valid_modes(self, dim, k):
+        """A mode with some |k_i| > M is refused, never dropped, also when
+        representable modes come before it."""
+        grid = GridSpec.create(dim, 4)
+        valid = (1, 0.1, 0.0) if dim == 1 else ((1, 1), 0.1, 0.0)
+        with pytest.raises(ValueError, match="outside retained band"):
+            field_from_modes(grid, [valid, (k, 0.1, 0.0)])
 
     @pytest.mark.parametrize("dim, k", [(1, 0), (2, (0, 0))])
     @pytest.mark.parametrize("phase", [0.0, 1.0])
-    @pytest.mark.parametrize("drop", [False, True])
-    def test_zero_wavenumber_raises(self, dim, k, phase, drop):
+    @pytest.mark.parametrize("after_valid_mode", [False, True])
+    def test_zero_wavenumber_raises(self, dim, k, phase, after_valid_mode):
         """sin(0.x + phase) is a constant: it would set the mean (phase 1)
-        or add nothing at all (phase 0), so k = 0 is refused even when
-        unrepresentable modes are being dropped."""
+        or add nothing at all (phase 0), so k = 0 is refused, alone or after
+        a representable mode."""
         grid = GridSpec.create(dim, 4)
+        modes = [(k, 0.05, phase)]
+        if after_valid_mode:
+            modes.insert(0, (1 if dim == 1 else (1, 1), 0.1, 0.0))
         with pytest.raises(ValueError, match="mean mode"):
-            field_from_modes(grid, [(k, 0.05, phase)], drop_unrepresentable=drop)
+            field_from_modes(grid, modes)
 
     def test_result_has_zero_mean(self):
         grid = GridSpec.create(1, 6)
@@ -358,55 +364,34 @@ class TestFieldFromModes:
 
 
 class TestCalculus:
-    def test_derivative_of_sine(self):
-        grid = GridSpec.create(1, 10)
-        f = field_from_modes(grid, [(4, 1.0, 0.0)])
-        df = derivative(f)
-        assert np.allclose(to_physical(df), 4 * np.cos(4 * grid.nodes), atol=1e-12)
-
-    def test_second_derivative_matches_eigenvalue(self):
-        grid = GridSpec.create(1, 10)
-        f = field_from_modes(grid, [(3, 1.0, 0.2)])
-        d2 = derivative(f, order=2)
-        assert np.allclose(to_physical(d2), -9.0 * to_physical(f), atol=1e-12)
-
-    def test_derivative_axis_1(self):
-        grid = GridSpec.create(2, 4)
-        f = field_from_modes(grid, [((0, 2), 1.0, 0.0)])
-        df = derivative(f, axis=1)
-        x = grid.nodes
-        _, yy = np.meshgrid(x, x, indexing="ij")
-        assert np.allclose(to_physical(df), 2 * np.cos(2 * yy), atol=1e-12)
-
     def test_laplacian_eigenvalue_2d(self):
+        """The march's |k|^4 table holds (|k|^2)^2 = 13^2 at k = (2, 3)."""
         grid = GridSpec.create(2, 5)
-        f = field_from_modes(grid, [((2, 3), 1.0, 0.0)])
-        assert np.allclose(to_physical(laplacian(f)), -13.0 * to_physical(f), atol=1e-11)
+        assert _plan(grid)["k4"][grid.index_of((2, 3))] == 169.0
 
     def test_bilaplacian_eigenvalue(self):
         grid = GridSpec.create(1, 8)
-        f = field_from_modes(grid, [(2, 1.0, 0.0)])
-        assert np.allclose(to_physical(bilaplacian(f)), 16.0 * to_physical(f), atol=1e-12)
+        assert _plan(grid)["k4"][grid.index_of(2)] == 16.0
 
     def test_bilaplacian_is_laplacian_squared(self):
+        """Every entry of the |k|^4 table is the square of the Laplacian
+        symbol |k|^2 = k_1^2 + k_2^2 built from the grid's wavenumbers."""
         grid = GridSpec.create(2, 4)
-        f = random_field(grid, seed=3)
-        f = with_zero_mean(f)
-        assert np.allclose(
-            bilaplacian(f).coeffs, laplacian(laplacian(f)).coeffs, atol=1e-12
-        )
+        k = grid.wavenumbers.astype(float)
+        ksq = k[:, None] ** 2 + k[None, :] ** 2
+        assert np.array_equal(_plan(grid)["k4"], ksq**2)
 
-    def test_inverse_laplacian_inverts(self):
-        grid = GridSpec.create(1, 9)
-        f = with_zero_mean(random_field(grid, seed=5))
-        back = inverse_laplacian_zero_mean(laplacian(f))
-        assert np.allclose(back.coeffs, f.coeffs, atol=1e-12)
-
-    def test_inverse_laplacian_requires_zero_mean(self):
-        grid = GridSpec.create(1, 4)
-        f = from_physical(np.full(grid.phys_shape, 1.0), grid)
-        with pytest.raises(ValueError, match="mean"):
-            inverse_laplacian_zero_mean(f)
+    @pytest.mark.parametrize(
+        "dim, k", [(1, 1), (1, 3), (1, 8), (2, (1, 0)), (2, (2, -3)), (2, (-4, 4))]
+    )
+    def test_k4_table_acts_as_bilaplacian_on_sines(self, dim, k):
+        """Multiplying a sine's coefficients by the |k|^4 table multiplies
+        its samples by |k|^4, up to the band edge k = M."""
+        grid = GridSpec.create(dim, 8 if dim == 1 else 4)
+        f = field_from_modes(grid, [(k, 1.0, 0.3)])
+        lam = float(np.sum(np.square(k))) ** 2
+        got = to_physical(SpectralField(grid, f.coeffs * _plan(grid)["k4"]))
+        assert np.allclose(got, lam * to_physical(f), atol=1e-12 * lam)
 
     def test_with_zero_mean_pins_exactly(self):
         grid = GridSpec.create(1, 6)
@@ -442,6 +427,16 @@ class TestNorms:
         grid = GridSpec.create(1, 4)
         with pytest.raises(ValueError, match="alpha"):
             wiener_norm(zero_field(grid), -1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.5, 4.0])
+    def test_wiener_and_sobolev_of_2d_sine(self, alpha):
+        """For a sin(k.x) in 2D, |.|_alpha = |a| |k|^alpha and the H^alpha
+        norm is that divided by sqrt(2), with |k| = 5 at k = (3, -4)."""
+        grid = GridSpec.create(2, 5)
+        f = field_from_modes(grid, [((3, -4), 0.2, 0.7)])
+        want = 0.2 * 5.0**alpha
+        assert wiener_norm(f, alpha) == pytest.approx(want, rel=1e-13)
+        assert sobolev_norm(f, alpha) == pytest.approx(want / math.sqrt(2), rel=1e-13)
 
     def test_sobolev_of_single_sine(self):
         """H^alpha of a sin(kx) is |a| k^alpha / sqrt(2)."""
@@ -493,11 +488,6 @@ class TestNorms:
         g = random_field(grid, sb)
         both = SpectralField(grid, f.coeffs + g.coeffs)
         assert wiener_norm(both) <= (wiener_norm(f) + wiener_norm(g)) * (1 + 1e-12)
-
-    def test_lp_norm_interpolates_l2(self):
-        grid = GridSpec.create(1, 8)
-        f = field_from_modes(grid, [(3, 1.1, 0.0)])
-        assert lp_norm(f, 2.0) == pytest.approx(l2_norm(f), rel=1e-12)
 
     def test_linf_of_sine(self):
         grid = GridSpec.create(1, 16, phys_points_per_axis=128)
