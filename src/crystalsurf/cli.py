@@ -9,8 +9,10 @@ humans; the written files are for machines.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -45,7 +47,8 @@ from .diagnostics import (
 from .models import MODEL_KINDS, SingularityError
 from .spectral import SpectralField, wiener_norm
 from .stepper import NonFiniteStateError, integrate
-from .theory import decay_envelope, delta, smallness_report, threshold_bracket
+# decay_envelope is not called here; perfbench traces it under this name.
+from .theory import decay_envelope, delta, smallness_report, threshold_bracket  # noqa: F401
 from .validation import run_checks
 
 EXIT_OK = 0
@@ -85,26 +88,26 @@ def timeseries_columns(series: TimeSeries) -> tuple[list[str], list[np.ndarray]]
     return names, cols
 
 
-def write_timeseries_csv(path: Path, series: TimeSeries) -> None:
-    names, cols = timeseries_columns(series)
+def write_csv(path: Path, names, rows) -> None:
+    """Header plus rows; floats at 17 significant digits, booleans lowercase."""
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_FLOAT_FMT % x for x in row) + "\n")
+        for row in rows:
+            cells = (str(x).lower() if isinstance(x, bool) else _FLOAT_FMT % x for x in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def write_timeseries_csv(path: Path, series: TimeSeries) -> None:
+    names, cols = timeseries_columns(series)
+    write_csv(path, names, zip(*cols))
 
 
 def write_decay_plot_csv(path: Path, report: RunReport) -> None:
     """t, |v|_0 and the certified envelope, ready for direct plotting."""
     t = report.series.times
-    w0 = report.series.wiener[0.0]
-    if report.admissible:
-        env = decay_envelope(report.x0, report.delta, t)
-    else:
-        env = np.full_like(t, math.nan)
-    with open(path, "w") as fh:
-        fh.write("t,wiener_0,envelope\n")
-        for row in zip(t, w0, env):
-            fh.write(",".join(_FLOAT_FMT % x for x in row) + "\n")
+    cert = report.certificate
+    env = cert.envelope if cert is not None else np.full_like(t, math.nan)
+    write_csv(path, ["t", "wiener_0", "envelope"], zip(t, report.series.wiener[0.0], env))
 
 
 def _json_safe(obj):
@@ -127,12 +130,12 @@ def report_payload(report: RunReport) -> dict:
     cert_payload = None
     if cert is not None:
         cert_payload = {
-            "x0": cert.x0,
-            "delta": cert.delta,
+            "x0": report.x0,
+            "delta": report.delta,
             "slack": cert.slack,
             "samples_total": int(len(cert.sample_ok)),
             "samples_within_envelope": int(np.count_nonzero(cert.sample_ok)),
-            "all_within_envelope": bool(np.all(cert.sample_ok)),
+            "all_within_envelope": cert.verdict,
             "fitted_rate": cert.fitted_rate,
         }
     payload = {
@@ -193,12 +196,28 @@ def execute_run(cfg: RunConfig, v0: SpectralField) -> RunReport:
 def run_verdict(report: RunReport) -> bool:
     """True when decay is certified and every structural check holds."""
     return bool(
-        report.admissible
-        and report.certificate is not None
-        and np.all(report.certificate.sample_ok)
+        report.certificate is not None
+        and report.certificate.verdict
         and report.lyapunov_monotone
         and report.positivity_ok
     )
+
+
+def failure_message(err: Exception) -> str:
+    """One line for a run stopped by a singularity, a non-finite state or
+    the dt guard."""
+    if isinstance(err, SingularityError):
+        where = f" at t = {err.time:.6g}" if err.time is not None else ""
+        return f"singularity{where}: {err}"
+    return str(err)
+
+
+def check_output_target(out_dir: Path) -> None:
+    """Refuse an output directory that is a file or lies below one, before
+    any work is done; creates nothing."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
 
 
 def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]:
@@ -224,8 +243,13 @@ def cmd_run(args) -> int:
         cfg = load_run_config(args.config)
         grid = build_grid(cfg)
         v0 = build_initial_field(cfg, grid, Path(args.config).resolve().parent)
+        out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
+        check_output_target(out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
         return EXIT_USAGE
     x0 = wiener_norm(v0, 0.0)
     admissibility = smallness_report(cfg.model.kind, x0)
@@ -240,19 +264,13 @@ def cmd_run(args) -> int:
             return EXIT_INADMISSIBLE
     try:
         report = execute_run(cfg, v0)
-    except SingularityError as err:
-        t = getattr(err, "time", None)
-        where = f" at t = {t:.6g}" if t is not None else ""
-        print(f"singularity{where}: {err}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except NonFiniteStateError as err:
-        print(err, file=sys.stderr)
+    except (SingularityError, NonFiniteStateError) as err:
+        print(failure_message(err), file=sys.stderr)
         return EXIT_SINGULAR
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
     try:
         written = write_output_bundle(report, out_dir, cfg.outputs.formats)
     except OSError as err:
@@ -341,66 +359,39 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_USAGE
 
 
-def _scaled_initial_field(cfg: RunConfig, amplitude: float, config_dir: Path | None) -> SpectralField:
-    """Base initial data rescaled so |v0|_0 equals the requested amplitude."""
-    grid = build_grid(cfg)
-    v0 = build_initial_field(cfg, grid, config_dir)
-    x0 = wiener_norm(v0, 0.0)
-    if x0 == 0:
-        raise ConfigError("base initial data is identically zero; cannot rescale")
-    return SpectralField(grid, v0.coeffs * (amplitude / x0))
-
-
 def _sweep_worker(payload) -> dict:
-    """One sweep run; module-level so process pools can pickle it."""
-    raw_cfg, amplitude, out_base, config_dir = payload
+    """One sweep member from (raw config, initial coefficients, member
+    directory); module-level so process pools can pickle it."""
+    raw_cfg, coeffs, out_dir = payload
     cfg = parse_run_config(raw_cfg)
-    cdir = Path(config_dir) if config_dir else None
-    v0 = _scaled_initial_field(cfg, amplitude, cdir)
-    out_dir = Path(out_base) / sweep_member_dirname(amplitude)
+    v0 = SpectralField(build_grid(cfg), coeffs)  # rebuilt: an unpickled grid runs slower
     try:
         report = execute_run(cfg, v0)
-    except ConfigError:
-        raise
     except (SingularityError, NonFiniteStateError, ValueError) as err:
         # A member that fails to run (singular, overflowed, or refused by the
         # dt guard) is recorded as a failed row; the sweep goes on.
-        if isinstance(err, SingularityError):
-            t = err.time
-            note = f"singular at t = {t:.6g}" if t is not None else "singular"
-        else:
-            note = str(err)
         x0 = wiener_norm(v0, 0.0)
         return {
-            "amplitude": amplitude,
             "x0": x0,
             "delta": smallness_report(cfg.model.kind, x0).delta,
             "fitted_rate": math.nan,
             "verdict": False,
-            "error": note,
+            "error": failure_message(err),
         }
     write_output_bundle(report, out_dir, cfg.outputs.formats)
-    fitted = math.nan
-    if report.certificate is not None:
-        fitted = report.certificate.fitted_rate
+    cert = report.certificate
     return {
-        "amplitude": amplitude,
         "x0": report.x0,
         "delta": report.delta,
-        "fitted_rate": fitted,
+        "fitted_rate": cert.fitted_rate if cert is not None else math.nan,
         "verdict": run_verdict(report),
         "error": "",
     }
 
 
 def write_sweep_aggregate(path: Path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("x0,delta,fitted_rate,verdict\n")
-        for row in rows:
-            fh.write(
-                f"{_FLOAT_FMT % row['x0']},{_FLOAT_FMT % row['delta']},"
-                f"{_FLOAT_FMT % row['fitted_rate']},{str(row['verdict']).lower()}\n"
-            )
+    names = ["x0", "delta", "fitted_rate", "verdict"]
+    write_csv(path, names, ([row[k] for k in names] for row in rows))
 
 
 def cmd_sweep(args) -> int:
@@ -408,17 +399,28 @@ def cmd_sweep(args) -> int:
         sweep = load_sweep_config(args.config)
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+        base = sweep.base
+        grid = build_grid(base)
+        build_stepper(base)  # refuses e.g. sample_every < 1 before any member runs
+        v0 = build_initial_field(base, grid, Path(args.config).resolve().parent)
+        x0 = wiener_norm(v0, 0.0)
+        if x0 == 0:
+            raise ConfigError("base initial data is identically zero; cannot rescale")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    out_base = Path(args.out) if args.out else Path(sweep.base.outputs.directory)
-    config_dir = str(Path(args.config).resolve().parent)
-    raw_cfg = run_config_to_dict(sweep.base)
-    payloads = [(raw_cfg, a, str(out_base), config_dir) for a in sweep.amplitudes]
+    out_base = Path(args.out) if args.out else Path(base.outputs.directory)
+    raw_cfg = run_config_to_dict(base)
+    payloads = [
+        (raw_cfg, v0.coeffs * (a / x0), out_base / sweep_member_dirname(a))
+        for a in sweep.amplitudes
+    ]
     # A process pool starts all its workers up front, so it is never larger
     # than the number of members.
     workers = min(sweep.workers if args.workers is None else args.workers, len(payloads))
     try:
+        for _, _, member_dir in payloads:
+            check_output_target(member_dir)
         if workers == 1:
             rows = [_sweep_worker(p) for p in payloads]
         else:
@@ -428,9 +430,6 @@ def cmd_sweep(args) -> int:
         out_base.mkdir(parents=True, exist_ok=True)
         aggregate = out_base / "sweep_aggregate.csv"
         write_sweep_aggregate(aggregate, rows)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as err:
         print(f"cannot write output: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -393,6 +393,8 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
     except Exception as err:
         raise ConfigError(f"initial_data.path: cannot load {fpath}: {err}") from err
     samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"initial_data.path: {fpath} holds non-finite samples")
     try:
         samples = samples.reshape(grid.phys_shape)
     except ValueError as err:

@@ -109,11 +109,7 @@ class DecayCertificate:
     immediately (including the zero trajectory).
     """
 
-    x0: float
-    delta: float
     slack: float
-    times: np.ndarray
-    values: np.ndarray
     envelope: np.ndarray
     sample_ok: np.ndarray
     fitted_rate: float
@@ -158,12 +154,8 @@ def certify_decay(
     envelope = decay_envelope(x0, delta_value, series.times)
     sample_ok = values <= envelope + slack
     return DecayCertificate(
-        x0=x0,
-        delta=delta_value,
         slack=slack,
-        times=series.times.copy(),
-        values=values.copy(),
-        envelope=np.asarray(envelope),
+        envelope=envelope,
         sample_ok=sample_ok,
         fitted_rate=fit_decay_rate(series.times, values),
         verdict=bool(np.all(sample_ok)),

@@ -35,7 +35,7 @@ from crystalsurf.config import (
     parse_sweep_config,
     run_config_to_dict,
 )
-from crystalsurf.spectral import wiener_norm
+from crystalsurf.spectral import SpectralField, wiener_norm
 
 
 def base_run_dict():
@@ -354,6 +354,30 @@ class TestBuildInitialField:
         with pytest.raises(ConfigError, match="must have zero mean"):
             build_initial_field(cfg, grid, config_dir=tmp_path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("suffix", [".npy", ".txt"])
+    def test_file_with_non_finite_samples(self, tmp_path, capsys, suffix, bad):
+        """A NaN or inf sample is a config error, found before the transform
+        (failed before the finiteness check: exit 3 at t = 0 after an
+        amplitude warning)."""
+        raw = base_run_dict()
+        raw["initial_data"] = {"kind": "file", "path": f"v0{suffix}"}
+        grid = build_grid(parse_run_config(raw))
+        samples = 0.05 * np.sin(grid.nodes)
+        samples[3] = bad
+        if suffix == ".npy":
+            np.save(tmp_path / f"v0{suffix}", samples)
+        else:
+            np.savetxt(tmp_path / f"v0{suffix}", samples)
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: initial_data.path: ")
+        assert "non-finite" in lines[0]
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         raw = base_run_dict()
         raw["initial_data"] = {"kind": "file", "path": "absent.npy"}
@@ -472,9 +496,12 @@ class TestCliRun:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("below", [False, True])
-    def test_unwritable_output_directory_exits_one(self, tmp_path, capsys, below):
+    def test_unwritable_output_directory_exits_one(self, tmp_path, capsys, monkeypatch, below):
         """--out at an existing file, or below one, is a one-line error and
-        exit 1, not a traceback from mkdir after the run."""
+        exit 1, given before the run (failed before the target was checked
+        up front: the run integrated first and mkdir failed after it)."""
+        calls = []
+        monkeypatch.setattr(cli, "execute_run", lambda *a: calls.append(a))
         config = write_config(tmp_path, base_run_dict())
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -483,6 +510,8 @@ class TestCliRun:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("cannot write output: ")
+        assert calls == []
+        assert blocker.read_text() == ""
 
     def test_t_end_off_the_step_grid_exits_one(self, tmp_path, capsys):
         """round(t_end / dt) steps would end this run at t = 0.051; the
@@ -730,8 +759,10 @@ class TestCliSweep:
     @pytest.mark.parametrize("below", [False, True])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_unwritable_output_directory_exits_one(
-        self, tmp_path, capsys, workers, below
+        self, tmp_path, capsys, pool_sizes, workers, below
     ):
+        """Refused before any member runs or a pool is built (failed at
+        --workers 2 before the target was checked up front)."""
         config = self.sweep_config(tmp_path, [0.02, 0.05])
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -741,6 +772,74 @@ class TestCliSweep:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("cannot write output: ")
+        assert pool_sizes == []
+
+    def test_members_match_a_single_run_of_the_scaled_field(self, tmp_path, capsys):
+        """Each member's files equal those of execute_run on the base field
+        rescaled to the amplitude, byte for byte (passed before the payload
+        carried coefficients too; it pins the outputs across that change)."""
+        amplitudes = [0.01, 0.05, 0.2]
+        config = self.sweep_config(tmp_path, amplitudes, workers=2)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_OK
+        cfg = parse_sweep_config(load_yaml(config)).base
+        grid = build_grid(cfg)
+        v0 = build_initial_field(cfg, grid)
+        x0 = wiener_norm(v0, 0.0)
+        for a in amplitudes:
+            alone = tmp_path / f"alone_{a:g}"
+            report = cli.execute_run(cfg, SpectralField(grid, v0.coeffs * (a / x0)))
+            cli.write_output_bundle(report, alone, cfg.outputs.formats)
+            for name in ("report.json", "timeseries.csv", "decay_plot.csv"):
+                member = out / f"amplitude_{a:g}" / name
+                assert member.read_bytes() == (alone / name).read_bytes(), (a, name)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda b: b.update(initial_data={"kind": "file", "path": "absent.npy"}),
+                "initial_data.path: cannot load",
+            ),
+            (lambda b: b["stepper"].update(sample_every=0), "sample_every must be >= 1"),
+            (
+                lambda b: b["initial_data"]["modes"][0].update(amplitude=0.0),
+                "identically zero",
+            ),
+        ],
+        ids=["missing_file", "sample_every_0", "zero_data"],
+    )
+    def test_base_errors_exit_one_before_the_pool(
+        self, tmp_path, capsys, pool_sizes, mutate, message
+    ):
+        """A broken base fails in the parent process, before any pool is
+        built (failed before the base was prepared there: the pool's
+        workers met the error)."""
+        raw = {"sweep": {"amplitudes": [0.02, 0.05], "workers": 2}, "base": base_run_dict()}
+        mutate(raw["base"])
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ") and message in lines[0]
+        assert pool_sizes == []
+        assert not out.exists()
+
+    def test_singular_member_note_is_the_run_message(self, tmp_path, capsys):
+        """The sweep notes a singular member with the line `run` prints
+        (failed before one formatter served both: the note was shorter)."""
+        raw = base_run_dict()
+        raw["model"]["kind"] = "adl"
+        raw["initial_data"]["modes"][0]["amplitude"] = 1.5
+        assert main(["run", write_config(tmp_path, raw)]) == EXIT_SINGULAR
+        run_line = capsys.readouterr().err.splitlines()[-1]
+        assert run_line.startswith("singularity at t = 0")
+        sweep = {"sweep": {"amplitudes": [0.02, 1.5], "workers": 1}, "base": base_run_dict()}
+        sweep["base"]["model"]["kind"] = "adl"
+        config = write_config(tmp_path, sweep, name="sweep.yaml")
+        assert main(["sweep", config, "--out", str(tmp_path / "sweepout")]) == EXIT_OK
+        assert f"  ({run_line})" in capsys.readouterr().out
 
     def test_non_finite_amplitude_exits_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, [0.05, math.inf])
