@@ -207,7 +207,12 @@ def failure_message(err: Exception) -> str:
     """One line for a run stopped by a singularity, a non-finite state or
     the dt guard."""
     if isinstance(err, SingularityError):
-        where = f" at t = {err.time:.6g}" if err.time is not None else ""
+        if err.step_end is not None:
+            where = f" in the step from t = {err.time:.6g} to t = {err.step_end:.6g}"
+        elif err.time is not None:
+            where = f" at t = {err.time:.6g}"
+        else:
+            where = ""
         return f"singularity{where}: {err}"
     return str(err)
 

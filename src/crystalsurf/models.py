@@ -17,6 +17,8 @@ Nonlinearity evaluation is pseudo-spectral: sample v on the (padded)
 collocation grid, apply the scalar function pointwise, project back onto
 the retained modes, then apply the biharmonic multiplier.  The biharmonic
 factor annihilates the mean mode, so the result has exactly zero mean.
+The stepper's evaluator (`remainder_fn`) reuses one set of sample and
+spectrum buffers across calls and is therefore not re-entrant.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .spectral import (
     GridSpec,
     SpectralField,
+    _Workspace,
     _coeffs_from_phys,
     _mirror,
     _phys_from_coeffs,
@@ -58,11 +61,17 @@ class SingularityError(ArithmeticError):
 
     Attributes:
         time: simulation time of the failing evaluation, when known.
+        step_end: set when the failing evaluation is known only to lie in
+            the step from `time` to `step_end`; an ETDRK4 stage state has no
+            single time.
     """
 
-    def __init__(self, message: str, time: float | None = None):
+    def __init__(
+        self, message: str, time: float | None = None, step_end: float | None = None
+    ):
         super().__init__(message)
         self.time = time
+        self.step_end = step_end
 
 
 def linear_coefficient(kind: str) -> float:
@@ -140,20 +149,34 @@ def adl_series_partial_sum(values: np.ndarray, order: int) -> np.ndarray:
     return _horner(ADL, np.asarray(values, dtype=float), order)
 
 
-def _superlinear_pointwise(cfg: ModelConfig, v_phys: np.ndarray) -> np.ndarray:
+def _superlinear_pointwise(
+    cfg: ModelConfig,
+    v_phys: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Nonlinearity minus its constant and linear terms, evaluated pointwise.
 
     Returns g(v) - g(0) - g'(0) v where g is the (possibly truncated)
     nonlinearity, with the cancelled low-order terms removed from the series
     analytically rather than numerically.
+
+    The full forms write the result into `out` and the adl form its 3v term
+    into `scratch`, float arrays shaped like v_phys, when given; a missing
+    buffer is allocated.  The truncated series always allocates.
     """
     kind, mode, order = cfg.kind, cfg.mode, cfg.truncation_order
     if mode == FULL:
         if kind == EXPONENTIAL:
             # exp(-v) - 1 + v via expm1 to avoid cancellation at small v
-            return np.expm1(-v_phys) + v_phys
+            w = np.negative(v_phys, out=out)
+            np.expm1(w, out=w)
+            return np.add(w, v_phys, out=w)
         # (1+v)^(-3) - 1 + 3v = expm1(-3 log1p(v)) + 3v, stable for small v
-        return np.expm1(-3.0 * np.log1p(v_phys)) + 3.0 * v_phys
+        w = np.log1p(v_phys, out=out)
+        np.multiply(w, -3.0, out=w)
+        np.expm1(w, out=w)
+        return np.add(w, np.multiply(v_phys, 3.0, out=scratch), out=w)
     if order == 0:  # partial sum is 1; the remainder restores +c v
         return v_phys.astype(float) if kind == EXPONENTIAL else 3.0 * v_phys
     if order == 1:
@@ -163,7 +186,9 @@ def _superlinear_pointwise(cfg: ModelConfig, v_phys: np.ndarray) -> np.ndarray:
 
 
 def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None:
-    floor = float(np.min(1.0 + v_phys))
+    # Rounding of 1 + x is monotone in x, so this is min(1 + v) bit for bit
+    # without a P^d temporary.
+    floor = float(1.0 + np.min(v_phys))
     if floor <= ADL_SINGULAR_FLOOR:
         raise SingularityError(
             f"adl nonlinearity singular: min(1 + v) = {floor:.3e} on the collocation grid",
@@ -177,18 +202,25 @@ def remainder_fn(cfg: ModelConfig):
     Returns a callable mapping the k_d >= 0 half of a Hermitian coefficient
     array, coeffs[..., M:], to the same half of bilaplacian(superlinear
     part), with an optional `time` keyword used to tag singularity errors.
+
+    The evaluator allocates its transform and pointwise buffers once and
+    reuses them on every call, so it is not re-entrant: one evaluator
+    serves one caller at a time.  Each returned half is a new array, so
+    results of earlier calls stay valid.
     """
     grid = cfg.grid
     k4 = np.ascontiguousarray(_plan(grid)["k4"][..., grid.modes_per_axis :])
-    is_adl = cfg.kind == ADL
-    needs_guard = is_adl and (cfg.mode == FULL)
+    needs_guard = cfg.kind == ADL and cfg.mode == FULL
+    work = _Workspace(grid)
+    point, scratch = np.empty((2, *grid.phys_shape))
 
     def evaluate(coeffs: np.ndarray, time: float | None = None) -> np.ndarray:
-        v_phys = _phys_from_coeffs(grid, coeffs)
+        v_phys = _phys_from_coeffs(grid, coeffs, work)
         if needs_guard:
             _check_adl_positivity(v_phys, time)
-        w = _superlinear_pointwise(cfg, v_phys)
-        return _coeffs_from_phys(grid, w) * k4
+        w = _superlinear_pointwise(cfg, v_phys, out=point, scratch=scratch)
+        half = _coeffs_from_phys(grid, w, work)
+        return np.multiply(half, k4, out=half)
 
     return evaluate
 

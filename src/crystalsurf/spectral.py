@@ -15,8 +15,9 @@ carries an explicit phase (-1)^(k_1+...+k_d) relative to numpy's FFT bins;
 both transform directions below account for it.
 
 The transforms are real-to-complex: they work on the k_d >= 0 half of the
-last axis only (numpy's rfft/irfft in 1D, rfft2/irfft2 in 2D), so a forward
-transform is Hermitian by construction.  The private pair
+last axis only (numpy's rfft/irfft, in 2D preceded or followed by a complex
+FFT along the first axis, as rfft2/irfft2 do), so a forward transform is
+Hermitian by construction.  The private pair
 `_phys_from_coeffs`/`_coeffs_from_phys` takes and returns that half,
 coeffs[..., M:] of shape (M+1,) in 1D and (2M+1, M+1) in 2D; the stepper
 marches it directly, because the other half is its conjugate mirror and
@@ -24,6 +25,15 @@ carries no information.  `_mirror` rebuilds the full (2M+1)^d layout, which
 SpectralField keeps, once per public result.  The inverse reads only the
 half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
 constructor here produces such arrays and every operation keeps them so.
+
+Both private transforms take an optional `_Workspace`: buffers allocated
+once per grid that hold the full spectrum, the samples and the FFT
+intermediates, so a march does not allocate (and page-fault in) a fresh
+P^d array per call.  The inverse then returns `work.phys` itself, which
+the next call with the same workspace overwrites; a workspace serves one
+caller at a time and is not re-entrant.  The forward transform always
+returns a new half.  Without a workspace both run the same code on fresh
+arrays.
 
 Values are immutable: every operation returns a new SpectralField and no
 function mutates the coefficient array of its argument.
@@ -226,38 +236,85 @@ class SpectralField:
         return bool(np.max(np.abs(c - flipped)) <= tol * scale)
 
 
-def _phys_from_coeffs(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Scratch buffers of the transform pair on one grid.
+
+    `spec` is the zero-padded spectrum the inverse reads, (P, M+1) in 2D
+    with rows k_1 = M+1..P-M-1 left zero, (M+1,) in 1D; `rows` the real
+    FFT of samples along the last axis; `cols` the (P, M+1) complex FFT
+    along axis 0, of `spec` in the inverse and of the retained k_2 = 0..M
+    columns of `rows` in the forward (2D only); `phys` the P^d samples.
+
+    The buffers are views of one zeroed block.  At 2D M=32 it is about
+    0.4 MB, above glibc's mmap threshold; once such a block is freed,
+    glibc raises its mmap and trim thresholds past that size, so the
+    observer's per-sample P^d temporaries reuse heap pages instead of
+    being mapped and faulted in afresh at every sample.
+    """
+
+    def __init__(self, grid: GridSpec):
+        m, p = grid.modes_per_axis, grid.phys_points_per_axis
+        lead = (p,) if grid.dim == 2 else ()
+        layout = [
+            ("spec", lead + (m + 1,), np.complex128),
+            ("rows", lead + (p // 2 + 1,), np.complex128),
+            ("cols", (p, m + 1) if grid.dim == 2 else (0,), np.complex128),
+            ("phys", grid.phys_shape, np.float64),
+        ]
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
+        block = np.zeros(sum(sizes), dtype=np.uint8)
+        offset = 0
+        for (name, shape, dtype), size in zip(layout, sizes):
+            setattr(self, name, np.ndarray(shape, dtype, buffer=block, offset=offset))
+            offset += size
+
+
+def _phys_from_coeffs(
+    grid: GridSpec, half: np.ndarray, work: _Workspace | None = None
+) -> np.ndarray:
     """Raw-array inverse transform of a Hermitian half; real P^d samples.
 
     `half` is the k_d >= 0 half of the coefficients, coeffs[..., M:]:
     shape (M+1,) in 1D, (2M+1, M+1) in 2D.  irfft zero-pads it to the
-    P//2 + 1 bins of the grid.
+    P//2 + 1 bins of the grid.  With a workspace the result is `work.phys`.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
     table = _plan(grid)["inverse"]
+    out = None if work is None else work.phys
     if grid.dim == 1:
-        return np.fft.irfft(half * table, n=p)
+        spec = np.multiply(half, table, out=None if work is None else work.spec)
+        return np.fft.irfft(spec, n=p, out=out)
     # Rows in FFT order: k_1 = 0..M first, k_1 = -M..-1 last, zeros between.
-    spec = np.zeros((p, m + 1), dtype=np.complex128)
+    spec = np.zeros((p, m + 1), dtype=np.complex128) if work is None else work.spec
     np.multiply(half[m:], table[m:], out=spec[: m + 1])
     np.multiply(half[:m], table[:m], out=spec[p - m :])
-    return np.fft.irfft2(spec, s=(p, p))
+    # irfft2's own two passes, spelled out, because irfft2 drops its `out`
+    # argument (numpy 2.4 passes out=None on to irfftn).
+    cols = np.fft.ifft(spec, axis=0, out=None if work is None else work.cols)
+    return np.fft.irfft(cols, n=p, axis=1, out=out)
 
 
-def _coeffs_from_phys(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+def _coeffs_from_phys(
+    grid: GridSpec, samples: np.ndarray, work: _Workspace | None = None
+) -> np.ndarray:
     """Raw-array forward transform to the k_d >= 0 half, coeffs[..., M:].
 
-    `_mirror` rebuilds the full layout from it, exactly Hermitian.
+    The half is always a new array.  `_mirror` rebuilds the full layout
+    from it, exactly Hermitian.
     """
     m = grid.modes_per_axis
     table = _plan(grid)["forward"]
+    rows = np.fft.rfft(samples, out=None if work is None else work.rows)
     if grid.dim == 1:
-        return np.fft.rfft(samples)[: m + 1] * table
-    spec = np.fft.rfft2(samples)
+        return rows[: m + 1] * table
+    # The axis-0 FFT runs on the k_2 = 0..M columns only: per column it is
+    # the same transform rfft2 applies, so the result is rfft2's, bitwise,
+    # for half of rfft2's axis-0 work.
+    spec = np.fft.fft(rows[:, : m + 1], axis=0, out=None if work is None else work.cols)
     half = np.empty((2 * m + 1, m + 1), dtype=np.complex128)
-    np.multiply(spec[: m + 1, : m + 1], table[m:], out=half[m:])
-    np.multiply(spec[-m:, : m + 1], table[:m], out=half[:m])
+    np.multiply(spec[: m + 1], table[m:], out=half[m:])
+    np.multiply(spec[-m:], table[:m], out=half[:m])
     # The k_2 = 0 column comes from a complex FFT along axis 0, which leaves
     # its k_1 -> -k_1 symmetry inexact; the other columns have no partner
     # inside the half.

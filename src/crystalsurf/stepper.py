@@ -187,6 +187,8 @@ class _Stepper:
         Real and imaginary parts of the result below the smallest normal
         float64 (about 2.2e-308) are set to zero, so decayed high modes do
         not turn subnormal (see the module docstring).  `c` is not modified.
+        Only the evaluation at `c` itself is tagged with the time `t`; the
+        ETDRK4 stage states belong to no single time and stay untagged.
         """
         if self.scheme == SCHEME_ETD1:
             out = self.propagator * c + self.etd1_weight * self.remainder(c, time=t)
@@ -194,11 +196,11 @@ class _Stepper:
             n0 = self.remainder(c, time=t)
             half_c = self.half_propagator * c
             a = half_c + self.stage_weight * n0
-            n1 = self.remainder(a, time=t)
+            n1 = self.remainder(a)
             b = half_c + self.stage_weight * n1
-            n2 = self.remainder(b, time=t)
+            n2 = self.remainder(b)
             s = self.half_propagator * a + self.stage_weight * (2.0 * n2 - n0)
-            n3 = self.remainder(s, time=t)
+            n3 = self.remainder(s)
             out = (
                 self.propagator * c
                 + self.w_first * n0
@@ -250,7 +252,8 @@ def integrate(
         ValueError: on a non-zero-mean initial state, a step budget beyond
             max_steps, or a dt rejected by the guard.
         SingularityError: propagated from the adl nonlinearity with the
-            failing time attached.
+            failing time attached, or the step's start and end times when
+            an intermediate stage failed.
         NonFiniteStateError: the state held an inf or NaN at a sample.
     """
     if v0.grid != cfg.grid:
@@ -300,7 +303,7 @@ def integrate(
             c = worker.advance(c, t_prev)
         except SingularityError as err:
             if err.time is None:
-                err.time = t_prev
+                err.time, err.step_end = t_prev, i * scfg.dt
             raise
         if i % scfg.sample_every == 0 or i == n_steps:
             emit(i)

@@ -478,6 +478,20 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "singularity at t = 0" in err
 
+    def test_stage_singularity_names_the_step(self, tmp_path, capsys):
+        """1 + v0 >= 0.5 at t = 0, and a stage of the first ETDRK4 step goes
+        singular: the message names that step, not t = 0."""
+        raw = base_run_dict()
+        raw["model"]["kind"] = "adl"
+        raw["grid"]["modes"] = 16
+        raw["initial_data"]["modes"][0]["amplitude"] = 0.5
+        config = write_config(tmp_path, raw)
+        assert main(["run", config]) == EXIT_SINGULAR
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith(
+            "singularity in the step from t = 0 to t = 0.001: adl nonlinearity singular: "
+        )
+
     def test_overflowing_run_exits_three_without_report(self, tmp_path, capsys):
         """An exp run at amplitude 3 overflows: one line naming the time,
         exit 3, and no report of NaN rows."""

@@ -7,21 +7,27 @@ must match it to rounding.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crystalsurf.models import (
     ADL,
+    ADL_SINGULAR_FLOOR,
     DEFAULT_TRUNCATION_ORDER,
     EXPONENTIAL,
+    FULL,
+    TRUNCATED,
     ModelConfig,
     SingularityError,
     adl_series_partial_sum,
     binomial_coeff,
     exp_series_partial_sum,
     linear_coefficient,
+    _check_adl_positivity,
     _superlinear_pointwise,
     nonlinear_remainder,
     remainder_fn,
@@ -30,6 +36,7 @@ from crystalsurf.models import (
 from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
+    _coeffs_from_phys,
     _plan,
     field_from_modes,
     from_physical,
@@ -249,7 +256,9 @@ class TestRemainder:
     def test_singularity_error_carries_time(self):
         err = SingularityError("boom", time=1.5)
         assert err.time == 1.5
+        assert err.step_end is None
         assert SingularityError("boom").time is None
+        assert SingularityError("boom", time=1.5, step_end=1.75).step_end == 1.75
 
     def test_rejects_mismatched_grid(self):
         cfg = ModelConfig(EXPONENTIAL, GridSpec.create(1, 8))
@@ -282,6 +291,55 @@ class TestRemainder:
             got = remainder_fn(cfg)(v.coeffs[..., m:])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    @pytest.mark.parametrize("mode", [FULL, TRUNCATED])
+    def test_evaluator_workspace_does_not_leak_between_calls(self, dim, kind, mode):
+        """One evaluator called on A, B, then A: the first result is left
+        unchanged by the later calls, the third equals it bitwise, and every
+        result equals the allocating path bitwise."""
+        grid = GridSpec.create(dim, 8 if dim == 1 else 6)
+        m = grid.modes_per_axis
+        cfg = ModelConfig(kind, grid, mode=mode, truncation_order=6)
+        k4 = _plan(grid)["k4"][..., m:]
+        rng = np.random.default_rng(40 + dim)
+        fields = [from_physical(0.05 * rng.standard_normal(grid.phys_shape), grid) for _ in "AB"]
+        fields.append(fields[0])
+        evaluate = remainder_fn(cfg)
+        results = []
+        for v in fields:
+            got = evaluate(v.coeffs[..., m:])
+            w = _superlinear_pointwise(cfg, to_physical(v))
+            want = _coeffs_from_phys(grid, w) * k4
+            assert got.tobytes() == want.tobytes()
+            results.append((got, got.copy()))
+        for got, copy in results:
+            assert got.tobytes() == copy.tobytes()
+        assert results[2][0].tobytes() == results[0][0].tobytes()
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.integers(1, 64),
+            elements=st.one_of(
+                st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
+                st.floats(-1.0 - 1e-15, -1.0 + 1e-15),
+                st.floats(-2.0, 0.5),
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_positivity_floor_is_min_of_one_plus_v(self, values):
+        """1 + min(v), the floor the guard reports, is min(1 + v) bit for
+        bit: rounding of 1 + x is monotone in x."""
+        want = np.min(1.0 + values)
+        assert (1.0 + np.min(values)).tobytes() == want.tobytes()
+        if want <= ADL_SINGULAR_FLOOR:
+            with pytest.raises(SingularityError, match=re.escape(f"= {want:.3e} on")):
+                _check_adl_positivity(values)
+        else:
+            _check_adl_positivity(values)
 
     def test_rhs_has_zero_mean(self):
         grid = GridSpec.create(1, 8)

@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
+    _Workspace,
+    _coeffs_from_phys,
+    _phys_from_coeffs,
     _plan,
     field_from_modes,
     from_physical,
@@ -303,6 +306,59 @@ class TestRealToComplexCore:
         skewed[grid.index_of(1 if dim == 1 else (1, 0))] += 0.5j
         assert not SpectralField(grid, skewed).is_hermitian()
         assert np.max(np.abs(reference_inverse(grid, skewed).imag)) > 0.1
+
+
+# (M, padding) of the 2D forward checks: odd and even M, up to the benchmark's M=32.
+WORKSPACE_2D_GRIDS = [(m, padding) for m in (4, 8, 32, 33) for padding in (1.0, 1.5, 2.0)]
+
+
+class TestWorkspace:
+    """The private transforms with a reused workspace against fresh arrays."""
+
+    @pytest.mark.parametrize("m, padding", WORKSPACE_2D_GRIDS)
+    def test_2d_forward_is_sliced_rfft2_bitwise(self, m, padding):
+        """The forward runs its axis-0 FFT on the retained columns only; the
+        half still equals the retained bins of rfft2, bit for bit, with and
+        without a workspace, and from_physical stays exactly Hermitian."""
+        grid = GridSpec.create(2, m, padding_factor=padding)
+        samples = np.random.default_rng(m).standard_normal(grid.phys_shape)
+        spec = np.fft.rfft2(samples)
+        table = _plan(grid)["forward"]
+        want = np.concatenate(
+            (spec[-m:, : m + 1] * table[:m], spec[: m + 1, : m + 1] * table[m:])
+        )
+        col = want[:, 0].copy()
+        want[:, 0] = 0.5 * (col + np.conj(col[::-1]))
+        work = _Workspace(grid)
+        assert _coeffs_from_phys(grid, samples).tobytes() == want.tobytes()
+        assert _coeffs_from_phys(grid, samples, work).tobytes() == want.tobytes()
+        c = from_physical(samples, grid).coeffs
+        assert np.array_equal(c, np.conj(c[::-1, ::-1]))
+
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS + [(2, 32, 2.0)])
+    def test_reused_workspace_matches_fresh_arrays(self, dim, m, padding):
+        """Inverse and forward through one workspace on fields A, B, A give
+        the fresh-array results bitwise; the inverse's zero rows stay zero,
+        and each forward half is a new array."""
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        halves = [hermitian_coeffs(grid, seed)[..., m:] for seed in (7, 8, 7)]
+        work = _Workspace(grid)
+        kept = []
+        for half in halves:
+            want_phys = _phys_from_coeffs(grid, half)
+            got_phys = _phys_from_coeffs(grid, half, work)
+            assert got_phys is work.phys
+            assert got_phys.tobytes() == want_phys.tobytes()
+            if dim == 2:
+                p = grid.phys_points_per_axis
+                assert not np.any(work.spec[m + 1 : p - m])
+            got = _coeffs_from_phys(grid, got_phys, work)
+            assert got.tobytes() == _coeffs_from_phys(grid, want_phys).tobytes()
+            assert not np.shares_memory(got, work.rows)
+            kept.append((got, got.copy()))
+        for got, copy in kept:
+            assert got.tobytes() == copy.tobytes()
+        assert kept[0][0].tobytes() == kept[2][0].tobytes()
 
 
 class TestFieldFromModes:

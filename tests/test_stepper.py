@@ -281,6 +281,17 @@ class TestIntegrate:
         with pytest.raises(SingularityError) as exc:
             integrate(cfg, StepperConfig(dt=1e-3, t_end=0.1), v0)
         assert exc.value.time == 0.0
+        assert exc.value.step_end is None
+
+    def test_stage_singularity_names_the_step(self):
+        """v0 = 0.5 sin x keeps 1 + v0 >= 0.5, but an ETDRK4 stage state of
+        the first step crosses 1 + v <= 0; the error spans that step instead
+        of tagging t = 0, where the state is regular."""
+        grid = GridSpec.create(1, 16)
+        v0 = field_from_modes(grid, [(1, 0.5, 0.0)])
+        with pytest.raises(SingularityError) as exc:
+            integrate(ModelConfig(ADL, grid), StepperConfig(dt=1e-3, t_end=0.05), v0)
+        assert (exc.value.time, exc.value.step_end) == (0.0, 1e-3)
 
     def test_mid_run_singularity_tagged_with_step_time(self):
         """A blow-up raised inside the loop carries the time of the step
