@@ -150,10 +150,7 @@ def adl_series_partial_sum(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def _superlinear_pointwise(
-    cfg: ModelConfig,
-    v_phys: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    cfg: ModelConfig, v_phys: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Nonlinearity minus its constant and linear terms, evaluated pointwise.
 
@@ -161,9 +158,8 @@ def _superlinear_pointwise(
     nonlinearity, with the cancelled low-order terms removed from the series
     analytically rather than numerically.
 
-    The full forms write the result into `out` and the adl form its 3v term
-    into `scratch`, float arrays shaped like v_phys, when given; a missing
-    buffer is allocated.  The truncated series always allocates.
+    The full exponential form writes its result into `out`, a float array
+    shaped like v_phys, when given; the other forms always allocate.
     """
     kind, mode, order = cfg.kind, cfg.mode, cfg.truncation_order
     if mode == FULL:
@@ -173,10 +169,7 @@ def _superlinear_pointwise(
             np.expm1(w, out=w)
             return np.add(w, v_phys, out=w)
         # (1+v)^(-3) - 1 + 3v = expm1(-3 log1p(v)) + 3v, stable for small v
-        w = np.log1p(v_phys, out=out)
-        np.multiply(w, -3.0, out=w)
-        np.expm1(w, out=w)
-        return np.add(w, np.multiply(v_phys, 3.0, out=scratch), out=w)
+        return np.expm1(-3.0 * np.log1p(v_phys)) + 3.0 * v_phys
     if order == 0:  # partial sum is 1; the remainder restores +c v
         return v_phys.astype(float) if kind == EXPONENTIAL else 3.0 * v_phys
     if order == 1:
@@ -203,22 +196,22 @@ def remainder_fn(cfg: ModelConfig):
     array, coeffs[..., M:], to the same half of bilaplacian(superlinear
     part), with an optional `time` keyword used to tag singularity errors.
 
-    The evaluator allocates its transform and pointwise buffers once and
-    reuses them on every call, so it is not re-entrant: one evaluator
-    serves one caller at a time.  Each returned half is a new array, so
-    results of earlier calls stay valid.
+    The evaluator allocates its transform buffers, and the sample buffer
+    of the full exponential form, once and reuses them on every call, so
+    it is not re-entrant: one evaluator serves one caller at a time.  Each
+    returned half is a new array, so results of earlier calls stay valid.
     """
     grid = cfg.grid
     k4 = np.ascontiguousarray(_plan(grid)["k4"][..., grid.modes_per_axis :])
     needs_guard = cfg.kind == ADL and cfg.mode == FULL
     work = _Workspace(grid)
-    point, scratch = np.empty((2, *grid.phys_shape))
+    point = np.empty(grid.phys_shape)
 
     def evaluate(coeffs: np.ndarray, time: float | None = None) -> np.ndarray:
         v_phys = _phys_from_coeffs(grid, coeffs, work)
         if needs_guard:
             _check_adl_positivity(v_phys, time)
-        w = _superlinear_pointwise(cfg, v_phys, out=point, scratch=scratch)
+        w = _superlinear_pointwise(cfg, v_phys, out=point)
         half = _coeffs_from_phys(grid, w, work)
         return np.multiply(half, k4, out=half)
 
