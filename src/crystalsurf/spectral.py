@@ -15,15 +15,21 @@ carries an explicit phase (-1)^(k_1+...+k_d) relative to numpy's FFT bins;
 both transform directions below account for it.
 
 The transforms are real-to-complex: they work on the k_d >= 0 half of the
-last axis only (numpy's rfft/irfft, in 2D preceded or followed by a complex
-FFT along the first axis, as rfft2/irfft2 do), so a forward transform is
-Hermitian by construction.  The private pair
-`_phys_from_coeffs`/`_coeffs_from_phys` takes and returns that half,
-coeffs[..., M:] of shape (M+1,) in 1D and (2M+1, M+1) in 2D; the stepper
-marches it directly, because the other half is its conjugate mirror and
-carries no information.  `_mirror` rebuilds the full (2M+1)^d layout, which
-SpectralField keeps, once per public result.  The inverse reads only the
-half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
+last axis only, so a forward transform is Hermitian by construction.  How
+depends on the grid.  On 1D grids with P <= _DENSE_MAX_POINTS each
+direction is one product with a precomputed real matrix on the float64
+view of the half (`_dense_pair`): at these sizes numpy.fft's per-call cost
+outweighs the O(P M) products, so the dense pair is the faster one.  Larger
+1D grids use numpy's rfft/irfft.  In 2D the two passes of rfft2/irfft2 are
+written out: a real FFT along the last axis and a complex FFT along the
+first, the forward's complex pass on the retained columns only.
+
+The private pair `_phys_from_coeffs`/`_coeffs_from_phys` takes and returns
+the half, coeffs[..., M:] of shape (M+1,) in 1D and (2M+1, M+1) in 2D; the
+stepper marches it directly, because the other half is its conjugate mirror
+and carries no information.  `_mirror` rebuilds the full (2M+1)^d layout,
+which SpectralField keeps, once per public result.  The inverse reads only
+the half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
 constructor here produces such arrays and every operation keeps them so.
 
 Both private transforms take an optional `_Workspace`: buffers allocated
@@ -48,6 +54,16 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# Largest P at which a 1D grid runs the transform pair as dense matrix
+# products instead of numpy.fft calls (see `_dense_pair`).  Measured on
+# inverse+forward pairs: the dense pair is faster at every P up to 192 at
+# padding 1 and 2; from P = 200 to 232 at padding 1 the two are within
+# ~15% either way, and past that the FFT wins at every P with small prime
+# factors (BENCH_dense_1d_transform.json).  The largest matrix at this
+# bound, 192 x 192, is far below the size at which OpenBLAS starts a second
+# thread for a matrix-vector product.
+_DENSE_MAX_POINTS = 192
 
 
 @dataclass(frozen=True)
@@ -155,7 +171,10 @@ def _plan(grid: GridSpec):
     """Cached multiplier tables for transforms and operators on a given grid.
 
     `inverse` and `forward` are the phase and scale multipliers of the
-    retained k_d >= 0 half, shaped like coeffs[..., M:].
+    retained k_d >= 0 half, shaped like coeffs[..., M:].  On 1D grids with
+    P <= _DENSE_MAX_POINTS, `dense_inverse` and `dense_forward` are the
+    real matrices of the whole transform pair (see `_dense_pair`); they
+    are None elsewhere, where the FFT runs.
     """
     m = grid.modes_per_axis
     scale = float(grid.phys_points_per_axis) ** grid.dim
@@ -171,12 +190,64 @@ def _plan(grid: GridSpec):
         ksq = kf[:, None] ** 2 + kf[None, :] ** 2
     half_phase = phase[..., m:]
     kmag = np.sqrt(ksq)
+    dense = grid.dim == 1 and grid.phys_points_per_axis <= _DENSE_MAX_POINTS
+    dense_inverse, dense_forward = _dense_pair(grid) if dense else (None, None)
     return {
         "inverse": half_phase * scale,
         "forward": half_phase / scale,
+        "dense_inverse": dense_inverse,
+        "dense_forward": dense_forward,
         "k4": ksq**2,
         "kmag": kmag,
     }
+
+
+def _dense_pair(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real matrices of the 1D transform pair on the float64 view of the half.
+
+    The half c_0..c_M, viewed as (Re c_0, Im c_0, Re c_1, Im c_1, ...), is
+    2(M+1) reals.  The inverse, shaped (P, 2(M+1)), gives the samples
+
+        v_j = Re c_0 + 2 sum_{k=1..M} (-1)^k (Re c_k cos t_kj - Im c_k sin t_kj),
+
+    with t_kj = 2 pi k j / P, which is what irfft makes of the half (it
+    ignores Im c_0, and M < P/2 leaves no Nyquist bin).  The forward,
+    shaped (2(M+1), P), gives Re c_k = (-1)^k/P sum_j v_j cos t_kj and
+    Im c_k = -(-1)^k/P sum_j v_j sin t_kj.  Its Im c_0 row and the
+    inverse's Im c_0 column are exactly zero, so the mean comes out real.
+
+    k*j is reduced mod P in integers, and the angle 2 pi r / P, r in
+    [0, P), is folded into [0, pi/2] by sin(2 pi - x) = -sin x and
+    cos(pi - x) = -cos x before cos and sin are taken.  Every entry is then
+    within about an ulp of its exact value, and entries equal in exact
+    arithmetic are equal here.  Angles taken up to 2 pi leave entries up to
+    4 ulps off, and leak enough rounding into the modes a harmonic does not
+    excite to move |v|_0 of the 1D reference runs, just above its rounding
+    floor, 5x further from the FFT path's values.
+    """
+    m, p = grid.modes_per_axis, grid.phys_points_per_axis
+    k = np.arange(m + 1)
+    r = np.outer(k, np.arange(p)) % p
+    sin_sign = np.where(r > p // 2, -1.0, 1.0)
+    r = np.minimum(r, p - r)
+    cos_sign = np.where(2 * r > p // 2, -1.0, 1.0)
+    r = np.minimum(r, p // 2 - r)
+    angle = (TWO_PI / p) * r
+    cos, sin = cos_sign * np.cos(angle), sin_sign * np.sin(angle)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)[:, None]
+    forward = np.empty((2 * (m + 1), p))
+    forward[0::2] = sign * cos / p
+    forward[1::2] = -sign * sin / p
+    forward[1] = 0.0
+    fold = np.where(k == 0, 1.0, 2.0)[:, None]
+    inverse = np.empty((2 * (m + 1), p))
+    inverse[0::2] = fold * sign * cos
+    inverse[1::2] = -fold * sign * sin
+    inverse[1] = 0.0
+    inverse = np.ascontiguousarray(inverse.T)
+    for table in (inverse, forward):
+        table.flags.writeable = False
+    return inverse, forward
 
 
 @functools.lru_cache(maxsize=256)
@@ -244,6 +315,7 @@ class _Workspace:
     FFT of samples along the last axis; `cols` the (P, M+1) complex FFT
     along axis 0, of `spec` in the inverse and of the retained k_2 = 0..M
     columns of `rows` in the forward (2D only); `phys` the P^d samples.
+    The dense 1D transforms use `phys` only.
 
     The buffers are views of one zeroed block.  At 2D M=32 it is about
     0.4 MB, above glibc's mmap threshold; once such a block is freed,
@@ -275,13 +347,19 @@ def _phys_from_coeffs(
     """Raw-array inverse transform of a Hermitian half; real P^d samples.
 
     `half` is the k_d >= 0 half of the coefficients, coeffs[..., M:]:
-    shape (M+1,) in 1D, (2M+1, M+1) in 2D.  irfft zero-pads it to the
-    P//2 + 1 bins of the grid.  With a workspace the result is `work.phys`.
+    shape (M+1,) in 1D, (2M+1, M+1) in 2D.  The FFT path zero-pads it to
+    the P//2 + 1 bins of the grid.  With a workspace the result is
+    `work.phys`.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
-    table = _plan(grid)["inverse"]
+    plan = _plan(grid)
     out = None if work is None else work.phys
+    if plan["dense_inverse"] is not None:
+        # A strided half has no float64 view; a contiguous one is not copied.
+        parts = np.ascontiguousarray(half).view(np.float64)
+        return np.dot(plan["dense_inverse"], parts, out=out)
+    table = plan["inverse"]
     if grid.dim == 1:
         spec = np.multiply(half, table, out=None if work is None else work.spec)
         return np.fft.irfft(spec, n=p, out=out)
@@ -304,7 +382,10 @@ def _coeffs_from_phys(
     from it, exactly Hermitian.
     """
     m = grid.modes_per_axis
-    table = _plan(grid)["forward"]
+    plan = _plan(grid)
+    if plan["dense_forward"] is not None:
+        return np.dot(plan["dense_forward"], samples).view(np.complex128)
+    table = plan["forward"]
     rows = np.fft.rfft(samples, out=None if work is None else work.rows)
     if grid.dim == 1:
         return rows[: m + 1] * table

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalsurf.spectral import (
+    _DENSE_MAX_POINTS,
     GridSpec,
     SpectralField,
     _Workspace,
@@ -246,11 +247,17 @@ def reference_forward(grid, samples):
 
 
 # (dim, M, padding): odd and even M, and padding 1 at the smallest even P.
+# The last four 1D grids sit at the largest P of the dense 1D transform
+# and just past it, where the FFT takes over, at padding 1 and 2.
 CORE_GRIDS = [
     (1, 7, 2.0),
     (1, 8, 2.0),
     (1, 5, 1.0),
     (1, 6, 1.0),
+    (1, _DENSE_MAX_POINTS // 2 - 1, 1.0),
+    (1, (_DENSE_MAX_POINTS - 2) // 4, 2.0),
+    (1, _DENSE_MAX_POINTS // 2, 1.0),
+    (1, (_DENSE_MAX_POINTS + 2) // 4, 2.0),
     (2, 5, 2.0),
     (2, 6, 2.0),
     (2, 3, 1.0),
@@ -260,6 +267,42 @@ CORE_GRIDS = [
 
 class TestRealToComplexCore:
     """The half-spectrum transforms against full complex FFT references."""
+
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
+    def test_dense_path_only_on_small_1d_grids(self, dim, m, padding):
+        """1D grids up to the bound carry the dense matrices; past it the
+        pair is numpy's irfft/rfft, bit for bit; 2D grids never go dense.
+        Both 1D paths ignore Im c_0, as irfft does."""
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        p = grid.phys_points_per_axis
+        plan = _plan(grid)
+        dense = dim == 1 and p <= _DENSE_MAX_POINTS
+        assert (plan["dense_inverse"] is not None) is dense
+        assert (plan["dense_forward"] is not None) is dense
+        if dim == 1:
+            half = hermitian_coeffs(grid, 4)[m:]
+            skewed = half.copy()
+            skewed[0] += 1j
+            want = _phys_from_coeffs(grid, half).tobytes()
+            assert _phys_from_coeffs(grid, skewed).tobytes() == want
+        if dim == 1 and not dense:
+            want = np.fft.irfft(half * plan["inverse"], n=p)
+            assert _phys_from_coeffs(grid, half).tobytes() == want.tobytes()
+            samples = np.random.default_rng(4).standard_normal(p)
+            want = np.fft.rfft(samples)[: m + 1] * plan["forward"]
+            assert _coeffs_from_phys(grid, samples).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, padding", [(8, 2.0), (_DENSE_MAX_POINTS // 2, 1.0)])
+    def test_strided_1d_coefficients(self, m, padding):
+        """A field whose coefficient array is a strided view samples like its
+        contiguous copy, on both sides of the dense bound."""
+        grid = GridSpec.create(1, m, padding_factor=padding)
+        c = hermitian_coeffs(grid, 6)
+        strided = np.zeros(2 * c.size, dtype=complex)[::2]
+        strided[:] = c
+        f = SpectralField(grid, strided)
+        assert not f.coeffs.flags.c_contiguous
+        assert to_physical(f).tobytes() == to_physical(SpectralField(grid, c)).tobytes()
 
     @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
