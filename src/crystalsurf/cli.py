@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -63,6 +65,8 @@ HR_REPORT_ORDERS = (0.0, 1.0, 1.9)
 THRESHOLD_TABLE_STEP = 0.01
 
 _FLOAT_FMT = "%.17g"
+# Rows per formatting call of the CSV and report.json writers.
+_WRITE_CHUNK_ROWS = 256
 
 
 def _norm_label(prefix: str, order: float) -> str:
@@ -89,17 +93,42 @@ def timeseries_columns(series: TimeSeries) -> tuple[list[str], list[np.ndarray]]
 
 
 def write_csv(path: Path, names, rows) -> None:
-    """Header plus rows; floats at 17 significant digits, booleans lowercase."""
+    """Header plus rows of one cell per name; floats at 17 significant
+    digits, booleans lowercase.
+
+    Rows are formatted _WRITE_CHUNK_ROWS at a time, with one % for the
+    whole chunk.  A chunk that holds a boolean has its cells formatted one
+    by one first, which only sweep_aggregate.csv's short verdict column
+    needs.
+    """
+    row_format = ",".join([_FLOAT_FMT] * len(names)) + "\n"
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for row in rows:
-            cells = (str(x).lower() if isinstance(x, bool) else _FLOAT_FMT % x for x in row)
-            fh.write(",".join(cells) + "\n")
+        while chunk := list(itertools.islice(rows, _WRITE_CHUNK_ROWS)):
+            cells = list(itertools.chain.from_iterable(chunk))
+            chunk_format = row_format * len(chunk)
+            if bool in set(map(type, cells)):
+                cells = [str(x).lower() if type(x) is bool else _FLOAT_FMT % x for x in cells]
+                chunk_format = chunk_format.replace(_FLOAT_FMT, "%s")
+            fh.write(chunk_format % tuple(cells))
+
+
+def _chunks(columns) -> Iterator[np.ndarray]:
+    """The table of these columns, _WRITE_CHUNK_ROWS rows at a time."""
+    table = np.column_stack(columns)
+    return (table[i : i + _WRITE_CHUNK_ROWS] for i in range(0, len(table), _WRITE_CHUNK_ROWS))
+
+
+def _float_rows(columns) -> Iterator[list[float]]:
+    """Rows of these columns as lists of Python floats, converted a chunk
+    at a time."""
+    return itertools.chain.from_iterable(chunk.tolist() for chunk in _chunks(columns))
 
 
 def write_timeseries_csv(path: Path, series: TimeSeries) -> None:
     names, cols = timeseries_columns(series)
-    write_csv(path, names, zip(*cols))
+    write_csv(path, names, _float_rows(cols))
 
 
 def write_decay_plot_csv(path: Path, report: RunReport) -> None:
@@ -107,7 +136,8 @@ def write_decay_plot_csv(path: Path, report: RunReport) -> None:
     t = report.series.times
     cert = report.certificate
     env = cert.envelope if cert is not None else np.full_like(t, math.nan)
-    write_csv(path, ["t", "wiener_0", "envelope"], zip(t, report.series.wiener[0.0], env))
+    rows = _float_rows((t, report.series.wiener[0.0], env))
+    write_csv(path, ["t", "wiener_0", "envelope"], rows)
 
 
 def _json_safe(obj):
@@ -123,9 +153,17 @@ def _json_safe(obj):
     return obj
 
 
-def report_payload(report: RunReport) -> dict:
-    """JSON-ready dictionary for a RunReport, schema version 1."""
-    names, cols = timeseries_columns(report.series)
+def _json_row_chunks(series: TimeSeries) -> Iterator[list[list]]:
+    """The report's series rows, a chunk at a time: floats, with
+    _json_safe's strings for non-finite values."""
+    for chunk in _chunks(timeseries_columns(series)[1]):
+        rows = chunk.tolist()
+        yield rows if np.isfinite(chunk).all() else _json_safe(rows)
+
+
+def _report_head(report: RunReport) -> dict:
+    """report_payload with an empty list for the series rows."""
+    names, _ = timeseries_columns(report.series)
     cert = report.certificate
     cert_payload = None
     if cert is not None:
@@ -138,9 +176,10 @@ def report_payload(report: RunReport) -> dict:
             "all_within_envelope": cert.verdict,
             "fitted_rate": cert.fitted_rate,
         }
-    payload = {
-        "schema_version": 1,
-        "config": report.config_echo,
+    payload = {"schema_version": 1, "config": report.config_echo}
+    if report.sweep_member is not None:
+        payload["sweep_member"] = report.sweep_member
+    payload.update({
         "x0": report.x0,
         "delta": report.delta,
         "admissible": report.admissible,
@@ -148,18 +187,52 @@ def report_payload(report: RunReport) -> dict:
         "lyapunov_monotone": report.lyapunov_monotone,
         "positivity_ok": report.positivity_ok,
         "hr_decay_fits": {f"{a:g}": r for a, r in report.hr_decay_fits.items()},
-        "series": {
-            "columns": names,
-            "rows": [[float(x) for x in row] for row in zip(*cols)],
-        },
-    }
+        "series": {"columns": names, "rows": []},
+    })
     return _json_safe(payload)
 
 
+def report_payload(report: RunReport) -> dict:
+    """JSON-ready dictionary for a RunReport, schema version 1."""
+    payload = _report_head(report)
+    payload["series"]["rows"] = [row for rows in _json_row_chunks(report.series) for row in rows]
+    return payload
+
+
+# How json.dumps(indent=2) lays out the series rows, the last entry of the
+# report: each row at 6 spaces, its numbers at 8, and what follows them.
+_ROWS_EMPTY_TAIL = "[]\n  }\n}"
+_ROW_ITEM_SEP = ",\n        "
+_ROW_BREAK = "\n      ],\n      [\n        "
+_ROWS_END = "\n    ]\n  }\n}\n"
+
+
 def write_report_json(path: Path, report: RunReport) -> None:
+    """report.json, byte for byte json.dumps(report_payload(report), indent=2)
+    plus a newline.
+
+    The series rows, nearly all of the file, do not go through the
+    pure-Python encoder that indent=2 selects: json.dumps renders
+    _WRITE_CHUNK_ROWS of them at a time without indent, with the C encoder,
+    and an item separator that puts each number on its own line at the
+    rows' indent; replacing the separator between rows completes the
+    indent=2 layout.  Rows hold only numbers and _json_safe's strings, so
+    no bracket occurs inside a row.  The rest of the payload is rendered
+    with indent=2 and an empty row list, whose text is then replaced.
+    """
+    head = json.dumps(_report_head(report), indent=2)
     with open(path, "w") as fh:
-        json.dump(report_payload(report), fh, indent=2)
-        fh.write("\n")
+        if not len(report.series):
+            fh.write(head + "\n")
+            return
+        fh.write(head.removesuffix(_ROWS_EMPTY_TAIL) + "[")
+        separator = "\n"
+        for rows in _json_row_chunks(report.series):
+            text = json.dumps(rows, separators=(_ROW_ITEM_SEP, ":"))
+            body = text[2:-2].replace("]" + _ROW_ITEM_SEP + "[", _ROW_BREAK)
+            fh.write(separator + "      [\n        " + body + "\n      ]")
+            separator = ",\n"
+        fh.write(_ROWS_END)
 
 
 def execute_run(cfg: RunConfig, v0: SpectralField) -> RunReport:
@@ -365,11 +438,13 @@ def cmd_validate(args) -> int:
 
 
 def _sweep_worker(payload) -> dict:
-    """One sweep member from (raw config, initial coefficients, member
-    directory); module-level so process pools can pickle it."""
-    raw_cfg, coeffs, out_dir = payload
+    """One sweep member from (raw config, base initial coefficients,
+    {"amplitude": a, "scale": a / x0 of the base}, member directory);
+    module-level so process pools can pickle it."""
+    raw_cfg, base_coeffs, member, out_dir = payload
     cfg = parse_run_config(raw_cfg)
-    v0 = SpectralField(build_grid(cfg), coeffs)  # rebuilt: an unpickled grid runs slower
+    # The grid is rebuilt: an unpickled grid runs slower.
+    v0 = SpectralField(build_grid(cfg), base_coeffs * member["scale"])
     try:
         report = execute_run(cfg, v0)
     except (SingularityError, NonFiniteStateError, ValueError) as err:
@@ -383,6 +458,7 @@ def _sweep_worker(payload) -> dict:
             "verdict": False,
             "error": failure_message(err),
         }
+    report.sweep_member = member
     write_output_bundle(report, out_dir, cfg.outputs.formats)
     cert = report.certificate
     return {
@@ -417,14 +493,14 @@ def cmd_sweep(args) -> int:
     out_base = Path(args.out) if args.out else Path(base.outputs.directory)
     raw_cfg = run_config_to_dict(base)
     payloads = [
-        (raw_cfg, v0.coeffs * (a / x0), out_base / sweep_member_dirname(a))
+        (raw_cfg, v0.coeffs, {"amplitude": a, "scale": a / x0}, out_base / sweep_member_dirname(a))
         for a in sweep.amplitudes
     ]
     # A process pool starts all its workers up front, so it is never larger
     # than the number of members.
     workers = min(sweep.workers if args.workers is None else args.workers, len(payloads))
     try:
-        for _, _, member_dir in payloads:
+        for *_, member_dir in payloads:
             check_output_target(member_dir)
         if workers == 1:
             rows = [_sweep_worker(p) for p in payloads]

@@ -251,17 +251,21 @@ def _dense_pair(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def _norm_weights(grid: GridSpec, kind: str, alpha: float) -> np.ndarray:
-    """Per-mode weights of wiener_norm ("wiener") or sobolev_norm ("sobolev")."""
-    kmag = _plan(grid)["kmag"]
-    if kind == "wiener":
-        w = kmag**alpha
-    elif alpha == 0:
-        w = np.ones_like(kmag)
-    else:
-        w = np.zeros_like(kmag)
-        mask = kmag > 0
-        w[mask] = kmag[mask] ** (2.0 * alpha)
+def _norm_weights(grid: GridSpec, kind: str, orders: tuple) -> np.ndarray:
+    """Per-mode weights of the Wiener ("wiener") or Sobolev ("sobolev")
+    norms at each of `orders`, one flattened (2M+1)^d row per order."""
+    if kind == "wiener" and any(alpha < 0 for alpha in orders):
+        raise ValueError("wiener_norm requires alpha >= 0")
+    kmag = _plan(grid)["kmag"].reshape(-1)
+    w = np.zeros((len(orders), kmag.size))
+    for row, alpha in zip(w, orders):
+        if kind == "wiener":
+            row[:] = kmag**alpha
+        elif alpha == 0:
+            row[:] = 1.0
+        else:
+            mask = kmag > 0
+            row[mask] = kmag[mask] ** (2.0 * alpha)
     w.flags.writeable = False
     return w
 
@@ -492,16 +496,37 @@ def require_zero_mean(f: SpectralField, tol: float = 1e-12) -> None:
         )
 
 
+_NO_ORDERS = np.zeros(0)
+
+
+def norms(
+    f: SpectralField, wiener_orders: tuple = (), sobolev_orders: tuple = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wiener norms and Sobolev seminorms of f at several orders in one pass.
+
+    |c(k)| is computed once, and each family is one product of its cached
+    weight rows with it, summed along the modes.  Entry i of the results is
+    wiener_norm(f, wiener_orders[i]) and sobolev_norm(f, sobolev_orders[i]),
+    bit for bit: those are this function's one-order case.  The orders are
+    tuples (they key the weight cache).
+    """
+    a = np.abs(f.coeffs).reshape(-1)
+    wiener = sobolev = _NO_ORDERS
+    if wiener_orders:
+        wiener = np.add.reduce(_norm_weights(f.grid, "wiener", wiener_orders) * a, axis=1)
+    if sobolev_orders:
+        weights = _norm_weights(f.grid, "sobolev", sobolev_orders)
+        sobolev = np.sqrt(np.add.reduce(weights * a**2, axis=1))
+    return wiener, sobolev
+
+
 def wiener_norm(f: SpectralField, alpha: float = 0.0) -> float:
     """Weighted absolute-coefficient sum, sum_k |k|^alpha |c(k)|.
 
     Uses the 0^0 = 1 convention, so alpha = 0 includes the mean mode while
     any alpha > 0 drops it.
     """
-    if alpha < 0:
-        raise ValueError("wiener_norm requires alpha >= 0")
-    w = _norm_weights(f.grid, "wiener", alpha)
-    return float(np.sum(w * np.abs(f.coeffs)))
+    return float(norms(f, wiener_orders=(alpha,))[0][0])
 
 
 def sobolev_norm(f: SpectralField, alpha: float = 0.0) -> float:
@@ -511,13 +536,12 @@ def sobolev_norm(f: SpectralField, alpha: float = 0.0) -> float:
     contributes only at alpha = 0.  Negative alpha is supported for
     zero-mean fields; the mean mode is excluded then.
     """
-    w = _norm_weights(f.grid, "sobolev", alpha)
-    return float(math.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+    return float(norms(f, sobolev_orders=(alpha,))[1][0])
 
 
 def l2_quadrature(grid: GridSpec, samples: np.ndarray) -> float:
     """L2 norm of collocation samples by grid quadrature."""
-    return float(math.sqrt(grid.cell_volume * np.sum(samples * samples)))
+    return float(math.sqrt(grid.cell_volume * (samples * samples).sum()))
 
 
 def max_abs(samples: np.ndarray) -> float:

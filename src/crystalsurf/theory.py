@@ -113,8 +113,8 @@ def lyapunov_quadrature(kind: str, grid: GridSpec, samples: np.ndarray) -> float
     """Quadrature of the Lyapunov density, exp(-v) (exp) or (1 + v)^{-2} (adl),
     over collocation samples.  No singularity check: that is lyapunov_l2's."""
     if kind == EXPONENTIAL:
-        return float(grid.cell_volume * np.sum(np.exp(-samples)))
-    return float(grid.cell_volume * np.sum((1.0 + samples) ** -2))
+        return float(grid.cell_volume * np.exp(-samples).sum())
+    return float(grid.cell_volume * ((1.0 + samples) ** -2).sum())
 
 
 def lyapunov_l1(v: SpectralField) -> float:

@@ -35,6 +35,13 @@ from crystalsurf.config import (
     parse_sweep_config,
     run_config_to_dict,
 )
+from crystalsurf.diagnostics import (
+    SOBOLEV_ORDERS,
+    WIENER_ORDERS,
+    DecayCertificate,
+    RunReport,
+    TimeSeries,
+)
 from crystalsurf.spectral import SpectralField, wiener_norm
 
 
@@ -790,8 +797,9 @@ class TestCliSweep:
 
     def test_members_match_a_single_run_of_the_scaled_field(self, tmp_path, capsys):
         """Each member's files equal those of execute_run on the base field
-        rescaled to the amplitude, byte for byte (passed before the payload
-        carried coefficients too; it pins the outputs across that change)."""
+        rescaled to the amplitude, byte for byte, once the report is marked
+        as that member (passed before the payload carried coefficients too;
+        it pins the outputs across that change)."""
         amplitudes = [0.01, 0.05, 0.2]
         config = self.sweep_config(tmp_path, amplitudes, workers=2)
         out = tmp_path / "sweepout"
@@ -803,10 +811,34 @@ class TestCliSweep:
         for a in amplitudes:
             alone = tmp_path / f"alone_{a:g}"
             report = cli.execute_run(cfg, SpectralField(grid, v0.coeffs * (a / x0)))
+            report.sweep_member = {"amplitude": a, "scale": a / x0}
             cli.write_output_bundle(report, alone, cfg.outputs.formats)
             for name in ("report.json", "timeseries.csv", "decay_plot.csv"):
                 member = out / f"amplitude_{a:g}" / name
                 assert member.read_bytes() == (alone / name).read_bytes(), (a, name)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_member_reports_record_their_rescaling(self, tmp_path, capsys, workers):
+        """A member's config echoes the base amplitude (0.05); its
+        sweep_member block says which amplitude it ran and by what factor
+        the base data was scaled.  The echo still parses, and a run
+        report has no such block."""
+        amplitudes = [0.01, 0.05, 0.08]
+        config = self.sweep_config(tmp_path, amplitudes, workers=workers)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_OK
+        base = parse_sweep_config(load_yaml(config)).base
+        x0_base = wiener_norm(build_initial_field(base, build_grid(base)), 0.0)
+        for a in amplitudes:
+            report = json.loads((out / f"amplitude_{a:g}" / "report.json").read_text())
+            assert report["sweep_member"] == {"amplitude": a, "scale": a / x0_base}
+            assert list(report)[:3] == ["schema_version", "config", "sweep_member"]
+            assert report["x0"] == pytest.approx(a, rel=1e-12)
+            assert report["config"]["initial_data"]["modes"][0]["amplitude"] == 0.05
+            assert parse_run_config(report["config"]) == base
+        run_out = tmp_path / "runout"
+        assert main(["run", write_config(tmp_path, base_run_dict()), "--out", str(run_out)]) == 0
+        assert "sweep_member" not in json.loads((run_out / "report.json").read_text())
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -922,6 +954,165 @@ class TestCliSweep:
         config = write_config(tmp_path, raw, name="sweep.yaml")
         assert main(["sweep", config]) == EXIT_USAGE
         assert "amplitude grid is empty" in capsys.readouterr().err
+
+
+def per_cell_csv(names, rows) -> str:
+    """The CSV writer's contract, formatted one cell at a time."""
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join(str(x).lower() if isinstance(x, bool) else "%.17g" % x for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def synthetic_report(n_rows, seed=0, non_finite=False, admissible=True):
+    """A RunReport over an n-row series of random doubles; with non_finite,
+    some cells are nan, inf and -inf."""
+    rng = np.random.default_rng(seed)
+
+    def col():
+        return rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+
+    series = TimeSeries(
+        kind="exp",
+        times=np.linspace(0.0, 1.0, n_rows),
+        wiener={a: col() for a in WIENER_ORDERS},
+        sobolev={a: col() for a in SOBOLEV_ORDERS},
+        l2=col(),
+        linf=col(),
+        lyapunov=col(),
+        min_one_plus_v=col(),
+        max_one_plus_v=col(),
+    )
+    if non_finite and n_rows:
+        series.l2[::3] = np.nan
+        series.linf[1::4] = np.inf
+        series.lyapunov[2::5] = -np.inf
+    certificate = None
+    if admissible:
+        sample_ok = rng.random(n_rows) < 0.9
+        certificate = DecayCertificate(
+            slack=1e-6,
+            envelope=col(),
+            sample_ok=sample_ok,
+            fitted_rate=float(rng.random()),
+            verdict=bool(sample_ok.all()),
+        )
+    return RunReport(
+        config_echo=run_config_to_dict(parse_run_config(base_run_dict())),
+        x0=0.05,
+        delta=0.5 if admissible else -0.3,
+        admissible=admissible,
+        series=series,
+        certificate=certificate,
+        lyapunov_monotone=True,
+        positivity_ok=True,
+        hr_decay_fits={0.0: 81.0, 1.0: math.inf, 1.9: math.nan}
+        if admissible
+        else {a: math.inf for a in (0.0, 1.0, 1.9)},
+    )
+
+
+class TestWriters:
+    """The chunked writers give the bytes of the plain stdlib and per-cell
+    formatting, including chunk boundaries and non-finite values."""
+
+    @staticmethod
+    def stdlib_json(report):
+        return json.dumps(cli.report_payload(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "n_rows, non_finite, admissible",
+        [
+            (0, False, True),
+            (1, False, True),
+            (7, True, True),
+            (cli._WRITE_CHUNK_ROWS, False, True),
+            (cli._WRITE_CHUNK_ROWS + 1, True, False),
+            (2 * cli._WRITE_CHUNK_ROWS + 37, True, True),
+        ],
+    )
+    def test_report_json_equals_stdlib_indent_2(self, tmp_path, n_rows, non_finite, admissible):
+        report = synthetic_report(n_rows, seed=n_rows, non_finite=non_finite, admissible=admissible)
+        path = tmp_path / "report.json"
+        cli.write_report_json(path, report)
+        text = path.read_text()
+        assert text == self.stdlib_json(report)
+        rows = json.loads(text)["series"]["rows"]
+        assert len(rows) == n_rows
+        if non_finite and n_rows > 2:
+            assert {"nan", "inf", "-inf"} <= {x for row in rows for x in row if isinstance(x, str)}
+
+    def test_report_json_of_runs_equals_stdlib(self, tmp_path):
+        """An admissible run longer than one write chunk, an inadmissible
+        run and a sweep member's report."""
+        raw = base_run_dict()
+        raw["stepper"]["t_end"] = 0.6
+        raw["stepper"]["sample_every"] = 1
+        cfg = parse_run_config(raw)
+        grid = build_grid(cfg)
+        v0 = build_initial_field(cfg, grid)
+        admissible = cli.execute_run(cfg, v0)
+        assert len(admissible.series) > cli._WRITE_CHUNK_ROWS
+        raw["initial_data"]["modes"][0]["amplitude"] = 0.2
+        cfg_bad = parse_run_config(raw)
+        inadmissible = cli.execute_run(cfg_bad, build_initial_field(cfg_bad, grid))
+        assert not inadmissible.admissible
+        member = cli.execute_run(cfg, SpectralField(grid, v0.coeffs * 0.2))
+        member.sweep_member = {"amplitude": 0.01, "scale": 0.2}
+        for report in (admissible, inadmissible, member):
+            path = tmp_path / "report.json"
+            cli.write_report_json(path, report)
+            assert path.read_text() == self.stdlib_json(report)
+
+    def test_inadmissible_report_with_infinite_fits(self, tmp_path):
+        report = synthetic_report(5, admissible=False)
+        path = tmp_path / "report.json"
+        cli.write_report_json(path, report)
+        assert path.read_text() == self.stdlib_json(report)
+        payload = json.loads(path.read_text())
+        assert payload["hr_decay_fits"] == {"0": "inf", "1": "inf", "1.9": "inf"}
+        assert payload["certificate"] is None
+
+    @pytest.mark.parametrize("n_rows", [0, 3, cli._WRITE_CHUNK_ROWS, 2 * cli._WRITE_CHUNK_ROWS + 5])
+    def test_timeseries_and_decay_plot_csv_equal_per_cell_output(self, tmp_path, n_rows):
+        for admissible in (True, False):
+            report = synthetic_report(
+                n_rows, seed=n_rows + 1, non_finite=True, admissible=admissible
+            )
+            cli.write_output_bundle(report, tmp_path, ("csv", "plot"))
+            names, cols = cli.timeseries_columns(report.series)
+            want = per_cell_csv(names, zip(*cols))
+            assert (tmp_path / "timeseries.csv").read_text() == want
+            env = report.certificate.envelope if admissible else [math.nan] * n_rows
+            want = per_cell_csv(["t", "wiener_0", "envelope"],
+                                zip(report.series.times, report.series.wiener[0.0], env))
+            assert (tmp_path / "decay_plot.csv").read_text() == want
+
+    def test_sweep_aggregate_csv_with_its_bool_column(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [
+            {"x0": float(x), "delta": float(d), "fitted_rate": r, "verdict": bool(x < 0.5)}
+            for x, d, r in zip(rng.random(40), rng.standard_normal(40), [math.nan, 81.0] * 20)
+        ]
+        path = tmp_path / "sweep_aggregate.csv"
+        cli.write_sweep_aggregate(path, rows)
+        names = ["x0", "delta", "fitted_rate", "verdict"]
+        assert path.read_text() == per_cell_csv(names, ([r[k] for k in names] for r in rows))
+        verdicts = {line.split(",")[3] for line in path.read_text().splitlines()[1:]}
+        assert verdicts == {"true", "false"}
+
+    def test_write_csv_mixes_bool_and_float_cells_across_chunks(self, tmp_path):
+        """Booleans in some chunks only, and in a float column, as the
+        per-cell contract formats them."""
+        n = 2 * cli._WRITE_CHUNK_ROWS + 3
+        rows = [
+            [i * 0.1, (i % 7 == 0) if i > cli._WRITE_CHUNK_ROWS else i / 3.0, 1e-300 * i]
+            for i in range(n)
+        ]
+        rows[5][2] = True
+        path = tmp_path / "mixed.csv"
+        cli.write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == per_cell_csv(["a", "b", "c"], rows)
 
 
 class TestJsonSafe:

@@ -26,8 +26,10 @@ from crystalsurf.diagnostics import (
 )
 from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
 from crystalsurf.spectral import (
+    _DENSE_MAX_POINTS,
     GridSpec,
     field_from_modes,
+    from_physical,
     l2_norm,
     linf_norm,
     sobolev_norm,
@@ -123,6 +125,83 @@ class TestTimeSeriesRecorder:
         recorder(0.0, field_from_modes(grid, [(2, 0.4, 0.1)]))
         series = recorder.finalize()
         assert series.l2[0] == pytest.approx(0.4 * math.sqrt(math.pi), rel=1e-12)
+
+
+def bits(x) -> bytes:
+    """The double's bytes, so that 0.0 and -0.0 (and NaN payloads) differ."""
+    return np.float64(x).tobytes()
+
+
+# (dim, M): 1D grids on the dense transform path (P <= _DENSE_MAX_POINTS)
+# and past it, 2D grids, and M = 1 in both dimensions.
+RECORDER_GRIDS = [(1, 1), (1, 8), (1, 32), (1, 64), (1, 100), (2, 1), (2, 4), (2, 8)]
+
+
+class TestOnePassRecorder:
+    """Every recorded column is, bit for bit, what the public one-quantity
+    functions give for the same field."""
+
+    def test_grids_cover_both_1d_transform_paths(self):
+        points = [GridSpec.create(d, m).phys_points_per_axis for d, m in RECORDER_GRIDS if d == 1]
+        assert min(points) <= _DENSE_MAX_POINTS < max(points)
+
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    @pytest.mark.parametrize("dim, m", RECORDER_GRIDS)
+    def test_every_column_matches_the_public_functions(self, dim, m, kind):
+        grid = GridSpec.create(dim, m)
+        rng = np.random.default_rng(100 * dim + m)
+        fields = [
+            from_physical(scale * rng.standard_normal(grid.phys_shape), grid)
+            for scale in (0.2, 0.05, 1e-9)
+        ]
+        fields.append(zero_field(grid))
+        recorder = TimeSeriesRecorder(kind)
+        for i, v in enumerate(fields):
+            recorder(0.25 * i, v)
+        series = recorder.finalize()
+        assert len(series) == len(fields)
+        for i, v in enumerate(fields):
+            s = to_physical(v)
+            assert bits(series.times[i]) == bits(0.25 * i)
+            for a in WIENER_ORDERS:
+                assert bits(series.wiener[a][i]) == bits(wiener_norm(v, a))
+            for a in SOBOLEV_ORDERS:
+                assert bits(series.sobolev[a][i]) == bits(sobolev_norm(v, a))
+            assert bits(series.l2[i]) == bits(l2_norm(v))
+            assert bits(series.linf[i]) == bits(linf_norm(v))
+            assert bits(series.lyapunov[i]) == bits(lyapunov_quadrature(kind, grid, s))
+            assert bits(series.min_one_plus_v[i]) == bits(1.0 + np.min(s))
+            assert bits(series.max_one_plus_v[i]) == bits(1.0 + np.max(s))
+
+    def test_max_norm_of_negative_zero_samples_is_positive_zero(self, monkeypatch):
+        """max(max s, -min s) is -0.0 when every sample is -0.0; the
+        recorder reports +0.0, as max|s| does."""
+        grid = GridSpec.create(1, 4)
+        samples = np.full(grid.phys_shape, -0.0)
+        monkeypatch.setattr("crystalsurf.diagnostics.to_physical", lambda v: samples)
+        recorder = TimeSeriesRecorder(EXPONENTIAL)
+        recorder(0.0, zero_field(grid))
+        assert bits(recorder.finalize().linf[0]) == bits(0.0) == bits(np.max(np.abs(samples)))
+
+    def test_columns_are_contiguous_float_arrays(self):
+        grid = GridSpec.create(1, 8)
+        recorder = TimeSeriesRecorder(ADL)
+        for i in range(3):
+            recorder(i, field_from_modes(grid, [(1, 0.1 / (i + 1), 0.0)]))
+        series = recorder.finalize()
+        columns = [series.times, series.l2, series.linf, series.lyapunov,
+                   series.min_one_plus_v, series.max_one_plus_v,
+                   *series.wiener.values(), *series.sobolev.values()]
+        for col in columns:
+            assert col.dtype == np.float64 and col.shape == (3,)
+            assert col.flags.c_contiguous
+        assert list(series.wiener) == list(WIENER_ORDERS)
+        assert list(series.sobolev) == list(SOBOLEV_ORDERS)
+
+    def test_empty_recorder_finalizes_to_empty_columns(self):
+        series = TimeSeriesRecorder(EXPONENTIAL).finalize()
+        assert len(series) == 0
+        assert series.wiener[0.0].shape == (0,) and series.max_one_plus_v.shape == (0,)
 
 
 class TestFitDecayRate:

@@ -25,6 +25,7 @@ from crystalsurf.spectral import (
     from_physical,
     l2_norm,
     linf_norm,
+    norms,
     require_zero_mean,
     sobolev_norm,
     to_physical,
@@ -614,6 +615,32 @@ class TestNorms:
             direct = float(math.sqrt(np.sum(w * a**2)))
             assert sobolev_norm(f, alpha) == direct
             assert sobolev_norm(f, alpha) == direct
+
+    @pytest.mark.parametrize(
+        "dim, m", [(1, 1), (1, 8), (1, 32), (1, 100), (2, 1), (2, 6), (2, 32), (2, 70)]
+    )
+    def test_multi_order_norms_equal_the_one_order_calls(self, dim, m):
+        """norms() sums all orders at once along the flattened modes; each
+        entry is the one-order wiener_norm/sobolev_norm bit for bit, also
+        on 2D grids whose (2M+1)^2 modes exceed numpy's 8192-element
+        reduction buffer (M = 70)."""
+        grid = GridSpec.create(dim, m)
+        f = random_field(grid, seed=dim * 1000 + m)
+        wiener_orders = (0.0, 1.0, 2.0, 4.0, 0.5)
+        sobolev_orders = (0.0, 1.0, 1.9, 2.0, -1.0)
+        wiener, sobolev = norms(f, wiener_orders, sobolev_orders)
+        assert wiener.shape == (5,) and sobolev.shape == (5,)
+        for i, a in enumerate(wiener_orders):
+            assert wiener[i].tobytes() == np.float64(wiener_norm(f, a)).tobytes()
+        for i, a in enumerate(sobolev_orders):
+            assert sobolev[i].tobytes() == np.float64(sobolev_norm(f, a)).tobytes()
+        only_wiener, none = norms(f, wiener_orders=(2.0,))
+        assert only_wiener[0] == wiener[2] and none.shape == (0,)
+
+    def test_negative_wiener_order_refused_in_multi_order_call(self):
+        grid = GridSpec.create(1, 4)
+        with pytest.raises(ValueError, match="alpha >= 0"):
+            norms(zero_field(grid), (0.0, -1.0))
 
     def test_zero_field_norms(self):
         grid = GridSpec.create(2, 3)
