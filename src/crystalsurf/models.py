@@ -181,7 +181,7 @@ def _superlinear_pointwise(
 def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None:
     # Rounding of 1 + x is monotone in x, so this is min(1 + v) bit for bit
     # without a P^d temporary.
-    floor = float(1.0 + np.min(v_phys))
+    floor = float(1.0 + v_phys.min())
     if floor <= ADL_SINGULAR_FLOOR:
         raise SingularityError(
             f"adl nonlinearity singular: min(1 + v) = {floor:.3e} on the collocation grid",
@@ -190,7 +190,8 @@ def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None
 
 
 def remainder_fn(cfg: ModelConfig):
-    """Raw-array evaluator of the superlinear remainder, for the stepper.
+    """Raw-array evaluator of the superlinear remainder, for the stepper's
+    stage arithmetic (every grid but the dense 1D ones, see stepper).
 
     Returns a callable mapping the k_d >= 0 half of a Hermitian coefficient
     array, coeffs[..., M:], to the same half of bilaplacian(superlinear

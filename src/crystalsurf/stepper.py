@@ -22,17 +22,43 @@ to zero.  The decayed high modes of a long run otherwise become subnormal
 floats, which cost x86 microcode assists in every later transform; removing
 values below 2.2e-308 changes no reported number.  `integrate` still takes
 and returns full-layout SpectralFields.
+
+On 1D grids small enough for the dense transform pair (P at most
+spectral._DENSE_MAX_POINTS), and unless `integrate` is given a
+`nonlinearity` override, the step is fused: the inverse and forward
+matrices, the k^4 multiplier and the ETD weights of each stage are folded
+into one real matrix, built once per grid, model, step and scheme and
+cached (`_fused_matrices`).  An ETDRK4 step is then five
+matrix-vector products and the four pointwise evaluations (ETD1: two and
+one), in place of about fifty numpy calls on (M+1)-element arrays, whose
+per-call cost bound the step.  The grid and the override alone select the
+form; 2D grids, larger 1D grids and overrides run the stage arithmetic,
+bit for bit as before.  The fused step sums in another order, so 1D results
+moved by rounding only: series values above 1e-12 by at most 2e-9
+relative in the runs checked, the largest just above that floor, and
+|v|_0 of the A03/A04 reference runs by at most 4e-10.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .models import ModelConfig, SingularityError, nonlinear_remainder, remainder_fn
-from .spectral import SpectralField, _mirror, _plan, require_zero_mean, wiener_norm
+from .models import (
+    ADL,
+    FULL,
+    ModelConfig,
+    SingularityError,
+    _check_adl_positivity,
+    _superlinear_pointwise,
+    nonlinear_remainder,
+    remainder_fn,
+)
+from .spectral import GridSpec, SpectralField, _mirror, _plan, require_zero_mean, wiener_norm
 
 SCHEME_ETD1 = "etd1"
 SCHEME_ETDRK4 = "etdrk4"
@@ -156,31 +182,187 @@ def phi_functions(z) -> tuple:
     return phi0, phi1, phi2, phi3
 
 
-class _Stepper:
-    """Precomputed per-mode propagator tables plus the advance rule.
+def _etd_tables(grid: GridSpec, linear_coefficient: float, dt: float, scheme: str) -> dict:
+    """Per-mode propagator and ETD weight tables of one step, by name.
 
-    Works on the k_d >= 0 half of the coefficients, coeffs[..., M:], the
-    layout `remainder_fn` maps; every table is built on that half of |k|^4,
+    Every table is built on the k_d >= 0 half of |k|^4, coeffs[..., M:],
     elementwise, so it holds the full-layout value of each wavenumber.
     """
+    k4 = _plan(grid)["k4"][..., grid.modes_per_axis :]
+    z = -linear_coefficient * k4 * dt
+    propagator, phi1, phi2, phi3 = phi_functions(z)
+    if scheme == SCHEME_ETD1:
+        return {"propagator": propagator, "etd1_weight": dt * phi1}
+    half_propagator, phi1h, _, _ = phi_functions(0.5 * z)
+    return {
+        "propagator": propagator,
+        "half_propagator": half_propagator,
+        "stage_weight": 0.5 * dt * phi1h,
+        "w_first": dt * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+        # The doubled weight of n1 + n2; doubling is exact, so no bit moves.
+        "w_mid2": 2.0 * (dt * (phi2 - 2.0 * phi3)),
+        "w_last": dt * (4.0 * phi3 - phi2),
+    }
 
-    def __init__(self, cfg: ModelConfig, scfg: StepperConfig):
-        self.remainder = remainder_fn(cfg)
-        k4 = _plan(cfg.grid)["k4"][..., cfg.grid.modes_per_axis :]
-        dt = scfg.dt
-        z = -cfg.linear_coefficient * k4 * dt
-        self.propagator, phi1, phi2, phi3 = phi_functions(z)
+
+@functools.lru_cache(maxsize=8)
+def _fused_matrices(
+    grid: GridSpec, linear_coefficient: float, dt: float, scheme: str
+) -> tuple[np.ndarray, ...]:
+    """Read-only matrices of the fused 1D step: the three ETDRK4 stages and
+    the final product, or the final product alone for ETD1.
+
+    With Inv (P x 2(M+1)) and Fwd (2(M+1) x P) the dense pair, the
+    remainder of a state u is K Fwd g(Inv u), K the k^4 diagonal, and g
+    the pointwise `_superlinear_pointwise`.  Every ETD table is per mode
+    and real, so on the float64 view it is a diagonal D(w), each entry
+    repeated for the real and the imaginary part.  Writing B(w) for
+    Inv D(w) K Fwd, the P x P map from a stage's pointwise values to the
+    samples of its weighted remainder, the ETDRK4 stage samples are
+
+        a = Inv D(E/2) c + B(Q) g0                               from [c | g0]
+        b = B(Q) g1 + Inv D(E/2) c                               from [g1 | c]
+        s = Inv D(E) c + B(Q expm1(z/2)) g0 + 2 B(Q) g2          from [c | g0 | g2]
+
+    (E/2 the half-step propagator, Q the stage weight; s expands
+    E/2 a + Q (2 n2 - n0)), and the new half is
+
+        D(W2) K Fwd g1 + D(E) c + D(W1) K Fwd g0 + D(W2) K Fwd g2 + D(W3) K Fwd g3
+
+    from all of x = [g1 | c | g0 | g2 | g3], with W1, W2 and W3 the weights
+    `w_first`, `w_mid2` and `w_last`.  ETD1 is one product from [c | g0].
+    B(w) is circulant, B(w)[j, l] = B(w)[(j - l) mod P, 0], so it is copied
+    from a strided view of its first column.
+
+    The matrices are views of one block, each of their blocks written in
+    place.  At 1D M=32 the block is about 1 MB, above glibc's mmap
+    threshold, so it is mapped apart from the heap; the cache keeps it
+    mapped after a march, because unmapping a block that large raises the
+    threshold and changes how every later allocation of the process
+    faults in.  An entry is about 1 MB at M=32 and 3 MB at the largest
+    dense grid.
+
+    The largest matrix holds about 42k entries at M=32, P=130, and 184k at
+    M=95, P=192.  OpenBLAS first ran a matrix-vector product on a second
+    thread past about 400k entries (measured when the dense pair was added,
+    see CHANGES.md), so these products stay on one thread and their bits do
+    not depend on the BLAS thread count; CI compares a 1D run on one thread
+    with the default.
+    """
+    t = _etd_tables(grid, linear_coefficient, dt, scheme)
+    plan = _plan(grid)
+    inverse, forward = plan["dense_inverse"], plan["dense_forward"]
+    p, n = inverse.shape
+    k4 = plan["k4"][grid.modes_per_axis :]
+    z = -linear_coefficient * k4 * dt
+
+    def parts(weight):  # a per-mode table on the float64 view of the half
+        return np.repeat(weight, 2)
+
+    def b_matrix(weight, out):  # out[j, l] = column[(j - l) % p], copied from a view
+        column = inverse @ (parts(weight * k4) * forward[:, 0])
+        out[...] = sliding_window_view(np.concatenate([column[::-1], column[:0:-1]]), p)[::-1]
+
+    def onto_modes(weight, out):  # D(weight) K Fwd
+        np.multiply(parts(weight * k4)[:, None], forward, out=out)
+
+    def propagate(out):  # D(E)
+        out[np.arange(n), np.arange(n)] = parts(t["propagator"])
+
+    if scheme == SCHEME_ETD1:
+        shapes = [(n, n + p)]
+    else:
+        shapes = [(p, n + p), (p, p + n), (p, n + 2 * p), (n, 4 * p + n)]
+    block = np.zeros(sum(rows * cols for rows, cols in shapes))
+    matrices, start = [], 0
+    for rows, cols in shapes:
+        matrices.append(block[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    final = matrices[-1]
+    if scheme == SCHEME_ETD1:
+        propagate(final[:, :n])
+        onto_modes(t["etd1_weight"], final[:, n:])
+    else:
+        first, second, third = matrices[:3]
+        np.multiply(inverse, parts(t["half_propagator"]), out=first[:, :n])
+        b_matrix(t["stage_weight"], first[:, n:])
+        second[:, :p], second[:, p:] = first[:, n:], first[:, :n]
+        np.multiply(inverse, parts(t["propagator"]), out=third[:, :n])
+        b_matrix(t["stage_weight"] * np.expm1(0.5 * z), third[:, n : n + p])
+        b_matrix(2.0 * t["stage_weight"], third[:, n + p :])
+        propagate(final[:, p : p + n])
+        for col, name in (
+            (0, "w_mid2"),
+            (p + n, "w_first"),
+            (2 * p + n, "w_mid2"),
+            (3 * p + n, "w_last"),
+        ):
+            onto_modes(t[name], final[:, col : col + p])
+    for matrix in matrices:
+        matrix.flags.writeable = False
+    return tuple(matrices)
+
+
+class _Stepper:
+    """Per-mode propagator tables plus the advance rule.
+
+    Works on the k_d >= 0 half of the coefficients, coeffs[..., M:], the
+    layout `remainder_fn` maps, with the tables of `_etd_tables`.
+
+    Two forms of the same step, chosen by the grid and `remainder` alone.
+    On 1D grids where `_plan` holds the dense transform pair
+    (P <= _DENSE_MAX_POINTS), with no `remainder` given, the step is fused:
+    each stage's inverse transform, forward transform, k^4 multiply and ETD
+    weights are folded into one real matrix (`_fused_matrices`) that acts
+    on the float64 vector x = [g1 | c | g0 | g2 | g3] of the half c and the
+    pointwise remainders g_i of the stage samples.  The fused stepper
+    reuses x, so it serves one march at a time.  Everywhere else (2D
+    grids, larger 1D grids, and a `remainder` given, which is how
+    `integrate` passes its override) the step is the stage arithmetic of
+    Cox & Matthews on the half, through `remainder`, or through the
+    model's `remainder_fn` when none is given.
+    """
+
+    def __init__(self, cfg: ModelConfig, scfg: StepperConfig, remainder=None):
+        key = (cfg.grid, cfg.linear_coefficient, scfg.dt, scfg.scheme)
         self.scheme = scfg.scheme
-        if scfg.scheme == SCHEME_ETD1:
-            self.etd1_weight = dt * phi1
-        else:
-            zh = 0.5 * z
-            self.half_propagator, phi1h, _, _ = phi_functions(zh)
-            self.stage_weight = 0.5 * dt * phi1h
-            self.w_first = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
-            # The doubled weight of n1 + n2; doubling is exact, so no bit moves.
-            self.w_mid2 = 2.0 * (dt * (phi2 - 2.0 * phi3))
-            self.w_last = dt * (4.0 * phi3 - phi2)
+        # propagator and the scheme's weights, one attribute per table
+        vars(self).update(_etd_tables(*key))
+        self.fused = remainder is None and _plan(cfg.grid)["dense_inverse"] is not None
+        if not self.fused:
+            self.remainder = remainder_fn(cfg) if remainder is None else remainder
+            return
+        *stages, self._final = _fused_matrices(*key)
+        self._inverse = _plan(cfg.grid)["dense_inverse"]
+        p, n = self._inverse.shape
+        x = np.zeros(4 * p + n)
+        self._c_part = x[p : p + n]
+        self._c_view = self._c_part.view(np.complex128)
+        self._g0 = x[p + n : 2 * p + n]
+        self._v = np.empty(p)
+        self._cfg = cfg
+        self._guard = cfg.kind == ADL and cfg.mode == FULL
+        # (matrix, its input slice of x, the slot its pointwise values fill)
+        inputs = (x[p : 2 * p + n], x[: p + n], x[p : 3 * p + n])
+        slots = (x[:p], x[2 * p + n : 3 * p + n], x[3 * p + n :])
+        self._stages = tuple(zip(stages, inputs, slots))
+        self._final_in = x if stages else x[p : 2 * p + n]
+
+    def _pointwise(self, v: np.ndarray, slot: np.ndarray, time: float | None) -> None:
+        """Write the pointwise remainder of the samples `v` into `slot`."""
+        if self._guard:
+            _check_adl_positivity(v, time)
+        w = _superlinear_pointwise(self._cfg, v, out=slot)
+        if w is not slot:
+            slot[...] = w
+
+    def _fused_step(self, c: np.ndarray, t: float) -> np.ndarray:
+        """One fused step of `c`, before the flush; the result is a new array."""
+        self._c_view[...] = c
+        self._pointwise(np.dot(self._inverse, self._c_part, out=self._v), self._g0, t)
+        for matrix, state, slot in self._stages:
+            self._pointwise(np.dot(matrix, state, out=self._v), slot, None)
+        return np.dot(self._final, self._final_in).view(np.complex128)
 
     def advance(self, c: np.ndarray, t: float) -> np.ndarray:
         """One step of the half coefficient array `c`; returns a new array.
@@ -191,7 +373,9 @@ class _Stepper:
         Only the evaluation at `c` itself is tagged with the time `t`; the
         ETDRK4 stage states belong to no single time and stay untagged.
         """
-        if self.scheme == SCHEME_ETD1:
+        if self.fused:
+            out = self._fused_step(c, t)
+        elif self.scheme == SCHEME_ETD1:
             out = self.propagator * c + self.etd1_weight * self.remainder(c, time=t)
         else:
             n0 = self.remainder(c, time=t)
@@ -280,9 +464,13 @@ def integrate(
 
     grid = cfg.grid
     m = grid.modes_per_axis
-    worker = _Stepper(cfg, scfg)
+    remainder = None
     if nonlinearity is not None:
-        worker.remainder = lambda c, time=None: nonlinearity(_mirror(grid, c))[..., m:]
+
+        def remainder(c, time=None):
+            return nonlinearity(_mirror(grid, c))[..., m:]
+
+    worker = _Stepper(cfg, scfg, remainder)
 
     # Pin the mean coefficient to exactly zero; require_zero_mean above has
     # already bounded it by rounding noise.  The march carries only the

@@ -3,8 +3,8 @@
 Covers the phi-function evaluator against high-precision references, the
 stepper configuration contract, the admissibility guard, exactness on the
 pure linear flow, observer cadence, determinism, a discrete dilation
-symmetry shared by both equations, and the convergence orders of the two
-schemes.
+symmetry shared by both equations, the fused 1D step against the stage
+arithmetic, and the convergence orders of the two schemes.
 """
 
 import dataclasses
@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalsurf.models import ADL, EXPONENTIAL, ModelConfig, SingularityError
+from crystalsurf.models import (
+    ADL,
+    EXPONENTIAL,
+    ModelConfig,
+    SingularityError,
+    nonlinear_remainder,
+    remainder_fn,
+)
 from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
@@ -435,6 +442,117 @@ class TestHalfSpectrumMarch:
         assert shapes == {grid.coeff_shape}
         assert state.v.coeffs.shape == grid.coeff_shape
         assert state.v.is_hermitian(tol=0.0)
+
+
+# (kind, mode, truncation order) of every remainder form the pointwise map has.
+REMAINDER_FORMS = [
+    (kind, mode, order)
+    for kind in (EXPONENTIAL, ADL)
+    for mode, order in (("full", 20), ("truncated", 0), ("truncated", 1), ("truncated", 6))
+]
+
+# M = 1, 8, 32 at padding 2, and the largest dense P at padding 2 (M=47,
+# P=190) and at padding 1 (M=95, P=192).
+DENSE_GRIDS = [
+    GridSpec.create(1, 1),
+    GridSpec.create(1, 8),
+    GridSpec.create(1, 32),
+    GridSpec.create(1, 47),
+    GridSpec.create(1, 95, padding_factor=1.0),
+]
+
+
+class TestFusedStep:
+    """On 1D grids with the dense transform pair the step is a few matrix
+    products; the stage arithmetic, which an override of the remainder
+    selects, is its reference."""
+
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    @pytest.mark.parametrize("form", REMAINDER_FORMS, ids=lambda f: f"{f[0]}-{f[1]}-{f[2]}")
+    @pytest.mark.parametrize("grid", DENSE_GRIDS, ids=lambda g: f"M{g.modes_per_axis}-P{g.phys_points_per_axis}")
+    def test_matches_the_stage_arithmetic(self, grid, form, scheme):
+        kind, mode, order = form
+        cfg = ModelConfig(kind, grid, mode=mode, truncation_order=order)
+        modes = [(1, 0.05, 0.3)] + ([(2, 0.02, 1.1)] if grid.modes_per_axis > 1 else [])
+        v0 = field_from_modes(grid, modes)
+        scfg = StepperConfig(dt=1e-4, scheme=scheme, t_end=0.02)
+        assert scfg.n_steps == 200
+
+        def stage_remainder(c):
+            return nonlinear_remainder(cfg, SpectralField(grid, c)).coeffs
+
+        fused = integrate(cfg, scfg, v0).v.coeffs
+        staged = integrate(cfg, scfg, v0, nonlinearity=stage_remainder).v.coeffs
+        scale = float(np.max(np.abs(staged)))
+        assert scale > 0.01
+        assert float(np.max(np.abs(fused - staged))) <= 1e-12 * scale
+
+    def test_selected_by_the_grid_and_the_override_alone(self):
+        scfg = StepperConfig(dt=1e-4)
+        cases = [(grid, True) for grid in DENSE_GRIDS] + [
+            (GridSpec.create(1, 48), False),  # P = 194
+            (GridSpec(1, 32, 194), False),
+            (GridSpec.create(2, 4), False),
+        ]
+        for grid, dense in cases:
+            for kind in (EXPONENTIAL, ADL):
+                cfg = ModelConfig(kind, grid)
+                assert _Stepper(cfg, scfg).fused is dense, grid
+                assert not _Stepper(cfg, scfg, remainder_fn(cfg)).fused
+
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    def test_strided_half_in_new_half_out(self, scheme):
+        grid = GridSpec.create(1, 8)
+        cfg = ModelConfig(ADL, grid)
+        half = field_from_modes(grid, [(1, 0.05, 0.3), (3, 0.01, 0.0)]).coeffs[8:]
+        spaced = np.zeros(2 * half.size, dtype=np.complex128)
+        spaced[::2] = half
+        strided = spaced[::2]
+        assert not strided.flags.c_contiguous
+        before = spaced.copy()
+        worker = _Stepper(cfg, StepperConfig(dt=1e-3, scheme=scheme))
+        assert worker.fused
+        out = worker.advance(strided, 0.0)
+        assert spaced.tobytes() == before.tobytes()
+        assert out.tobytes() == worker.advance(half.copy(), 0.0).tobytes()
+        kept = out.copy()
+        worker.advance(out, 1e-3)
+        assert out.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "stages"])
+    def test_singular_state_tagged_with_its_time(self, fused):
+        """Only the evaluation at the step's own state carries its time."""
+        grid = GridSpec.create(1, 8)
+        cfg = ModelConfig(ADL, grid)
+        half = field_from_modes(grid, [(1, 1.5, 0.0)]).coeffs[8:]  # min(1 + v) = -0.5
+        worker = _Stepper(cfg, StepperConfig(dt=1e-3), None if fused else remainder_fn(cfg))
+        assert worker.fused is fused
+        with pytest.raises(SingularityError) as exc:
+            worker.advance(half, 0.25)
+        assert (exc.value.time, exc.value.step_end) == (0.25, None)
+
+    def test_steppers_sharing_matrices_keep_their_model(self):
+        """Steppers of one grid, model coefficient, dt and scheme share the
+        cached read-only matrices, but each applies its own nonlinearity."""
+        grid = GridSpec.create(1, 8)
+        scfg = StepperConfig(dt=1e-3)
+        cfgs = [ModelConfig(EXPONENTIAL, grid), ModelConfig(EXPONENTIAL, grid, "truncated", 2)]
+        half = field_from_modes(grid, [(1, 0.2, 0.3), (2, 0.1, 0.0)]).coeffs[8:]
+        alone = []
+        for cfg in cfgs:
+            c = half
+            for _ in range(3):
+                c = _Stepper(cfg, scfg).advance(c, 0.0)
+            alone.append(c)
+        workers = [_Stepper(cfg, scfg) for cfg in cfgs]
+        assert workers[0]._final is workers[1]._final
+        assert not workers[0]._final.flags.writeable
+        states = [half, half]
+        for _ in range(3):
+            states = [w.advance(c, 0.0) for w, c in zip(workers, states)]
+        for got, want in zip(states, alone):
+            assert got.tobytes() == want.tobytes()
+        assert alone[0].tobytes() != alone[1].tobytes()
 
 
 class TestDilationSymmetry:
