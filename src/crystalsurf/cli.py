@@ -9,6 +9,7 @@ humans; the written files are for machines.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import itertools
 import json
@@ -92,14 +93,22 @@ def timeseries_columns(series: TimeSeries) -> tuple[list[str], list[np.ndarray]]
     return names, cols
 
 
+def _csv_cell(x) -> str:
+    """A write_csv cell before quoting: booleans lowercase, floats %.17g."""
+    if type(x) is bool:
+        return str(x).lower()
+    return x if type(x) is str else _FLOAT_FMT % x
+
+
 def write_csv(path: Path, names, rows) -> None:
     """Header plus rows of one cell per name; floats at 17 significant
-    digits, booleans lowercase.
+    digits, booleans lowercase, strings quoted as the csv module's minimal
+    quoting does.
 
     Rows are formatted _WRITE_CHUNK_ROWS at a time, with one % for the
-    whole chunk.  A chunk that holds a boolean has its cells formatted one
-    by one first, which only sweep_aggregate.csv's short verdict column
-    needs.
+    whole chunk.  A chunk that holds a boolean or a string has its cells
+    formatted one by one and is written by a csv writer instead, which
+    only sweep_aggregate.csv's short verdict and error columns need.
     """
     row_format = ",".join([_FLOAT_FMT] * len(names)) + "\n"
     rows = iter(rows)
@@ -107,11 +116,11 @@ def write_csv(path: Path, names, rows) -> None:
         fh.write(",".join(names) + "\n")
         while chunk := list(itertools.islice(rows, _WRITE_CHUNK_ROWS)):
             cells = list(itertools.chain.from_iterable(chunk))
-            chunk_format = row_format * len(chunk)
-            if bool in set(map(type, cells)):
-                cells = [str(x).lower() if type(x) is bool else _FLOAT_FMT % x for x in cells]
-                chunk_format = chunk_format.replace(_FLOAT_FMT, "%s")
-            fh.write(chunk_format % tuple(cells))
+            if {bool, str} & set(map(type, cells)):
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerows([_csv_cell(x) for x in row] for row in chunk)
+            else:
+                fh.write(row_format * len(chunk) % tuple(cells))
 
 
 def _chunks(columns) -> Iterator[np.ndarray]:
@@ -471,7 +480,9 @@ def _sweep_worker(payload) -> dict:
 
 
 def write_sweep_aggregate(path: Path, rows) -> None:
-    names = ["x0", "delta", "fitted_rate", "verdict"]
+    """One row per member; `error` is empty for a member that ran and its
+    one-line failure_message otherwise."""
+    names = ["x0", "delta", "fitted_rate", "verdict", "error"]
     write_csv(path, names, ([row[k] for k in names] for row in rows))
 
 

@@ -7,6 +7,7 @@ spawning subprocesses (one subprocess test covers the module entry point).
 """
 
 import copy
+import csv
 import json
 import math
 import subprocess
@@ -690,7 +691,7 @@ class TestCliSweep:
         aggregate = out / "sweep_aggregate.csv"
         assert aggregate.exists()
         lines = aggregate.read_text().splitlines()
-        assert lines[0] == "x0,delta,fitted_rate,verdict"
+        assert lines[0] == "x0,delta,fitted_rate,verdict,error"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 2
         x0s = [float(r[0]) for r in rows]
@@ -743,7 +744,7 @@ class TestCliSweep:
         out = tmp_path / "sweepout"
         assert main(["sweep", config, "--out", str(out)]) == EXIT_OK
         lines = (out / "sweep_aggregate.csv").read_text().splitlines()
-        assert lines[0] == "x0,delta,fitted_rate,verdict"
+        assert lines[0] == "x0,delta,fitted_rate,verdict,error"
         rows = [line.split(",") for line in lines[1:]]
         assert [float(r[0]) for r in rows] == pytest.approx([0.01, 0.05, 20.0], rel=1e-12)
         assert [r[3] for r in rows] == ["true", "true", "false"]
@@ -886,6 +887,39 @@ class TestCliSweep:
         config = write_config(tmp_path, sweep, name="sweep.yaml")
         assert main(["sweep", config, "--out", str(tmp_path / "sweepout")]) == EXIT_OK
         assert f"  ({run_line})" in capsys.readouterr().out
+        with open(tmp_path / "sweepout" / "sweep_aggregate.csv", newline="") as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == ["", run_line]
+
+    def test_aggregate_error_column_round_trips_failure_messages(self, tmp_path):
+        """Failed members of an adl sweep write their one-line reasons to
+        the aggregate: a singularity, and a max_steps refusal whose message
+        holds a comma, so its cell is quoted."""
+        raw = base_run_dict()
+        raw["model"]["kind"] = "adl"
+        cfg = parse_run_config(raw)
+        v0 = build_initial_field(cfg, build_grid(cfg))
+        x0 = wiener_norm(v0, 0.0)
+        capped = copy.deepcopy(raw)
+        capped["stepper"]["max_steps"] = 10
+        members = [(raw, 0.02), (raw, 1.5), (capped, 0.03)]
+        rows = [
+            cli._sweep_worker(
+                (cfg_dict, v0.coeffs, {"amplitude": a, "scale": a / x0}, tmp_path / f"m{a:g}")
+            )
+            for cfg_dict, a in members
+        ]
+        errors = [row["error"] for row in rows]
+        assert errors[0] == ""
+        assert errors[1].startswith("singularity at t = 0")
+        assert errors[2] == "run needs 50 steps, exceeding max_steps=10"
+        aggregate = tmp_path / "sweep_aggregate.csv"
+        cli.write_sweep_aggregate(aggregate, rows)
+        assert aggregate.read_text().splitlines()[3].endswith(f',"{errors[2]}"')
+        with open(aggregate, newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert [row["error"] for row in read] == errors
+        assert [row["verdict"] for row in read] == ["true", "false", "false"]
+        assert [float(row["x0"]) for row in read] == [row["x0"] for row in rows]
 
     def test_non_finite_amplitude_exits_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, [0.05, math.inf])
@@ -957,10 +991,17 @@ class TestCliSweep:
 
 
 def per_cell_csv(names, rows) -> str:
-    """The CSV writer's contract, formatted one cell at a time."""
+    """The CSV writer's contract, formatted one cell at a time; a string
+    holding a comma, a quote or a line break is quoted, its quotes doubled."""
+
+    def cell(x):
+        if isinstance(x, str):
+            return '"' + x.replace('"', '""') + '"' if set(x) & set(',"\r\n') else x
+        return str(x).lower() if isinstance(x, bool) else "%.17g" % x
+
     lines = [",".join(names)]
     for row in rows:
-        lines.append(",".join(str(x).lower() if isinstance(x, bool) else "%.17g" % x for x in row))
+        lines.append(",".join(map(cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -1089,17 +1130,25 @@ class TestWriters:
             assert (tmp_path / "decay_plot.csv").read_text() == want
 
     def test_sweep_aggregate_csv_with_its_bool_column(self, tmp_path):
+        """The verdict column is lowercase; the trailing error column is
+        empty for members that ran and quoted where a message needs it."""
         rng = np.random.default_rng(3)
+        errors = ["", 'dt=0.01 exceeds 2 x recommended 0.004; reduce "dt"', "", "run needs 5, no"]
         rows = [
-            {"x0": float(x), "delta": float(d), "fitted_rate": r, "verdict": bool(x < 0.5)}
-            for x, d, r in zip(rng.random(40), rng.standard_normal(40), [math.nan, 81.0] * 20)
+            {"x0": float(x), "delta": float(d), "fitted_rate": r, "verdict": bool(x < 0.5),
+             "error": e}
+            for x, d, r, e in zip(
+                rng.random(40), rng.standard_normal(40), [math.nan, 81.0] * 20, errors * 10
+            )
         ]
         path = tmp_path / "sweep_aggregate.csv"
         cli.write_sweep_aggregate(path, rows)
-        names = ["x0", "delta", "fitted_rate", "verdict"]
+        names = ["x0", "delta", "fitted_rate", "verdict", "error"]
         assert path.read_text() == per_cell_csv(names, ([r[k] for k in names] for r in rows))
         verdicts = {line.split(",")[3] for line in path.read_text().splitlines()[1:]}
         assert verdicts == {"true", "false"}
+        with open(path, newline="") as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == errors * 10
 
     def test_write_csv_mixes_bool_and_float_cells_across_chunks(self, tmp_path):
         """Booleans in some chunks only, and in a float column, as the

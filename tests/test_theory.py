@@ -16,8 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
+from crystalsurf import theory, validation
 from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
-from crystalsurf.spectral import GridSpec, field_from_modes, from_physical, zero_field
+from crystalsurf.spectral import (
+    GridSpec,
+    field_from_modes,
+    from_physical,
+    wiener_norm,
+    zero_field,
+)
 from crystalsurf.theory import (
     DEFAULT_ROOT_TOL,
     ENVELOPE_SLACK_FACTOR,
@@ -27,6 +34,7 @@ from crystalsurf.theory import (
     delta_exp,
     delta_exp_coefficient_audit,
     interpolation_check,
+    interpolation_checks,
     lyapunov,
     lyapunov_l1,
     lyapunov_l2,
@@ -239,6 +247,66 @@ class TestInterpolation:
         rng = np.random.RandomState(seed)
         f = from_physical(rng.uniform(-1.0, 1.0, grid.phys_shape), grid)
         assert interpolation_check(f, s, s + extra).passed is True
+
+    @staticmethod
+    def _count_norms(monkeypatch):
+        calls = []
+        norms = theory.norms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norms(*args, **kwargs)
+
+        monkeypatch.setattr(theory, "norms", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim, m", [(1, 4), (1, 9), (1, 16), (2, 3), (2, 6)])
+    def test_batched_pairs_equal_the_per_pair_expression(self, dim, m):
+        """On each grid of the validation ensemble, every (s, r) pair read
+        from one norms call (shuffled, repeated, int orders) gives the
+        lhs, rhs and verdict of one wiener_norm call per norm, bit for bit."""
+        grid = GridSpec.create(dim, m)
+        rng = np.random.default_rng(1000 * dim + m)
+        pairs = [(s, r) for r in range(5) for s in range(r + 1)]
+        pairs = pairs + pairs[::4] + [(float(s), float(r)) for s, r in pairs[::3]]
+        rng.shuffle(pairs)
+        for _ in range(4):
+            f = validation.random_field(grid, rng, scale=10.0 ** rng.uniform(-3, 1))
+            checks = interpolation_checks(f, pairs)
+            assert [(c.s, c.r) for c in checks] == pairs
+            for (s, r), check in zip(pairs, checks):
+                lhs = wiener_norm(f, s)
+                if r == 0:
+                    rhs = wiener_norm(f, 0.0)
+                else:
+                    theta = s / r
+                    rhs = wiener_norm(f, 0.0) ** (1.0 - theta) * wiener_norm(f, r) ** theta
+                assert check.lhs.hex() == lhs.hex()
+                assert check.rhs.hex() == rhs.hex()
+                assert check.passed is (lhs <= rhs * (1.0 + 1e-12))
+            assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("bad", [(2.0, 1.0), (-0.5, 1.0), (1, math.nan)])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_bad_pair_anywhere_raises_before_any_norm(self, monkeypatch, bad, at):
+        calls = self._count_norms(monkeypatch)
+        f = field_from_modes(GridSpec.create(1, 4), [(1, 0.1, 0.0)])
+        pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (0.0, 0.0)]
+        pairs.insert(at, bad)
+        with pytest.raises(ValueError, match="need 0 <= s <= r"):
+            interpolation_checks(f, pairs)
+        assert calls == []
+
+    def test_validate_check_reads_each_field_once(self, monkeypatch):
+        """The validate check covers 1000 fields x 15 pairs with one norms
+        call per field (fails if the norms are recomputed per pair)."""
+        calls = self._count_norms(monkeypatch)
+        result = validation.check_interpolation(
+            np.random.default_rng(validation.DEFAULT_SEED)
+        )
+        assert result.passed is True
+        assert result.detail == "15000/15000 instances hold"
+        assert len(calls) == 1000
 
 
 class TestSeriesIdentities:
