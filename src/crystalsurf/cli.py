@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
-import itertools
 import json
 import math
 import os
@@ -93,51 +92,24 @@ def timeseries_columns(series: TimeSeries) -> tuple[list[str], list[np.ndarray]]
     return names, cols
 
 
-def _csv_cell(x) -> str:
-    """A write_csv cell before quoting: booleans lowercase, floats %.17g."""
-    if type(x) is bool:
-        return str(x).lower()
-    return x if type(x) is str else _FLOAT_FMT % x
-
-
-def write_csv(path: Path, names, rows) -> None:
-    """Header plus rows of one cell per name; floats at 17 significant
-    digits, booleans lowercase, strings quoted as the csv module's minimal
-    quoting does.
-
-    Rows are formatted _WRITE_CHUNK_ROWS at a time, with one % for the
-    whole chunk.  A chunk that holds a boolean or a string has its cells
-    formatted one by one and is written by a csv writer instead, which
-    only sweep_aggregate.csv's short verdict and error columns need.
-    """
-    row_format = ",".join([_FLOAT_FMT] * len(names)) + "\n"
-    rows = iter(rows)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        while chunk := list(itertools.islice(rows, _WRITE_CHUNK_ROWS)):
-            cells = list(itertools.chain.from_iterable(chunk))
-            if {bool, str} & set(map(type, cells)):
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerows([_csv_cell(x) for x in row] for row in chunk)
-            else:
-                fh.write(row_format * len(chunk) % tuple(cells))
-
-
 def _chunks(columns) -> Iterator[np.ndarray]:
-    """The table of these columns, _WRITE_CHUNK_ROWS rows at a time."""
+    """The float64 table of these columns, _WRITE_CHUNK_ROWS rows at a time."""
     table = np.column_stack(columns)
     return (table[i : i + _WRITE_CHUNK_ROWS] for i in range(0, len(table), _WRITE_CHUNK_ROWS))
 
 
-def _float_rows(columns) -> Iterator[list[float]]:
-    """Rows of these columns as lists of Python floats, converted a chunk
-    at a time."""
-    return itertools.chain.from_iterable(chunk.tolist() for chunk in _chunks(columns))
+def write_csv(path: Path, names, columns) -> None:
+    """Header plus one row per entry of these float columns, each cell at
+    17 significant digits; every chunk of rows is formatted by one %."""
+    row_format = ",".join([_FLOAT_FMT] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for chunk in _chunks(columns):
+            fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_timeseries_csv(path: Path, series: TimeSeries) -> None:
-    names, cols = timeseries_columns(series)
-    write_csv(path, names, _float_rows(cols))
+    write_csv(path, *timeseries_columns(series))
 
 
 def write_decay_plot_csv(path: Path, report: RunReport) -> None:
@@ -145,8 +117,7 @@ def write_decay_plot_csv(path: Path, report: RunReport) -> None:
     t = report.series.times
     cert = report.certificate
     env = cert.envelope if cert is not None else np.full_like(t, math.nan)
-    rows = _float_rows((t, report.series.wiener[0.0], env))
-    write_csv(path, ["t", "wiener_0", "envelope"], rows)
+    write_csv(path, ["t", "wiener_0", "envelope"], (t, report.series.wiener[0.0], env))
 
 
 def _json_safe(obj):
@@ -160,14 +131,6 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
-
-
-def _json_row_chunks(series: TimeSeries) -> Iterator[list[list]]:
-    """The report's series rows, a chunk at a time: floats, with
-    _json_safe's strings for non-finite values."""
-    for chunk in _chunks(timeseries_columns(series)[1]):
-        rows = chunk.tolist()
-        yield rows if np.isfinite(chunk).all() else _json_safe(rows)
 
 
 def _report_head(report: RunReport) -> dict:
@@ -204,15 +167,14 @@ def _report_head(report: RunReport) -> dict:
 def report_payload(report: RunReport) -> dict:
     """JSON-ready dictionary for a RunReport, schema version 1."""
     payload = _report_head(report)
-    payload["series"]["rows"] = [row for rows in _json_row_chunks(report.series) for row in rows]
+    table = np.column_stack(timeseries_columns(report.series)[1])
+    payload["series"]["rows"] = _json_safe(table.tolist())
     return payload
 
 
 # How json.dumps(indent=2) lays out the series rows, the last entry of the
 # report: each row at 6 spaces, its numbers at 8, and what follows them.
 _ROWS_EMPTY_TAIL = "[]\n  }\n}"
-_ROW_ITEM_SEP = ",\n        "
-_ROW_BREAK = "\n      ],\n      [\n        "
 _ROWS_END = "\n    ]\n  }\n}\n"
 
 
@@ -221,25 +183,27 @@ def write_report_json(path: Path, report: RunReport) -> None:
     plus a newline.
 
     The series rows, nearly all of the file, do not go through the
-    pure-Python encoder that indent=2 selects: json.dumps renders
-    _WRITE_CHUNK_ROWS of them at a time without indent, with the C encoder,
-    and an item separator that puts each number on its own line at the
-    rows' indent; replacing the separator between rows completes the
-    indent=2 layout.  Rows hold only numbers and _json_safe's strings, so
-    no bracket occurs inside a row.  The rest of the payload is rendered
-    with indent=2 and an empty row list, whose text is then replaced.
+    pure-Python encoder that indent=2 selects: a row template in that
+    layout is filled with one % per chunk of rows.  %s of a float is its
+    repr, which is what json writes; a chunk holding a non-finite number
+    has its cells rendered by json.dumps of _json_safe first.  The rest of
+    the payload is rendered with indent=2 and an empty row list, whose
+    text is then replaced.
     """
     head = json.dumps(_report_head(report), indent=2)
+    cols = timeseries_columns(report.series)[1]
+    row_format = "      [\n        " + ",\n        ".join(["%s"] * len(cols)) + "\n      ]"
     with open(path, "w") as fh:
         if not len(report.series):
             fh.write(head + "\n")
             return
-        fh.write(head.removesuffix(_ROWS_EMPTY_TAIL) + "[")
-        separator = "\n"
-        for rows in _json_row_chunks(report.series):
-            text = json.dumps(rows, separators=(_ROW_ITEM_SEP, ":"))
-            body = text[2:-2].replace("]" + _ROW_ITEM_SEP + "[", _ROW_BREAK)
-            fh.write(separator + "      [\n        " + body + "\n      ]")
+        fh.write(head.removesuffix(_ROWS_EMPTY_TAIL) + "[\n")
+        separator = ""
+        for chunk in _chunks(cols):
+            cells = chunk.ravel().tolist()
+            if not np.isfinite(chunk).all():
+                cells = [json.dumps(x) for x in _json_safe(cells)]
+            fh.write(separator + ",\n".join([row_format] * len(chunk)) % tuple(cells))
             separator = ",\n"
         fh.write(_ROWS_END)
 
@@ -395,7 +359,7 @@ def threshold_payload(kind: str) -> dict:
     table = []
     x = 0.0
     while True:
-        d = delta(kind, x) if not (kind == "adl" and x >= 1) else float("-inf")
+        d = delta(kind, x)
         table.append({"x": round(x, 10), "delta": d})
         if d < 0:
             break
@@ -480,10 +444,20 @@ def _sweep_worker(payload) -> dict:
 
 
 def write_sweep_aggregate(path: Path, rows) -> None:
-    """One row per member; `error` is empty for a member that ran and its
-    one-line failure_message otherwise."""
-    names = ["x0", "delta", "fitted_rate", "verdict", "error"]
-    write_csv(path, names, ([row[k] for k in names] for row in rows))
+    """One row per member: x0, delta and fitted_rate at 17 significant
+    digits, the verdict lowercase, then `error`, empty for a member that
+    ran and its one-line failure_message otherwise."""
+    with open(path, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x0", "delta", "fitted_rate", "verdict", "error"])
+        for row in rows:
+            writer.writerow([
+                _FLOAT_FMT % row["x0"],
+                _FLOAT_FMT % row["delta"],
+                _FLOAT_FMT % row["fitted_rate"],
+                str(row["verdict"]).lower(),
+                row["error"],
+            ])
 
 
 def cmd_sweep(args) -> int:

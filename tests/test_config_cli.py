@@ -1005,13 +1005,22 @@ def per_cell_csv(names, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Doubles whose text is easy to get wrong: signed zero, the smallest
+# subnormal and normal, the largest double, and two where %.17g and repr
+# differ.
+EDGE_CELLS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16]
+
+
 def synthetic_report(n_rows, seed=0, non_finite=False, admissible=True):
-    """A RunReport over an n-row series of random doubles; with non_finite,
-    some cells are nan, inf and -inf."""
+    """A RunReport over an n-row series of random doubles, each column
+    starting with EDGE_CELLS; with non_finite, some cells are nan, inf and
+    -inf."""
     rng = np.random.default_rng(seed)
 
     def col():
-        return rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        c = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        c[: len(EDGE_CELLS)] = EDGE_CELLS[:n_rows]
+        return c
 
     series = TimeSeries(
         kind="exp",
@@ -1149,19 +1158,6 @@ class TestWriters:
         assert verdicts == {"true", "false"}
         with open(path, newline="") as fh:
             assert [row["error"] for row in csv.DictReader(fh)] == errors * 10
-
-    def test_write_csv_mixes_bool_and_float_cells_across_chunks(self, tmp_path):
-        """Booleans in some chunks only, and in a float column, as the
-        per-cell contract formats them."""
-        n = 2 * cli._WRITE_CHUNK_ROWS + 3
-        rows = [
-            [i * 0.1, (i % 7 == 0) if i > cli._WRITE_CHUNK_ROWS else i / 3.0, 1e-300 * i]
-            for i in range(n)
-        ]
-        rows[5][2] = True
-        path = tmp_path / "mixed.csv"
-        cli.write_csv(path, ["a", "b", "c"], rows)
-        assert path.read_text() == per_cell_csv(["a", "b", "c"], rows)
 
 
 class TestJsonSafe:
