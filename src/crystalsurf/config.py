@@ -392,6 +392,8 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
             samples = np.loadtxt(fpath)
     except Exception as err:
         raise ConfigError(f"initial_data.path: cannot load {fpath}: {err}") from err
+    if np.iscomplexobj(samples):
+        raise ConfigError(f"initial_data.path: {fpath} holds complex samples")
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ConfigError(f"initial_data.path: {fpath} holds non-finite samples")

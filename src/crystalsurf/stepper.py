@@ -23,20 +23,20 @@ floats, which cost x86 microcode assists in every later transform; removing
 values below 2.2e-308 changes no reported number.  `integrate` still takes
 and returns full-layout SpectralFields.
 
-On 1D grids small enough for the dense transform pair (P at most
-spectral._DENSE_MAX_POINTS), and unless `integrate` is given a
-`nonlinearity` override, the step is fused: the inverse and forward
-matrices, the k^4 multiplier and the ETD weights of each stage are folded
-into one real matrix, built once per grid, model, step and scheme and
-cached (`_fused_matrices`).  An ETDRK4 step is then five
-matrix-vector products and the four pointwise evaluations (ETD1: two and
-one), in place of about fifty numpy calls on (M+1)-element arrays, whose
-per-call cost bound the step.  The grid and the override alone select the
-form; 2D grids, larger 1D grids and overrides run the stage arithmetic,
-bit for bit as before.  The fused step sums in another order, so 1D results
-moved by rounding only: series values above 1e-12 by at most 2e-9
-relative in the runs checked, the largest just above that floor, and
-|v|_0 of the A03/A04 reference runs by at most 4e-10.
+Both schemes are written once, in `_etd_step`.  On 1D grids small enough
+for the dense transform pair (P at most spectral._DENSE_MAX_POINTS), and
+unless `integrate` is given a `nonlinearity` override, the step is fused:
+`_fused_matrices` runs `_etd_step` on per-mode multipliers to fold the
+transforms, the k^4 multiplier and the ETD weights of each stage into one
+cached real matrix.  An ETDRK4 step is then five matrix-vector products and
+four pointwise evaluations (ETD1: two and one), in place of about fifty
+numpy calls on (M+1)-element arrays.  2D grids, larger 1D grids and
+overrides run `_etd_step` on the half.  The fused step sums in another
+order, so 1D results differ from the stage form by rounding only (series
+values above 1e-12 by at most 2e-9 relative in the runs checked, |v|_0 of
+the A03/A04 reference runs by at most 4e-10).  Deriving the matrices from
+`_etd_step` rather than by hand moved 1D ETDRK4 series values above 1e-12
+by at most 3e-10 relative in the runs checked; ETD1 kept every bit.
 """
 
 from __future__ import annotations
@@ -187,6 +187,7 @@ def _etd_tables(grid: GridSpec, linear_coefficient: float, dt: float, scheme: st
 
     Every table is built on the k_d >= 0 half of |k|^4, coeffs[..., M:],
     elementwise, so it holds the full-layout value of each wavenumber.
+    Only `_etd_step` reads them.
     """
     k4 = _plan(grid)["k4"][..., grid.modes_per_axis :]
     z = -linear_coefficient * k4 * dt
@@ -205,148 +206,156 @@ def _etd_tables(grid: GridSpec, linear_coefficient: float, dt: float, scheme: st
     }
 
 
+def _etd_step(tables: dict, c: np.ndarray, remainder, t: float | None) -> np.ndarray:
+    """One ETD1 or ETDRK4 step of `c` with the `_etd_tables` of its scheme.
+
+    `remainder(state, time=None)` evaluates a stage state's remainder.  Only
+    the first evaluation, at `c` itself, is tagged with the time `t`; the
+    ETDRK4 stage states belong to no single time.
+    """
+    if "etd1_weight" in tables:
+        return tables["propagator"] * c + tables["etd1_weight"] * remainder(c, time=t)
+    half_propagator, stage_weight = tables["half_propagator"], tables["stage_weight"]
+    n0 = remainder(c, time=t)
+    half_c = half_propagator * c
+    a = half_c + stage_weight * n0
+    n1 = remainder(a)
+    b = half_c + stage_weight * n1
+    n2 = remainder(b)
+    s = half_propagator * a + stage_weight * (2.0 * n2 - n0)
+    n3 = remainder(s)
+    return (
+        tables["propagator"] * c
+        + tables["w_first"] * n0
+        + tables["w_mid2"] * (n1 + n2)
+        + tables["w_last"] * n3
+    )
+
+
+# The fused step's float64 vector x: the half c (2(M+1) reals) and the P
+# pointwise samples g_i of each remainder, as [g1 | c | g0 | g2 | g3], by row
+# of the multipliers [c, g0, g1, g2, g3]; every state reads one slice of x.
+_X_LAYOUT = (2, 0, 1, 3, 4)
+
+
+def _x_layout(p: int, n: int) -> tuple[list[int], int]:
+    """Offset in x of each multiplier row's block, and the length of x."""
+    offsets, start = [0] * len(_X_LAYOUT), 0
+    for row in _X_LAYOUT:
+        offsets[row] = start
+        start += n if row == 0 else p
+    return offsets, start
+
+
 @functools.lru_cache(maxsize=8)
 def _fused_matrices(
     grid: GridSpec, linear_coefficient: float, dt: float, scheme: str
-) -> tuple[np.ndarray, ...]:
-    """Read-only matrices of the fused 1D step: the three ETDRK4 stages and
-    the final product, or the final product alone for ETD1.
+) -> tuple[tuple[np.ndarray, int], ...]:
+    """Read-only matrices of the fused 1D step, each with the offset of the
+    slice of x it reads: per remainder evaluation, the samples of its
+    state; last, the new half.
 
     With Inv (P x 2(M+1)) and Fwd (2(M+1) x P) the dense pair, the
-    remainder of a state u is K Fwd g(Inv u), K the k^4 diagonal, and g
-    the pointwise `_superlinear_pointwise`.  Every ETD table is per mode
-    and real, so on the float64 view it is a diagonal D(w), each entry
-    repeated for the real and the imaginary part.  Writing B(w) for
-    Inv D(w) K Fwd, the P x P map from a stage's pointwise values to the
-    samples of its weighted remainder, the ETDRK4 stage samples are
+    remainder of a state u is K Fwd g(Inv u), K the k^4 diagonal and g the
+    pointwise `_superlinear_pointwise`.  Every ETD table is real and per
+    mode, so each state and the new half are D(f_c) c + sum_i D(f_i) K Fwd g_i,
+    D(f) scaling both parts of each mode by f.  `_etd_step`, run on
+    multipliers over the rows [c, g0, g1, g2, g3], with c the unit row 0
+    and the i-th remainder the unit row i+1, gives every f.  A state's
+    matrix holds Inv D(f_c) and B(f_i) = Inv D(f_i) K Fwd, the new half's
+    D(f_c) and D(f_i) K Fwd, over the blocks of x from the first nonzero
+    row of f to its last.  B(f) is circulant, B(f)[j, l] =
+    B(f)[(j - l) mod P, 0], so it is copied from a strided view of its
+    first column.  The build has no matrix-matrix product, whose bits would
+    depend on the BLAS thread count.  The step's products stay on one
+    thread: its largest matrix holds 184k entries (M=95, P=192), and
+    OpenBLAS first ran a matrix-vector product on a second thread past
+    about 400k (see CHANGES.md).  CI compares 1D runs on one thread with
+    the default.
 
-        a = Inv D(E/2) c + B(Q) g0                               from [c | g0]
-        b = B(Q) g1 + Inv D(E/2) c                               from [g1 | c]
-        s = Inv D(E) c + B(Q expm1(z/2)) g0 + 2 B(Q) g2          from [c | g0 | g2]
-
-    (E/2 the half-step propagator, Q the stage weight; s expands
-    E/2 a + Q (2 n2 - n0)), and the new half is
-
-        D(W2) K Fwd g1 + D(E) c + D(W1) K Fwd g0 + D(W2) K Fwd g2 + D(W3) K Fwd g3
-
-    from all of x = [g1 | c | g0 | g2 | g3], with W1, W2 and W3 the weights
-    `w_first`, `w_mid2` and `w_last`.  ETD1 is one product from [c | g0].
-    B(w) is circulant, B(w)[j, l] = B(w)[(j - l) mod P, 0], so it is copied
-    from a strided view of its first column.
-
-    The matrices are views of one block, each of their blocks written in
-    place.  At 1D M=32 the block is about 1 MB, above glibc's mmap
-    threshold, so it is mapped apart from the heap; the cache keeps it
-    mapped after a march, because unmapping a block that large raises the
-    threshold and changes how every later allocation of the process
-    faults in.  An entry is about 1 MB at M=32 and 3 MB at the largest
-    dense grid.
-
-    The largest matrix holds about 42k entries at M=32, P=130, and 184k at
-    M=95, P=192.  OpenBLAS first ran a matrix-vector product on a second
-    thread past about 400k entries (measured when the dense pair was added,
-    see CHANGES.md), so these products stay on one thread and their bits do
-    not depend on the BLAS thread count; CI compares a 1D run on one thread
-    with the default.
+    The matrices are views of one block.  At 1D M=32 it is about 1 MB,
+    above glibc's mmap threshold, so it is mapped apart from the heap; the
+    cache keeps it mapped after a march, because unmapping a block that
+    large raises the threshold and changes how every later allocation of
+    the process faults in.  An entry is about 3 MB at the largest dense grid.
     """
-    t = _etd_tables(grid, linear_coefficient, dt, scheme)
     plan = _plan(grid)
     inverse, forward = plan["dense_inverse"], plan["dense_forward"]
-    p, n = inverse.shape
     k4 = plan["k4"][grid.modes_per_axis :]
-    z = -linear_coefficient * k4 * dt
+    p, n = inverse.shape
+    offsets, _ = _x_layout(p, n)
+    width = [n, p, p, p, p]
+    unit = np.eye(5)[:, :, None].repeat(grid.modes_per_axis + 1, axis=2)
+    states = []
 
-    def parts(weight):  # a per-mode table on the float64 view of the half
-        return np.repeat(weight, 2)
+    def remainder(state, time=None):
+        states.append(state)
+        return unit[len(states)]
 
-    def b_matrix(weight, out):  # out[j, l] = column[(j - l) % p], copied from a view
-        column = inverse @ (parts(weight * k4) * forward[:, 0])
-        out[...] = sliding_window_view(np.concatenate([column[::-1], column[:0:-1]]), p)[::-1]
+    def reads(f):  # the rows whose x blocks f's matrix reads, in x order
+        at = [_X_LAYOUT.index(row) for row in np.flatnonzero(f.any(axis=1))]
+        return _X_LAYOUT[min(at) : max(at) + 1]
 
-    def onto_modes(weight, out):  # D(weight) K Fwd
-        np.multiply(parts(weight * k4)[:, None], forward, out=out)
-
-    def propagate(out):  # D(E)
-        out[np.arange(n), np.arange(n)] = parts(t["propagator"])
-
-    if scheme == SCHEME_ETD1:
-        shapes = [(n, n + p)]
-    else:
-        shapes = [(p, n + p), (p, p + n), (p, n + 2 * p), (n, 4 * p + n)]
+    new_half = _etd_step(_etd_tables(grid, linear_coefficient, dt, scheme), unit[0], remainder, None)
+    combos = [(f, True, reads(f)) for f in states] + [(new_half, False, reads(new_half))]
+    shapes = [(p if samples else n, sum(width[row] for row in rows)) for _, samples, rows in combos]
     block = np.zeros(sum(rows * cols for rows, cols in shapes))
     matrices, start = [], 0
-    for rows, cols in shapes:
-        matrices.append(block[start : start + rows * cols].reshape(rows, cols))
+    for (f, samples, read), (rows, cols) in zip(combos, shapes):
+        matrix = block[start : start + rows * cols].reshape(rows, cols)
         start += rows * cols
-    final = matrices[-1]
-    if scheme == SCHEME_ETD1:
-        propagate(final[:, :n])
-        onto_modes(t["etd1_weight"], final[:, n:])
-    else:
-        first, second, third = matrices[:3]
-        np.multiply(inverse, parts(t["half_propagator"]), out=first[:, :n])
-        b_matrix(t["stage_weight"], first[:, n:])
-        second[:, :p], second[:, p:] = first[:, n:], first[:, :n]
-        np.multiply(inverse, parts(t["propagator"]), out=third[:, :n])
-        b_matrix(t["stage_weight"] * np.expm1(0.5 * z), third[:, n : n + p])
-        b_matrix(2.0 * t["stage_weight"], third[:, n + p :])
-        propagate(final[:, p : p + n])
-        for col, name in (
-            (0, "w_mid2"),
-            (p + n, "w_first"),
-            (2 * p + n, "w_mid2"),
-            (3 * p + n, "w_last"),
-        ):
-            onto_modes(t[name], final[:, col : col + p])
-    for matrix in matrices:
+        col = 0
+        for row in read:
+            out, col = matrix[:, col : col + width[row]], col + width[row]
+            w = np.repeat(f[0] if row == 0 else f[row] * k4, 2)  # on the float64 view
+            if row == 0 and samples:  # Inv D(f_c)
+                np.multiply(inverse, w, out=out)
+            elif row == 0:  # D(f_c)
+                out[np.arange(n), np.arange(n)] = w
+            elif samples:  # B(f_i): out[j, l] = column[(j - l) % p], from a view
+                column = inverse @ (w * forward[:, 0])
+                out[...] = sliding_window_view(np.concatenate([column[::-1], column[:0:-1]]), p)[::-1]
+            else:  # D(f_i) K Fwd
+                np.multiply(w[:, None], forward, out=out)
         matrix.flags.writeable = False
+        matrices.append((matrix, offsets[read[0]]))
     return tuple(matrices)
 
 
 class _Stepper:
-    """Per-mode propagator tables plus the advance rule.
+    """`_etd_step` on the k_d >= 0 half of the coefficients, coeffs[..., M:].
 
-    Works on the k_d >= 0 half of the coefficients, coeffs[..., M:], the
-    layout `remainder_fn` maps, with the tables of `_etd_tables`.
-
-    Two forms of the same step, chosen by the grid and `remainder` alone.
-    On 1D grids where `_plan` holds the dense transform pair
-    (P <= _DENSE_MAX_POINTS), with no `remainder` given, the step is fused:
-    each stage's inverse transform, forward transform, k^4 multiply and ETD
-    weights are folded into one real matrix (`_fused_matrices`) that acts
-    on the float64 vector x = [g1 | c | g0 | g2 | g3] of the half c and the
-    pointwise remainders g_i of the stage samples.  The fused stepper
-    reuses x, so it serves one march at a time.  Everywhere else (2D
-    grids, larger 1D grids, and a `remainder` given, which is how
-    `integrate` passes its override) the step is the stage arithmetic of
-    Cox & Matthews on the half, through `remainder`, or through the
-    model's `remainder_fn` when none is given.
+    Two forms, chosen by the grid and `remainder` alone.  On 1D grids where
+    `_plan` holds the dense transform pair, with no `remainder` given, the
+    step is fused: the `_fused_matrices` act on the float64 vector x
+    (`_X_LAYOUT`), which the stepper reuses, so it serves one march at a
+    time.  Elsewhere (2D grids, larger 1D grids, and a `remainder` given,
+    as `integrate` passes its override) `_etd_step` runs on the half with
+    the `_etd_tables`, through `remainder` or the model's `remainder_fn`.
     """
 
     def __init__(self, cfg: ModelConfig, scfg: StepperConfig, remainder=None):
         key = (cfg.grid, cfg.linear_coefficient, scfg.dt, scfg.scheme)
-        self.scheme = scfg.scheme
-        # propagator and the scheme's weights, one attribute per table
-        vars(self).update(_etd_tables(*key))
         self.fused = remainder is None and _plan(cfg.grid)["dense_inverse"] is not None
         if not self.fused:
+            self.tables = _etd_tables(*key)
             self.remainder = remainder_fn(cfg) if remainder is None else remainder
             return
-        *stages, self._final = _fused_matrices(*key)
-        self._inverse = _plan(cfg.grid)["dense_inverse"]
-        p, n = self._inverse.shape
-        x = np.zeros(4 * p + n)
-        self._c_part = x[p : p + n]
+        *stages, (self._final, final_at) = _fused_matrices(*key)
+        p, n = _plan(cfg.grid)["dense_inverse"].shape
+        offsets, size = _x_layout(p, n)
+        x = np.zeros(size)
+        self._c_part = x[offsets[0] : offsets[0] + n]
         self._c_view = self._c_part.view(np.complex128)
-        self._g0 = x[p + n : 2 * p + n]
         self._v = np.empty(p)
         self._cfg = cfg
         self._guard = cfg.kind == ADL and cfg.mode == FULL
-        # (matrix, its input slice of x, the slot its pointwise values fill)
-        inputs = (x[p : 2 * p + n], x[: p + n], x[p : 3 * p + n])
-        slots = (x[:p], x[2 * p + n : 3 * p + n], x[3 * p + n :])
-        self._stages = tuple(zip(stages, inputs, slots))
-        self._final_in = x if stages else x[p : 2 * p + n]
+        # (matrix, its input slice of x, the slot g_i its pointwise values fill)
+        self._stages = tuple(
+            (matrix, x[at : at + matrix.shape[1]], x[offsets[i] : offsets[i] + p])
+            for i, (matrix, at) in enumerate(stages, 1)
+        )
+        self._final_in = x[final_at : final_at + self._final.shape[1]]
 
     def _pointwise(self, v: np.ndarray, slot: np.ndarray, time: float | None) -> None:
         """Write the pointwise remainder of the samples `v` into `slot`."""
@@ -359,9 +368,10 @@ class _Stepper:
     def _fused_step(self, c: np.ndarray, t: float) -> np.ndarray:
         """One fused step of `c`, before the flush; the result is a new array."""
         self._c_view[...] = c
-        self._pointwise(np.dot(self._inverse, self._c_part, out=self._v), self._g0, t)
+        time = t  # the first evaluation is at c itself (see _etd_step)
         for matrix, state, slot in self._stages:
-            self._pointwise(np.dot(matrix, state, out=self._v), slot, None)
+            self._pointwise(np.dot(matrix, state, out=self._v), slot, time)
+            time = None
         return np.dot(self._final, self._final_in).view(np.complex128)
 
     def advance(self, c: np.ndarray, t: float) -> np.ndarray:
@@ -370,28 +380,11 @@ class _Stepper:
         Real and imaginary parts of the result below the smallest normal
         float64 (about 2.2e-308) are set to zero, so decayed high modes do
         not turn subnormal (see the module docstring).  `c` is not modified.
-        Only the evaluation at `c` itself is tagged with the time `t`; the
-        ETDRK4 stage states belong to no single time and stay untagged.
         """
         if self.fused:
             out = self._fused_step(c, t)
-        elif self.scheme == SCHEME_ETD1:
-            out = self.propagator * c + self.etd1_weight * self.remainder(c, time=t)
         else:
-            n0 = self.remainder(c, time=t)
-            half_c = self.half_propagator * c
-            a = half_c + self.stage_weight * n0
-            n1 = self.remainder(a)
-            b = half_c + self.stage_weight * n1
-            n2 = self.remainder(b)
-            s = self.half_propagator * a + self.stage_weight * (2.0 * n2 - n0)
-            n3 = self.remainder(s)
-            out = (
-                self.propagator * c
-                + self.w_first * n0
-                + self.w_mid2 * (n1 + n2)
-                + self.w_last * n3
-            )
+            out = _etd_step(self.tables, c, self.remainder, t)
         parts = out.view(np.float64)
         parts[np.abs(parts) < _TINY] = 0.0
         return out

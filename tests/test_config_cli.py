@@ -386,6 +386,22 @@ class TestBuildInitialField:
         assert "non-finite" in lines[0]
         assert not out.exists()
 
+    def test_file_with_complex_samples(self, tmp_path, capsys):
+        """Complex samples are refused before the cast to float, which would
+        drop their imaginary part (ran with a ComplexWarning and exit 0)."""
+        raw = base_run_dict()
+        raw["initial_data"] = {"kind": "file", "path": "v0.npy"}
+        grid = build_grid(parse_run_config(raw))
+        np.save(tmp_path / "v0.npy", 0.05 * np.exp(1j * grid.nodes))
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: initial_data.path: ")
+        assert lines[0].endswith("v0.npy holds complex samples")
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         raw = base_run_dict()
         raw["initial_data"] = {"kind": "file", "path": "absent.npy"}

@@ -4,12 +4,14 @@ Covers the phi-function evaluator against high-precision references, the
 stepper configuration contract, the admissibility guard, exactness on the
 pure linear flow, observer cadence, determinism, a discrete dilation
 symmetry shared by both equations, the fused 1D step against the stage
-arithmetic, and the convergence orders of the two schemes.
+arithmetic, one step of each scheme in each form against the Cox-Matthews
+formulas, and the convergence orders of the two schemes.
 """
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -465,7 +467,9 @@ DENSE_GRIDS = [
 class TestFusedStep:
     """On 1D grids with the dense transform pair the step is a few matrix
     products; the stage arithmetic, which an override of the remainder
-    selects, is its reference."""
+    selects, is its reference.  Both forms come from one step function, so
+    these tests check the derivation of the matrices, and
+    `TestOneStepOracle` checks the scheme."""
 
     @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
     @pytest.mark.parametrize("form", REMAINDER_FORMS, ids=lambda f: f"{f[0]}-{f[1]}-{f[2]}")
@@ -553,6 +557,81 @@ class TestFusedStep:
         for got, want in zip(states, alone):
             assert got.tobytes() == want.tobytes()
         assert alone[0].tobytes() != alone[1].tobytes()
+
+
+def _phi_mp(z: float) -> tuple:
+    """(phi_0, ..., phi_3)(z) from their definitions in 40-digit arithmetic."""
+    if z == 0.0:
+        return 1.0, 1.0, 0.5, 1.0 / 6.0
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        phi = [mpmath.exp(z)]
+        for m in range(1, 4):
+            phi.append((phi[-1] - 1 / mpmath.factorial(m - 1)) / z)
+        return tuple(float(value) for value in phi)
+
+
+def _cox_matthews_step(cfg, v, dt, scheme):
+    """One ETD1 or ETDRK4 step of the full coefficients of `v`, written out
+    from Cox & Matthews (J. Comput. Phys. 176, 2002) for v_t = L v + N(v),
+    L = -c |k|^4 per mode and N the `nonlinear_remainder`."""
+    grid = cfg.grid
+    k = np.arange(-grid.modes_per_axis, grid.modes_per_axis + 1).astype(float)
+    k2 = k**2 if grid.dim == 1 else k[:, None] ** 2 + k[None, :] ** 2
+    z = -cfg.linear_coefficient * k2**2 * dt
+
+    def phis(arg):
+        return np.array([_phi_mp(x) for x in arg.ravel()]).T.reshape((4,) + arg.shape)
+
+    def n(coeffs):
+        return nonlinear_remainder(cfg, SpectralField(grid, coeffs)).coeffs
+
+    e, phi1, phi2, phi3 = phis(z)
+    u, nu = v.coeffs, n(v.coeffs)
+    if scheme == SCHEME_ETD1:
+        return e * u + dt * phi1 * nu
+    e2, phi1_2, _, _ = phis(z / 2)
+    a = e2 * u + dt / 2 * phi1_2 * nu
+    na = n(a)
+    b = e2 * u + dt / 2 * phi1_2 * na
+    nb = n(b)
+    c = e2 * a + dt / 2 * phi1_2 * (2 * nb - nu)
+    nc = n(c)
+    return e * u + dt * (
+        (phi1 - 3 * phi2 + 4 * phi3) * nu
+        + 2 * (phi2 - 2 * phi3) * (na + nb)
+        + (4 * phi3 - phi2) * nc
+    )
+
+
+class TestOneStepOracle:
+    """One step from a nonlinear state against `_cox_matthews_step`, which
+    shares no code with the stepper: the fused and stage forms of the step
+    are derived from one function, so comparing them cannot find an error
+    in the scheme itself."""
+
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    @pytest.mark.parametrize("form", ["fused", "stages", "2d"])
+    def test_step_matches_the_written_out_scheme(self, form, kind, scheme):
+        grid = GridSpec.create(2, 4) if form == "2d" else GridSpec.create(1, 8)
+        cfg = ModelConfig(kind, grid)
+        ks = [1, 2] if grid.dim == 1 else [(1, 0), (1, 2)]
+        v0 = field_from_modes(grid, [(ks[0], 0.2, 0.3), (ks[1], 0.05, 1.1)])
+        dt = 2e-3
+        scfg = StepperConfig(dt=dt, scheme=scheme, t_end=dt)
+        assert scfg.n_steps == 1
+        assert _Stepper(cfg, scfg).fused is (grid.dim == 1)
+        override = None
+        if form == "stages":
+
+            def override(c):
+                return nonlinear_remainder(cfg, SpectralField(grid, c)).coeffs
+
+        got = integrate(cfg, scfg, v0, nonlinearity=override).v.coeffs
+        want = _cox_matthews_step(cfg, v0, dt, scheme)
+        scale = float(np.max(np.abs(v0.coeffs)))
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
 
 
 class TestDilationSymmetry:
