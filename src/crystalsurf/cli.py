@@ -222,7 +222,7 @@ def execute_run(cfg: RunConfig, v0: SpectralField) -> RunReport:
     recorder = TimeSeriesRecorder(cfg.model.kind)
     with np.errstate(over="ignore", invalid="ignore"):
         integrate(mcfg, scfg, v0, observer=recorder)
-    series = recorder.finalize()
+        series = recorder.finalize()
     certificate = None
     if admissibility.admissible:
         certificate = certify_decay(series, x0, admissibility.delta)

@@ -14,6 +14,7 @@ fields and `run_config_to_dict` writes them back.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -305,13 +306,30 @@ def parse_sweep_config(raw) -> SweepConfig:
     return SweepConfig(amplitudes, base, workers)
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads YAML 1.2 floats.
+
+    PyYAML follows YAML 1.1, whose floats need a dot and a signed
+    exponent, so `dt: 1e-4` would load as the string "1e-4".
+    """
+
+
+# YAML 1.2's core-schema float, tried after SafeLoader's own resolvers, so
+# integers, YAML 1.1 floats, .inf and .nan resolve as before.
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
+
+
 def load_yaml(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err
     if raw is None:

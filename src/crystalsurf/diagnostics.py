@@ -4,12 +4,15 @@ the nonlinearity-truncation study.
 A TimeSeriesRecorder is handed to the integrator as its observer and
 collects, per sample, the Wiener norms |v|_0,1,2,4, Sobolev norms at orders
 0, 1, 1.9 and 2, the quadrature L2 and max norms, the model's Lyapunov
-functional, and the range of 1 + v.  It takes them in one pass: one call
-of `spectral.norms` for all eight norms, one transform to the collocation
-samples, and one min and one max of them, which give both the range of
-1 + v and the max norm.  The downstream checks (envelope certification,
-Lyapunov monotonicity, positivity, fitted decay rates) all operate on that
-record.
+functional, and the range of 1 + v.  A call only copies the sample's time
+and coefficients into a chunk buffer; once per full chunk, and in
+`finalize`, the columns of every buffered sample are taken together: one
+`_coeff_norms` pass for all eight norms, one stacked transform to the
+collocation samples, and per-sample sums, mins and maxes of them, which
+give L2, the Lyapunov functional, the range of 1 + v and the max norm.
+Each number is, bit for bit, what the one-field function gives for that
+sample.  The downstream checks (envelope certification, Lyapunov
+monotonicity, positivity, fitted decay rates) all operate on that record.
 """
 
 from __future__ import annotations
@@ -21,16 +24,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ADL, EXPONENTIAL, ModelConfig, rhs
-from .spectral import SpectralField, l2_quadrature, linf_norm, norms, to_physical
-# Unused here since the recorder takes all its norms from one `norms` call,
-# but the benchmark's span table patches these two names, as it patches
-# linf_norm and to_physical above.
-from .spectral import sobolev_norm, wiener_norm  # noqa: F401
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    _coeff_norms,
+    _phys_from_coeffs,
+    _Workspace,
+    l2_quadrature,
+    linf_norm,
+)
+# Unused here since the recorder takes its norms and samples from the chunk
+# functions above, but the benchmark's span table patches these names, as
+# it patches linf_norm.
+from .spectral import sobolev_norm, to_physical, wiener_norm  # noqa: F401
 from .theory import ENVELOPE_SLACK_FACTOR, decay_envelope, lyapunov_quadrature
 
 WIENER_ORDERS = (0.0, 1.0, 2.0, 4.0)
 SOBOLEV_ORDERS = (0.0, 1.0, 1.9, 2.0)
 _ROW_LENGTH = 1 + len(WIENER_ORDERS) + len(SOBOLEV_ORDERS) + 5
+
+# Bytes each of a recorder chunk's largest arrays may take (see
+# `_chunk_rows`).  64 KiB keeps every buffer and temporary of a chunk below
+# glibc's 128 KiB mmap threshold on 1D grids where one sample fits in it
+# (M <= 1023 at padding 2), so recording maps and unmaps no memory there.
+_CHUNK_BYTES = 64 * 1024
 
 # Rate fitting drops this leading fraction of samples as transient and
 # ignores amplitudes below the floor, where rounding noise dominates.
@@ -59,8 +76,28 @@ class TimeSeries:
         return len(self.times)
 
 
+def _chunk_rows(grid: GridSpec) -> int:
+    """Samples per recorder chunk on the grid.
+
+    The largest arrays of a chunk are the Wiener weight product,
+    len(WIENER_ORDERS) doubles per mode and sample, and the transform
+    workspace, about 2 P^d doubles per sample; the chunk holds as many
+    samples as keep both within _CHUNK_BYTES, and at least one.  That is
+    31 samples at 1D M=32 and one on 2D grids.
+    """
+    per_sample = max(
+        len(WIENER_ORDERS) * math.prod(grid.coeff_shape), 2 * math.prod(grid.phys_shape)
+    )
+    return max(1, _CHUNK_BYTES // (8 * per_sample))
+
+
 class TimeSeriesRecorder:
-    """Observer accumulating a TimeSeries; pass its __call__ to integrate."""
+    """Observer accumulating a TimeSeries; pass its __call__ to integrate.
+
+    Every sample must lie on the grid of the first one.  The recorder
+    copies each sample, so a caller may reuse or change the field after
+    the call.
+    """
 
     def __init__(self, kind: str):
         if kind not in (EXPONENTIAL, ADL):
@@ -70,23 +107,62 @@ class TimeSeriesRecorder:
         # norms in the order of WIENER_ORDERS and SOBOLEV_ORDERS, then l2,
         # linf, lyapunov, min(1 + v) and max(1 + v).
         self._rows = array("d")
+        self._grid: GridSpec | None = None
+        self._pending = 0  # samples in the chunk buffers
 
     def __call__(self, t: float, v: SpectralField) -> None:
-        s = to_physical(v)
-        wiener, sobolev = norms(v, WIENER_ORDERS, SOBOLEV_ORDERS)
-        lo, hi = float(s.min()), float(s.max())
-        self._rows.extend((
-            t,
-            *wiener.tolist(),
-            *sobolev.tolist(),
-            l2_quadrature(v.grid, s),
-            abs(max(hi, -lo)),  # max|v| bit for bit; abs() turns -0.0 into 0.0
-            lyapunov_quadrature(self.kind, v.grid, s),
-            1.0 + lo,
-            1.0 + hi,
-        ))
+        if v.grid is not self._grid and v.grid != self._grid:
+            self._start(v.grid)
+        i = self._pending
+        self._times[i] = t
+        self._coeffs[i] = v.coeffs
+        self._pending = i + 1
+        if self._pending == len(self._times):
+            self._flush()
+
+    def _start(self, grid: GridSpec) -> None:
+        """Allocate the chunk buffers for the grid of the first sample."""
+        if self._grid is not None:
+            raise ValueError(
+                f"sample on grid {grid}, but the recorder holds samples on {self._grid}"
+            )
+        rows = _chunk_rows(grid)
+        self._grid = grid
+        self._times = np.zeros(rows)
+        self._coeffs = np.zeros((rows,) + grid.coeff_shape, dtype=np.complex128)
+        self._work = _Workspace(grid, (rows,))
+        self._block = np.empty((rows, _ROW_LENGTH))
+
+    def _flush(self) -> None:
+        """Append the rows of the buffered samples and empty the buffers."""
+        n, grid = self._pending, self._grid
+        full = n == len(self._times)
+        coeffs = self._coeffs[:n]
+        wiener, sobolev = _coeff_norms(grid, coeffs, WIENER_ORDERS, SOBOLEV_ORDERS)
+        # A partial chunk, left only for finalize, is transformed into fresh
+        # arrays, as the workspace holds a full chunk's samples.
+        work = self._work if full else None
+        s = _phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :], work)
+        axes = tuple(range(1, s.ndim))
+        lo, hi = s.min(axis=axes), s.max(axis=axes)
+        nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
+        block = self._block[:n]
+        block[:, 0] = self._times[:n]
+        block[:, 1 : 1 + nw] = wiener
+        block[:, 1 + nw : 1 + nw + ns] = sobolev
+        block[:, -5] = l2_quadrature(grid, s)
+        # max|v| bit for bit: Python's max(hi, -lo), and abs() turns -0.0 into 0.0
+        block[:, -4] = np.abs(np.where(-lo > hi, -lo, hi))
+        block[:, -3] = lyapunov_quadrature(self.kind, grid, s)
+        block[:, -2] = 1.0 + lo
+        block[:, -1] = 1.0 + hi
+        self._rows.frombytes(memoryview(block).cast("B"))
+        self._pending = 0
 
     def finalize(self) -> TimeSeries:
+        """The series of every sample so far; recording may go on after it."""
+        if self._pending:
+            self._flush()
         cols = np.array(self._rows).reshape(-1, _ROW_LENGTH).T.copy()
         nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
         wiener, sobolev = cols[1 : 1 + nw], cols[1 + nw : 1 + nw + ns]

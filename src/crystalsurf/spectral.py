@@ -31,6 +31,9 @@ and carries no information.  `_mirror` rebuilds the full (2M+1)^d layout,
 which SpectralField keeps, once per public result.  The inverse reads only
 the half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
 constructor here produces such arrays and every operation keeps them so.
+The inverse also takes a stack of halves, one per leading index, as the
+run recorder passes them; each row of its result is, bit for bit, the
+transform of that half alone.
 
 Both private transforms take an optional `_Workspace`: buffers allocated
 once per grid that hold the full spectrum, the samples and the FFT
@@ -321,6 +324,9 @@ class _Workspace:
     columns of `rows` in the forward (2D only); `phys` the P^d samples.
     The dense 1D transforms use `phys` only.
 
+    With `batch`, a shape, every buffer gets those leading axes, for a
+    stack of halves of that shape (see `_phys_from_coeffs`).
+
     The buffers are views of one zeroed block.  At 2D M=32 it is about
     0.4 MB, above glibc's mmap threshold; once such a block is freed,
     glibc raises its mmap and trim thresholds past that size, so the
@@ -328,14 +334,14 @@ class _Workspace:
     being mapped and faulted in afresh at every sample.
     """
 
-    def __init__(self, grid: GridSpec):
+    def __init__(self, grid: GridSpec, batch: tuple[int, ...] = ()):
         m, p = grid.modes_per_axis, grid.phys_points_per_axis
-        lead = (p,) if grid.dim == 2 else ()
+        lead = batch + ((p,) if grid.dim == 2 else ())
         layout = [
             ("spec", lead + (m + 1,), np.complex128),
             ("rows", lead + (p // 2 + 1,), np.complex128),
-            ("cols", (p, m + 1) if grid.dim == 2 else (0,), np.complex128),
-            ("phys", grid.phys_shape, np.float64),
+            ("cols", lead + (m + 1,) if grid.dim == 2 else (0,), np.complex128),
+            ("phys", batch + grid.phys_shape, np.float64),
         ]
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
         block = np.zeros(sum(sizes), dtype=np.uint8)
@@ -351,9 +357,11 @@ def _phys_from_coeffs(
     """Raw-array inverse transform of a Hermitian half; real P^d samples.
 
     `half` is the k_d >= 0 half of the coefficients, coeffs[..., M:]:
-    shape (M+1,) in 1D, (2M+1, M+1) in 2D.  The FFT path zero-pads it to
-    the P//2 + 1 bins of the grid.  With a workspace the result is
-    `work.phys`.
+    shape (M+1,) in 1D, (2M+1, M+1) in 2D, or a stack of them, (B, M+1)
+    or (B, 2M+1, M+1), whose row b of the result is, bit for bit, the
+    transform of half[b] alone.  The FFT path zero-pads it to the P//2 + 1
+    bins of the grid.  With a workspace, whose `batch` must then be the
+    stack's leading shape, the samples are written to `work.phys`.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
@@ -362,19 +370,29 @@ def _phys_from_coeffs(
     if plan["dense_inverse"] is not None:
         # A strided half has no float64 view; a contiguous one is not copied.
         parts = np.ascontiguousarray(half).view(np.float64)
-        return np.dot(plan["dense_inverse"], parts, out=out)
+        if parts.ndim == 1:
+            return np.dot(plan["dense_inverse"], parts, out=out)
+        # One matrix-vector product per half: matmul makes the BLAS call
+        # np.dot makes for a single half, where a matrix-matrix product of
+        # the stack would sum in another order.
+        return np.matmul(
+            plan["dense_inverse"], parts[..., None], out=None if out is None else out[..., None]
+        )[..., 0]
     table = plan["inverse"]
     if grid.dim == 1:
         spec = np.multiply(half, table, out=None if work is None else work.spec)
         return np.fft.irfft(spec, n=p, out=out)
     # Rows in FFT order: k_1 = 0..M first, k_1 = -M..-1 last, zeros between.
-    spec = np.zeros((p, m + 1), dtype=np.complex128) if work is None else work.spec
-    np.multiply(half[m:], table[m:], out=spec[: m + 1])
-    np.multiply(half[:m], table[:m], out=spec[p - m :])
+    if work is None:
+        spec = np.zeros(half.shape[:-2] + (p, m + 1), dtype=np.complex128)
+    else:
+        spec = work.spec
+    np.multiply(half[..., m:, :], table[m:], out=spec[..., : m + 1, :])
+    np.multiply(half[..., :m, :], table[:m], out=spec[..., p - m :, :])
     # irfft2's own two passes, spelled out, because irfft2 drops its `out`
     # argument (numpy 2.4 passes out=None on to irfftn).
-    cols = np.fft.ifft(spec, axis=0, out=None if work is None else work.cols)
-    return np.fft.irfft(cols, n=p, axis=1, out=out)
+    cols = np.fft.ifft(spec, axis=-2, out=None if work is None else work.cols)
+    return np.fft.irfft(cols, n=p, axis=-1, out=out)
 
 
 def _coeffs_from_phys(
@@ -510,13 +528,27 @@ def norms(
     bit for bit: those are this function's one-order case.  The orders are
     tuples (they key the weight cache).
     """
-    a = np.abs(f.coeffs).reshape(-1)
+    return _coeff_norms(f.grid, f.coeffs, wiener_orders, sobolev_orders)
+
+
+def _coeff_norms(
+    grid: GridSpec, coeffs: np.ndarray, wiener_orders: tuple = (), sobolev_orders: tuple = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """`norms` of a full coefficient array, or of a stack of them.
+
+    For coeffs of shape (B,) + grid.coeff_shape the results are (B, orders)
+    arrays whose row b is, bit for bit, norms of coeffs[b] alone: each
+    product is formed and summed along the modes as for one field.  The
+    stack form needs both families of orders.
+    """
+    lead = coeffs.shape[: coeffs.ndim - grid.dim]
+    a = np.abs(coeffs).reshape(lead + (1, -1))
     wiener = sobolev = _NO_ORDERS
     if wiener_orders:
-        wiener = np.add.reduce(_norm_weights(f.grid, "wiener", wiener_orders) * a, axis=1)
+        wiener = np.add.reduce(_norm_weights(grid, "wiener", wiener_orders) * a, axis=-1)
     if sobolev_orders:
-        weights = _norm_weights(f.grid, "sobolev", sobolev_orders)
-        sobolev = np.sqrt(np.add.reduce(weights * a**2, axis=1))
+        weights = _norm_weights(grid, "sobolev", sobolev_orders)
+        sobolev = np.sqrt(np.add.reduce(weights * a**2, axis=-1))
     return wiener, sobolev
 
 
@@ -539,9 +571,15 @@ def sobolev_norm(f: SpectralField, alpha: float = 0.0) -> float:
     return float(norms(f, sobolev_orders=(alpha,))[1][0])
 
 
-def l2_quadrature(grid: GridSpec, samples: np.ndarray) -> float:
-    """L2 norm of collocation samples by grid quadrature."""
-    return float(math.sqrt(grid.cell_volume * (samples * samples).sum()))
+def l2_quadrature(grid: GridSpec, samples: np.ndarray) -> np.floating | np.ndarray:
+    """L2 norm of collocation samples by grid quadrature.
+
+    Sums over the grid's axes, the last grid.dim of `samples`: one field's
+    samples give a float64 scalar, a stack of them an array of one norm
+    per field, bit for bit each field's own.
+    """
+    squares = (samples * samples).sum(axis=tuple(range(-grid.dim, 0)))
+    return np.sqrt(grid.cell_volume * squares)
 
 
 def max_abs(samples: np.ndarray) -> float:
@@ -551,7 +589,7 @@ def max_abs(samples: np.ndarray) -> float:
 
 def l2_norm(f: SpectralField) -> float:
     """L2 norm by grid quadrature; Parseval ties it to (2 pi)^{d/2} H^0."""
-    return l2_quadrature(f.grid, to_physical(f))
+    return float(l2_quadrature(f.grid, to_physical(f)))
 
 
 def linf_norm(f: SpectralField) -> float:

@@ -112,12 +112,20 @@ def decay_envelope(x0: float, delta_value: float, t) -> np.ndarray | float:
     return x0 * np.exp(-delta_value * np.asarray(t, dtype=float))
 
 
-def lyapunov_quadrature(kind: str, grid: GridSpec, samples: np.ndarray) -> float:
+def lyapunov_quadrature(
+    kind: str, grid: GridSpec, samples: np.ndarray
+) -> np.floating | np.ndarray:
     """Quadrature of the Lyapunov density, exp(-v) (exp) or (1 + v)^{-2} (adl),
-    over collocation samples.  No singularity check: that is lyapunov_l2's."""
+    over collocation samples.  No singularity check: that is lyapunov_l2's.
+
+    Sums over the grid's axes, the last grid.dim of `samples`: one field's
+    samples give a float64 scalar, a stack of them an array of one value
+    per field, bit for bit each field's own.
+    """
+    axes = tuple(range(-grid.dim, 0))
     if kind == EXPONENTIAL:
-        return float(grid.cell_volume * np.exp(-samples).sum())
-    return float(grid.cell_volume * ((1.0 + samples) ** -2).sum())
+        return grid.cell_volume * np.exp(-samples).sum(axis=axes)
+    return grid.cell_volume * ((1.0 + samples) ** -2).sum(axis=axes)
 
 
 def lyapunov_l1(v: SpectralField) -> float:
@@ -125,7 +133,7 @@ def lyapunov_l1(v: SpectralField) -> float:
 
     Nonincreasing along exponential-model trajectories.
     """
-    return lyapunov_quadrature(EXPONENTIAL, v.grid, to_physical(v))
+    return float(lyapunov_quadrature(EXPONENTIAL, v.grid, to_physical(v)))
 
 
 def lyapunov_l2(v: SpectralField) -> float:
@@ -139,7 +147,7 @@ def lyapunov_l2(v: SpectralField) -> float:
         raise SingularityError(
             f"lyapunov_l2 undefined: min(1 + v) = {floor:.3e} on the collocation grid"
         )
-    return lyapunov_quadrature(ADL, v.grid, s)
+    return float(lyapunov_quadrature(ADL, v.grid, s))
 
 
 def lyapunov(kind: str, v: SpectralField) -> float:

@@ -316,6 +316,54 @@ class TestLoadYaml:
         with pytest.raises(ConfigError, match="is empty"):
             load_yaml(p)
 
+    RUN_TEXT = """\
+model: {kind: exp}
+grid: {dim: 1, modes: 8}
+stepper: {scheme: etdrk4, dt: DT, t_end: 0.05, sample_every: 5}
+initial_data: {kind: modes, modes: [{k: 1, amplitude: 0.05}]}
+"""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e-4", 1e-4), ("1E-4", 1e-4), ("+1e-3", 1e-3), ("5e-2", 0.05), ("5.0e-2", 0.05),
+         ("1.0e-4", 1e-4), (".5e-3", 5e-4)],
+    )
+    def test_floats_in_exponent_form_load_as_numbers(self, tmp_path, text, value):
+        """YAML 1.2 floats: PyYAML's YAML 1.1 resolver reads an exponent
+        without a dot before it as a string; 1.0e-4 and .5e-3 were floats
+        under YAML 1.1 already."""
+        p = tmp_path / "run.yaml"
+        p.write_text(self.RUN_TEXT.replace("DT", text))
+        assert parse_run_config(load_yaml(p)).stepper.dt == value
+
+    def test_sweep_amplitudes_in_exponent_form(self, tmp_path):
+        p = tmp_path / "sweep.yaml"
+        body = self.RUN_TEXT.replace("DT", "1e-3").replace("\n", "\n  ")
+        p.write_text(f"sweep: {{amplitudes: [2e-2, 1e-1]}}\nbase:\n  {body}")
+        assert parse_sweep_config(load_yaml(p)).amplitudes == (0.02, 0.1)
+
+    def test_integers_stay_integers(self, tmp_path):
+        p = tmp_path / "ints.yaml"
+        p.write_text("a: 5\nb: -3\nc: 1_000\n")
+        assert load_yaml(p) == {"a": 5, "b": -3, "c": 1000}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("'1e-4'", "stepper.dt: expected a number, got str"),
+            ('"small"', "stepper.dt: expected a number, got str"),
+            ("small", "stepper.dt: expected a number, got str"),
+            (".nan", "stepper.dt: expected a finite number, got nan"),
+            (".inf", "stepper.dt: expected a finite number, got inf"),
+            ("-.inf", "stepper.dt: expected a finite number, got -inf"),
+        ],
+    )
+    def test_strings_and_non_finite_values_still_refused(self, tmp_path, text, message):
+        p = tmp_path / "run.yaml"
+        p.write_text(self.RUN_TEXT.replace("DT", text))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_run_config(load_yaml(p))
+
 
 class TestBuildInitialField:
     def test_mode_superposition_amplitude(self):

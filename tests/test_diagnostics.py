@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from crystalsurf.diagnostics import (
+    _CHUNK_BYTES,
     RATE_FIT_FLOOR,
     SOBOLEV_ORDERS,
     WIENER_ORDERS,
     TimeSeries,
     TimeSeriesRecorder,
     TruncationResult,
+    _chunk_rows,
     certify_decay,
     check_lyapunov_monotone,
     check_positivity,
@@ -28,6 +30,7 @@ from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
 from crystalsurf.spectral import (
     _DENSE_MAX_POINTS,
     GridSpec,
+    SpectralField,
     field_from_modes,
     from_physical,
     l2_norm,
@@ -178,7 +181,10 @@ class TestOnePassRecorder:
         recorder reports +0.0, as max|s| does."""
         grid = GridSpec.create(1, 4)
         samples = np.full(grid.phys_shape, -0.0)
-        monkeypatch.setattr("crystalsurf.diagnostics.to_physical", lambda v: samples)
+        monkeypatch.setattr(
+            "crystalsurf.diagnostics._phys_from_coeffs",
+            lambda grid, halves, work=None: np.full(halves.shape[:-1] + grid.phys_shape, -0.0),
+        )
         recorder = TimeSeriesRecorder(EXPONENTIAL)
         recorder(0.0, zero_field(grid))
         assert bits(recorder.finalize().linf[0]) == bits(0.0) == bits(np.max(np.abs(samples)))
@@ -202,6 +208,141 @@ class TestOnePassRecorder:
         series = TimeSeriesRecorder(EXPONENTIAL).finalize()
         assert len(series) == 0
         assert series.wiener[0.0].shape == (0,) and series.max_one_plus_v.shape == (0,)
+
+
+def series_table(series: TimeSeries) -> np.ndarray:
+    """The series as (samples, 14) rows, in the recorder's column order."""
+    return np.column_stack([
+        series.times, *series.wiener.values(), *series.sobolev.values(), series.l2,
+        series.linf, series.lyapunov, series.min_one_plus_v, series.max_one_plus_v,
+    ])
+
+
+def public_row(kind: str, v) -> list[float]:
+    """The 13 columns after t, from the public one-quantity functions."""
+    s = to_physical(v)
+    return [
+        *(wiener_norm(v, a) for a in WIENER_ORDERS),
+        *(sobolev_norm(v, a) for a in SOBOLEV_ORDERS),
+        l2_norm(v),
+        linf_norm(v),
+        lyapunov_quadrature(kind, v.grid, s),
+        1.0 + np.min(s),
+        1.0 + np.max(s),
+    ]
+
+
+def differing(got: np.ndarray, want: np.ndarray) -> list:
+    """(row, column) of every entry whose bits differ."""
+    assert got.shape == want.shape
+    return np.argwhere(got.view(np.int64) != want.view(np.int64)).tolist()
+
+
+class TestChunkedRecorder:
+    """The recorder buffers samples and computes their columns once per
+    chunk; every number is still, bit for bit, the one-field value."""
+
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    @pytest.mark.parametrize("dim, m", RECORDER_GRIDS + [(2, 32)])
+    def test_sample_counts_around_chunk_boundaries(self, dim, m, kind):
+        grid = GridSpec.create(dim, m)
+        rows = _chunk_rows(grid)
+        rng = np.random.default_rng(10 * dim + m)
+        fields = [
+            from_physical(scale * rng.standard_normal(grid.phys_shape), grid)
+            for scale in (0.3, 0.1, 0.02, 1e-6, 1e-12, 0.05)
+        ]
+        fields.append(zero_field(grid))
+        want_rows = np.array([public_row(kind, v) for v in fields])
+        for count in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows + 5}):
+            recorder = TimeSeriesRecorder(kind)
+            for i in range(count):
+                recorder(0.25 * i, fields[i % len(fields)])
+            got = series_table(recorder.finalize())
+            picks = np.arange(count) % len(fields)
+            want = np.column_stack([0.25 * np.arange(count), want_rows[picks]])
+            assert differing(got, want) == [], f"{count} samples, {rows} per chunk"
+
+    def test_recorder_copies_each_sample(self):
+        """Changing a field's coefficients after the call leaves its row,
+        still buffered, as recorded."""
+        grid = GridSpec.create(1, 8)
+        assert _chunk_rows(grid) > 1
+        v = field_from_modes(grid, [(1, 0.3, 0.0), (2, 0.1, 0.4)])
+        want = public_row(ADL, v)
+        recorder = TimeSeriesRecorder(ADL)
+        recorder(0.0, v)
+        v.coeffs[:] = 0.0
+        assert differing(series_table(recorder.finalize())[:, 1:], np.array([want])) == []
+
+    def test_finalize_twice_and_record_after_it(self):
+        grid = GridSpec.create(1, 8)
+        fields = [field_from_modes(grid, [(1, 0.1 * (i + 1), 0.2 * i)]) for i in range(5)]
+        recorder = TimeSeriesRecorder(EXPONENTIAL)
+        for i in range(3):
+            recorder(float(i), fields[i])
+        first = series_table(recorder.finalize())
+        assert differing(series_table(recorder.finalize()), first) == []
+        for i in range(3, 5):
+            recorder(float(i), fields[i])
+        later = series_table(recorder.finalize())
+        want = np.column_stack([np.arange(5.0), [public_row(EXPONENTIAL, v) for v in fields]])
+        assert differing(later, want) == []
+        assert differing(later[:3], first) == []
+
+    def test_sample_on_another_grid_is_refused(self):
+        recorder = TimeSeriesRecorder(EXPONENTIAL)
+        recorder(0.0, zero_field(GridSpec.create(1, 8)))
+        with pytest.raises(ValueError, match="grid"):
+            recorder(0.5, zero_field(GridSpec.create(1, 16)))
+        with pytest.raises(ValueError, match="grid"):
+            recorder(0.5, zero_field(GridSpec.create(2, 8)))
+        recorder(1.0, zero_field(GridSpec.create(1, 8)))
+        assert list(recorder.finalize().times) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    @pytest.mark.parametrize("dim, m", [(1, 8), (1, 64), (2, 4)])
+    def test_non_finite_sample_recorded_as_on_its_own(self, dim, m, bad):
+        """A NaN, an inf or an overflowing coefficient passed straight to the
+        recorder, between finite samples, is recorded bit for bit as the
+        public functions give it (under the run's errstate)."""
+        grid = GridSpec.create(dim, m)
+        good = field_from_modes(grid, [(1 if dim == 1 else (1, 0), 0.2, 0.3)])
+        c = good.coeffs.copy()
+        k = grid.index_of(2 if dim == 1 else (2, 1))
+        c[k] = bad
+        c[tuple(2 * m - i for i in k)] = bad
+        fields = [good, SpectralField(grid, c), good]
+        recorder = TimeSeriesRecorder(ADL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, v in enumerate(fields):
+                recorder(float(i), v)
+            got = series_table(recorder.finalize())
+            want = np.column_stack([np.arange(3.0), [public_row(ADL, v) for v in fields]])
+        assert not np.isfinite(got[1]).all()
+        assert differing(got, want) == []
+
+    @pytest.mark.parametrize("padding", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [1, 8, 32, 47, 64, 100, 256])
+    def test_1d_chunk_arrays_stay_below_the_mmap_threshold(self, m, padding):
+        """Every buffer, and the largest temporaries (the Wiener weight
+        product and the stacked samples), stay below glibc's 128 KiB mmap
+        threshold; at 1D M=32 a chunk holds 31 samples."""
+        grid = GridSpec.create(1, m, padding_factor=padding)
+        rows = _chunk_rows(grid)
+        recorder = TimeSeriesRecorder(EXPONENTIAL)
+        recorder(0.0, zero_field(grid))
+        work_block = recorder._work.phys.base
+        temporaries = [
+            rows * len(WIENER_ORDERS) * (2 * m + 1) * 8,
+            rows * grid.phys_points_per_axis * 8,
+        ]
+        sizes = [recorder._coeffs.nbytes, recorder._block.nbytes, work_block.nbytes, *temporaries]
+        assert max(sizes) < 128 * 1024
+        assert max(temporaries) <= _CHUNK_BYTES
+        if (m, padding) == (32, 2.0):
+            assert rows == 31
+        assert _chunk_rows(GridSpec.create(2, 32)) == 1
 
 
 class TestFitDecayRate:

@@ -18,12 +18,14 @@ from crystalsurf.spectral import (
     GridSpec,
     SpectralField,
     _Workspace,
+    _coeff_norms,
     _coeffs_from_phys,
     _phys_from_coeffs,
     _plan,
     field_from_modes,
     from_physical,
     l2_norm,
+    l2_quadrature,
     linf_norm,
     norms,
     require_zero_mean,
@@ -403,6 +405,56 @@ class TestWorkspace:
         for got, copy in kept:
             assert got.tobytes() == copy.tobytes()
         assert kept[0][0].tobytes() == kept[2][0].tobytes()
+
+
+# (dim, M): 1D grids on the dense path (M = 1, 32) and on the FFT path
+# (M = 64, 100), and 2D grids, at the benchmark's M = 32 where P^2 exceeds
+# numpy's 8192-element reduction buffer.
+STACK_GRIDS = [(1, 1), (1, 32), (1, 64), (1, 100), (2, 8), (2, 32)]
+# Stacks of one and two halves, of the recorder's 31-sample chunk at 1D
+# M=32, and of 64; 2D M=32 stops at two, as its 64-row stack and workspace
+# take about 40 MB.
+STACK_CASES = [
+    (dim, m, batch)
+    for dim, m in STACK_GRIDS
+    for batch in (1, 2, 31, 64)
+    if (dim, m) != (2, 32) or batch <= 2
+]
+
+
+class TestStacks:
+    """The private inverse, the norms and the L2 quadrature on a stack of
+    fields: row b is, bit for bit, the result for field b alone."""
+
+    @pytest.mark.parametrize("dim, m, batch", STACK_CASES)
+    def test_inverse_rows_match_single_calls(self, dim, m, batch):
+        grid = GridSpec.create(dim, m)
+        full = np.stack([hermitian_coeffs(grid, seed) for seed in range(batch)])
+        halves = full[..., m:]  # strided: each row skips its k_d < 0 half
+        want = np.stack([_phys_from_coeffs(grid, half) for half in halves])
+        assert want.shape == (batch,) + grid.phys_shape
+        assert _phys_from_coeffs(grid, halves).tobytes() == want.tobytes()
+        work = _Workspace(grid, (batch,))
+        got = _phys_from_coeffs(grid, np.ascontiguousarray(halves), work)
+        assert np.shares_memory(got, work.phys)
+        assert got.tobytes() == want.tobytes()
+        if dim == 2:
+            p = grid.phys_points_per_axis
+            assert not np.any(work.spec[:, m + 1 : p - m])
+
+    @pytest.mark.parametrize("dim, m", STACK_GRIDS)
+    def test_norm_and_quadrature_rows_match_single_fields(self, dim, m):
+        grid = GridSpec.create(dim, m)
+        full = np.stack([hermitian_coeffs(grid, seed) for seed in range(3)])
+        orders = ((0.0, 1.0, 2.0, 4.0), (0.0, 1.0, 1.9, 2.0))
+        wiener, sobolev = _coeff_norms(grid, full, *orders)
+        samples = _phys_from_coeffs(grid, full[..., m:])
+        l2 = l2_quadrature(grid, samples)
+        for b, c in enumerate(full):
+            one = norms(SpectralField(grid, c), *orders)
+            assert wiener[b].tobytes() == one[0].tobytes()
+            assert sobolev[b].tobytes() == one[1].tobytes()
+            assert l2[b].tobytes() == np.float64(l2_quadrature(grid, samples[b])).tobytes()
 
 
 class TestFieldFromModes:
