@@ -18,7 +18,8 @@ collocation grid, apply the scalar function pointwise, project back onto
 the retained modes, then apply the biharmonic multiplier.  The biharmonic
 factor annihilates the mean mode, so the result has exactly zero mean.
 The stepper's evaluator (`remainder_fn`) reuses one set of sample and
-spectrum buffers across calls and is therefore not re-entrant.
+spectrum buffers across calls and is therefore not re-entrant.  Both step
+forms evaluate `_superlinear_pointwise`, the adl singularity guard's home.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def adl_series_partial_sum(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def _superlinear_pointwise(
-    cfg: ModelConfig, v_phys: np.ndarray, out: np.ndarray | None = None
+    cfg: ModelConfig, v_phys: np.ndarray, out: np.ndarray | None = None, time: float | None = None
 ) -> np.ndarray:
     """Nonlinearity minus its constant and linear terms, evaluated pointwise.
 
@@ -159,7 +160,9 @@ def _superlinear_pointwise(
     analytically rather than numerically.
 
     The full exponential form writes its result into `out`, a float array
-    shaped like v_phys, when given; the other forms always allocate.
+    shaped like v_phys, when given; the other forms always allocate.  The
+    full adl form first raises SingularityError, tagged with `time`, when
+    min(1 + v) <= ADL_SINGULAR_FLOOR; no other form is singular.
     """
     kind, mode, order = cfg.kind, cfg.mode, cfg.truncation_order
     if mode == FULL:
@@ -168,6 +171,7 @@ def _superlinear_pointwise(
             w = np.negative(v_phys, out=out)
             np.expm1(w, out=w)
             return np.add(w, v_phys, out=w)
+        _check_adl_positivity(v_phys, time)
         # (1+v)^(-3) - 1 + 3v = expm1(-3 log1p(v)) + 3v, stable for small v
         return np.expm1(-3.0 * np.log1p(v_phys)) + 3.0 * v_phys
     if order == 0:  # partial sum is 1; the remainder restores +c v
@@ -203,16 +207,13 @@ def remainder_fn(cfg: ModelConfig):
     returned half is a new array, so results of earlier calls stay valid.
     """
     grid = cfg.grid
-    k4 = np.ascontiguousarray(_plan(grid)["k4"][..., grid.modes_per_axis :])
-    needs_guard = cfg.kind == ADL and cfg.mode == FULL
+    k4 = _plan(grid)["k4_half"]
     work = _Workspace(grid)
     point = np.empty(grid.phys_shape)
 
     def evaluate(coeffs: np.ndarray, time: float | None = None) -> np.ndarray:
         v_phys = _phys_from_coeffs(grid, coeffs, work)
-        if needs_guard:
-            _check_adl_positivity(v_phys, time)
-        w = _superlinear_pointwise(cfg, v_phys, out=point)
+        w = _superlinear_pointwise(cfg, v_phys, out=point, time=time)
         half = _coeffs_from_phys(grid, w, work)
         return np.multiply(half, k4, out=half)
 
@@ -233,12 +234,9 @@ def nonlinear_remainder(cfg: ModelConfig, v: SpectralField) -> SpectralField:
 
 def rhs(cfg: ModelConfig, v: SpectralField) -> SpectralField:
     """Full right-hand side: -c * bilaplacian(v) plus the superlinear remainder."""
-    _require_model_grid(cfg, v)
-    require_zero_mean(v)
-    k4 = _plan(v.grid)["k4"]
-    linear = v.coeffs * (-cfg.linear_coefficient * k4)
-    half = remainder_fn(cfg)(v.coeffs[..., v.grid.modes_per_axis :])
-    return SpectralField(v.grid, linear + _mirror(v.grid, half))
+    remainder = nonlinear_remainder(cfg, v)
+    linear = v.coeffs * (-cfg.linear_coefficient * _plan(v.grid)["k4"])
+    return SpectralField(v.grid, linear + remainder.coeffs)
 
 
 def _require_model_grid(cfg: ModelConfig, v: SpectralField) -> None:

@@ -177,7 +177,9 @@ def _plan(grid: GridSpec):
     retained k_d >= 0 half, shaped like coeffs[..., M:].  On 1D grids with
     P <= _DENSE_MAX_POINTS, `dense_inverse` and `dense_forward` are the
     real matrices of the whole transform pair (see `_dense_pair`); they
-    are None elsewhere, where the FFT runs.
+    are None elsewhere, where the FFT runs.  `k4_half` is the read-only,
+    C-contiguous k_d >= 0 half of |k|^4, k4[..., M:], the layout of the
+    stepper's march and of the model's remainder evaluator.
     """
     m = grid.modes_per_axis
     scale = float(grid.phys_points_per_axis) ** grid.dim
@@ -195,12 +197,16 @@ def _plan(grid: GridSpec):
     kmag = np.sqrt(ksq)
     dense = grid.dim == 1 and grid.phys_points_per_axis <= _DENSE_MAX_POINTS
     dense_inverse, dense_forward = _dense_pair(grid) if dense else (None, None)
+    k4 = ksq**2
+    k4_half = k4[..., m:].copy()
+    k4_half.flags.writeable = False
     return {
         "inverse": half_phase * scale,
         "forward": half_phase / scale,
         "dense_inverse": dense_inverse,
         "dense_forward": dense_forward,
-        "k4": ksq**2,
+        "k4": k4,
+        "k4_half": k4_half,
         "kmag": kmag,
     }
 

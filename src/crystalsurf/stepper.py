@@ -32,11 +32,10 @@ cached real matrix.  An ETDRK4 step is then five matrix-vector products and
 four pointwise evaluations (ETD1: two and one), in place of about fifty
 numpy calls on (M+1)-element arrays.  2D grids, larger 1D grids and
 overrides run `_etd_step` on the half.  The fused step sums in another
-order, so 1D results differ from the stage form by rounding only (series
-values above 1e-12 by at most 2e-9 relative in the runs checked, |v|_0 of
-the A03/A04 reference runs by at most 4e-10).  Deriving the matrices from
-`_etd_step` rather than by hand moved 1D ETDRK4 series values above 1e-12
-by at most 3e-10 relative in the runs checked; ETD1 kept every bit.
+order, so its results differ from the stage form's by rounding only.
+The stepper does not know the model: both forms evaluate the remainder by
+`models._superlinear_pointwise`, which holds the adl singularity guard,
+and take |k|^4 of the half from `spectral._plan`'s "k4_half".
 """
 
 from __future__ import annotations
@@ -49,11 +48,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import (
-    ADL,
-    FULL,
     ModelConfig,
     SingularityError,
-    _check_adl_positivity,
     _superlinear_pointwise,
     nonlinear_remainder,
     remainder_fn,
@@ -189,8 +185,7 @@ def _etd_tables(grid: GridSpec, linear_coefficient: float, dt: float, scheme: st
     elementwise, so it holds the full-layout value of each wavenumber.
     Only `_etd_step` reads them.
     """
-    k4 = _plan(grid)["k4"][..., grid.modes_per_axis :]
-    z = -linear_coefficient * k4 * dt
+    z = -linear_coefficient * _plan(grid)["k4_half"] * dt
     propagator, phi1, phi2, phi3 = phi_functions(z)
     if scheme == SCHEME_ETD1:
         return {"propagator": propagator, "etd1_weight": dt * phi1}
@@ -256,8 +251,8 @@ def _fused_matrices(
     state; last, the new half.
 
     With Inv (P x 2(M+1)) and Fwd (2(M+1) x P) the dense pair, the
-    remainder of a state u is K Fwd g(Inv u), K the k^4 diagonal and g the
-    pointwise `_superlinear_pointwise`.  Every ETD table is real and per
+    remainder of a state u is K Fwd g(Inv u), K the "k4_half" diagonal and
+    g the pointwise `_superlinear_pointwise`.  Every ETD table is real and per
     mode, so each state and the new half are D(f_c) c + sum_i D(f_i) K Fwd g_i,
     D(f) scaling both parts of each mode by f.  `_etd_step`, run on
     multipliers over the rows [c, g0, g1, g2, g3], with c the unit row 0
@@ -281,7 +276,7 @@ def _fused_matrices(
     """
     plan = _plan(grid)
     inverse, forward = plan["dense_inverse"], plan["dense_forward"]
-    k4 = plan["k4"][grid.modes_per_axis :]
+    k4 = plan["k4_half"]
     p, n = inverse.shape
     offsets, _ = _x_layout(p, n)
     width = [n, p, p, p, p]
@@ -349,7 +344,6 @@ class _Stepper:
         self._c_view = self._c_part.view(np.complex128)
         self._v = np.empty(p)
         self._cfg = cfg
-        self._guard = cfg.kind == ADL and cfg.mode == FULL
         # (matrix, its input slice of x, the slot g_i its pointwise values fill)
         self._stages = tuple(
             (matrix, x[at : at + matrix.shape[1]], x[offsets[i] : offsets[i] + p])
@@ -357,20 +351,15 @@ class _Stepper:
         )
         self._final_in = x[final_at : final_at + self._final.shape[1]]
 
-    def _pointwise(self, v: np.ndarray, slot: np.ndarray, time: float | None) -> None:
-        """Write the pointwise remainder of the samples `v` into `slot`."""
-        if self._guard:
-            _check_adl_positivity(v, time)
-        w = _superlinear_pointwise(self._cfg, v, out=slot)
-        if w is not slot:
-            slot[...] = w
-
     def _fused_step(self, c: np.ndarray, t: float) -> np.ndarray:
         """One fused step of `c`, before the flush; the result is a new array."""
         self._c_view[...] = c
         time = t  # the first evaluation is at c itself (see _etd_step)
         for matrix, state, slot in self._stages:
-            self._pointwise(np.dot(matrix, state, out=self._v), slot, time)
+            v = np.dot(matrix, state, out=self._v)
+            w = _superlinear_pointwise(self._cfg, v, out=slot, time=time)
+            if w is not slot:
+                slot[...] = w
             time = None
         return np.dot(self._final, self._final_in).view(np.complex128)
 
@@ -424,7 +413,7 @@ def integrate(
     Args:
         nonlinearity: optional override of the remainder evaluator, mapping
             a full (2M+1)^d coefficient array to a coefficient array of the
-            same shape; used to force the pure linear flow in verification.
+            same shape; a run with one takes the stage form.
 
     Raises:
         ValueError: on a non-zero-mean initial state, a step budget beyond

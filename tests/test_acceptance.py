@@ -12,7 +12,9 @@ adl run) are integrated once per session and shared across tests.
 """
 
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +267,14 @@ class TestAcceptance:
             ok,
             ", ".join(f"H^{o:g} rate {r:.1f}" for o, r in sorted(rates.items())),
         )
+
+
+def test_readme_library_example_runs_as_printed(capsys):
+    """README's "Library use" block, run word for word, certifies the decay
+    and prints a fitted rate within 1% of 81 = 3^4, mode 3's linear rate."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    verdict, rate = capsys.readouterr().out.split()
+    assert verdict == "True"
+    assert float(rate) == pytest.approx(81.0, rel=0.01)

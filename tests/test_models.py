@@ -43,6 +43,7 @@ from crystalsurf.spectral import (
     to_physical,
     wiener_norm,
 )
+from crystalsurf.stepper import StepperConfig, _Stepper
 
 
 def direct_rhs_coeffs(v, kind):
@@ -182,6 +183,34 @@ class TestSeriesPartialSums:
         assert np.allclose(_superlinear_pointwise(cfg, v), want, rtol=0.0, atol=1e-14)
 
 
+STEP_START = 0.25
+
+
+def _remainder_at(cfg, v):
+    return nonlinear_remainder(cfg, v).coeffs
+
+
+def _fused_step_at(cfg, v):
+    stepper = _Stepper(cfg, StepperConfig(dt=1e-3))
+    assert stepper.fused
+    return stepper.advance(v.coeffs[..., cfg.grid.modes_per_axis :], STEP_START)
+
+
+def _stage_step_at(cfg, v):
+    stepper = _Stepper(cfg, StepperConfig(dt=1e-3), remainder_fn(cfg))
+    assert not stepper.fused
+    return stepper.advance(v.coeffs[..., cfg.grid.modes_per_axis :], STEP_START)
+
+
+# The sites that evaluate the pointwise remainder, each with the time a
+# singularity found there carries: a step tags its start.
+EVALUATION_SITES = pytest.mark.parametrize(
+    "evaluate_at,time",
+    [(_remainder_at, None), (_fused_step_at, STEP_START), (_stage_step_at, STEP_START)],
+    ids=["nonlinear_remainder", "fused_step", "stage_step"],
+)
+
+
 class TestRemainder:
     def test_truncated_order_one_is_exactly_zero(self):
         """Cancelling constant and linear terms analytically leaves nothing."""
@@ -238,20 +267,22 @@ class TestRemainder:
         gap = wiener_norm(SpectralField(grid, got.coeffs - lead))
         assert gap < 50 * amp**3
 
-    def test_adl_full_guards_positivity(self):
+    @EVALUATION_SITES
+    def test_adl_full_guards_positivity(self, evaluate_at, time):
         grid = GridSpec.create(1, 8)
         cfg = ModelConfig(ADL, grid)
         v = field_from_modes(grid, [(1, 1.2, 0.0)])
-        with pytest.raises(SingularityError, match="min\\(1 \\+ v\\)"):
-            nonlinear_remainder(cfg, v)
+        with pytest.raises(SingularityError, match="min\\(1 \\+ v\\)") as err:
+            evaluate_at(cfg, v)
+        assert err.value.time == time
 
-    def test_adl_truncated_has_no_guard(self):
+    @EVALUATION_SITES
+    def test_adl_truncated_has_no_guard(self, evaluate_at, time):
         """Polynomial truncations are defined for any amplitude."""
         grid = GridSpec.create(1, 8)
         cfg = ModelConfig(ADL, grid, mode="truncated", truncation_order=6)
         v = field_from_modes(grid, [(1, 1.2, 0.0)])
-        out = nonlinear_remainder(cfg, v)
-        assert np.all(np.isfinite(out.coeffs))
+        assert np.all(np.isfinite(evaluate_at(cfg, v)))
 
     def test_singularity_error_carries_time(self):
         err = SingularityError("boom", time=1.5)
