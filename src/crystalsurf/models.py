@@ -19,7 +19,9 @@ the retained modes, then apply the biharmonic multiplier.  The biharmonic
 factor annihilates the mean mode, so the result has exactly zero mean.
 The stepper's evaluator (`remainder_fn`) reuses one set of sample and
 spectrum buffers across calls and is therefore not re-entrant.  Both step
-forms evaluate `_superlinear_pointwise`, the adl singularity guard's home.
+forms evaluate `_superlinear_pointwise`, the adl singularity guard's home,
+and `exact_tail_bound` tells the stepper below which state size that
+remainder is exactly +0.0.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ DEFAULT_TRUNCATION_ORDER = 20
 # Collocation values of 1 + v at or below this count as a blow-up of the
 # adl nonlinearity rather than a resolvable state.
 ADL_SINGULAR_FLOOR = 1e-8
+
+# Bound on 2 sum|c_half|, which bounds max|v| on the grid, at every ETD
+# stage state too (|propagator| <= 1).  At such |x| the first dropped term
+# of expm1 and log1p, about x^2/2, is far below half an ulp of x (it stays
+# below up to |x| ~ 1e-16), so expm1(x) == x and log1p(x) == x, and both
+# full remainders, expm1(-v) + v and expm1(-3 log1p(v)) + 3v, are -y + y =
+# +0.0 exactly: an ETD step is then the propagator alone.
+EXACT_TAIL_BOUND = 1e-18
 
 
 class SingularityError(ArithmeticError):
@@ -180,6 +190,13 @@ def _superlinear_pointwise(
         return np.zeros_like(v_phys, dtype=float)
     x = -v_phys if kind == EXPONENTIAL else v_phys
     return _horner(kind, x, order, low=2) * x * x
+
+
+def exact_tail_bound(cfg: ModelConfig) -> float:
+    """Bound on 2 sum|c_half| below which `_superlinear_pointwise` is exactly
+    +0.0 at every sample: EXACT_TAIL_BOUND for the full forms, 0.0 (never)
+    for the truncated ones, whose Horner `* x * x` leaves about x^2."""
+    return EXACT_TAIL_BOUND if cfg.mode == FULL else 0.0
 
 
 def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None:

@@ -36,6 +36,17 @@ order, so its results differ from the stage form's by rounding only.
 The stepper does not know the model: both forms evaluate the remainder by
 `models._superlinear_pointwise`, which holds the adl singularity guard,
 and take |k|^4 of the half from `spectral._plan`'s "k4_half".
+
+Exact linear tail.  The solutions decay exponentially, and a long run
+spends most of its steps near rounding noise.  Once 2 sum|c_half|, which
+bounds max|v| on the grid, falls below `models.exact_tail_bound` (1e-18 for
+the full nonlinearities), the full remainder is exactly +0.0 at every
+sample, stage states included, so each step is `propagator * c` bit for
+bit.  `integrate` then marches each sample interval with `_Stepper.tail`,
+one multiplication per step and one flush per interval, and the observer
+sees the same steps and the same bits as without it.  The state cannot
+leave the tail, so the test stops at its first hit.  Truncated models and
+`nonlinearity` overrides never take it.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ from .models import (
     ModelConfig,
     SingularityError,
     _superlinear_pointwise,
+    exact_tail_bound,
     nonlinear_remainder,
     remainder_fn,
 )
@@ -327,13 +339,18 @@ class _Stepper:
     time.  Elsewhere (2D grids, larger 1D grids, and a `remainder` given,
     as `integrate` passes its override) `_etd_step` runs on the half with
     the `_etd_tables`, through `remainder` or the model's `remainder_fn`.
+    Both forms keep the propagator for `tail`, which a `remainder` given
+    turns off (`tail_bound` 0.0).
     """
 
     def __init__(self, cfg: ModelConfig, scfg: StepperConfig, remainder=None):
         key = (cfg.grid, cfg.linear_coefficient, scfg.dt, scfg.scheme)
         self.fused = remainder is None and _plan(cfg.grid)["dense_inverse"] is not None
+        self.tail_bound = exact_tail_bound(cfg) if remainder is None else 0.0
+        tables = _etd_tables(*key)
+        self.propagator = tables["propagator"]
         if not self.fused:
-            self.tables = _etd_tables(*key)
+            self.tables = tables
             self.remainder = remainder_fn(cfg) if remainder is None else remainder
             return
         *stages, (self._final, final_at) = _fused_matrices(*key)
@@ -374,9 +391,32 @@ class _Stepper:
             out = self._fused_step(c, t)
         else:
             out = _etd_step(self.tables, c, self.remainder, t)
-        parts = out.view(np.float64)
-        parts[np.abs(parts) < _TINY] = 0.0
-        return out
+        return _flush(out)
+
+    def in_tail(self, c: np.ndarray) -> bool:
+        """Whether every step from `c` on is `propagator * c` exactly (see
+        models.EXACT_TAIL_BOUND); False for a NaN or inf state."""
+        return 2.0 * np.abs(c).sum() < self.tail_bound
+
+    def tail(self, c: np.ndarray, steps: int) -> np.ndarray:
+        """`steps` >= 1 exact-tail steps of `c`; bit for bit as many `advance`
+        calls from a state `in_tail`.  Returns a new array.
+
+        |propagator| <= 1 and rounding is monotone, so a part below the
+        smallest normal stays below it and one flush at the end zeroes what
+        each step's flush would have.
+        """
+        out = c * self.propagator
+        for _ in range(steps - 1):
+            np.multiply(out, self.propagator, out=out)
+        return _flush(out)
+
+
+def _flush(out: np.ndarray) -> np.ndarray:
+    """Set real and imaginary parts of `out` below _TINY to +0.0, in place."""
+    parts = out.view(np.float64)
+    parts[np.abs(parts) < _TINY] = 0.0
+    return out
 
 
 def dt_guard(cfg: ModelConfig, v: SpectralField) -> float:
@@ -409,6 +449,10 @@ def integrate(
     every sample_every steps, and at the final step.  The state is checked
     for finiteness at those same steps, observer or not.  Runs are
     deterministic: identical inputs produce bitwise identical trajectories.
+    Once the state is below the exact-tail bound (see the module
+    docstring), the steps up to the next sample are taken as one
+    `_Stepper.tail` call; the samples, their times and their bits are
+    those of the step-by-step march.
 
     Args:
         nonlinearity: optional override of the remainder evaluator, mapping
@@ -467,15 +511,25 @@ def integrate(
         if observer is not None:
             observer(step_index * scfg.dt, SpectralField(grid, _mirror(grid, c)))
 
+    every = scfg.sample_every
     emit(0)
-    for i in range(1, n_steps + 1):
-        t_prev = (i - 1) * scfg.dt
-        try:
-            c = worker.advance(c, t_prev)
-        except SingularityError as err:
-            if err.time is None:
-                err.time, err.step_end = t_prev, i * scfg.dt
-            raise
-        if i % scfg.sample_every == 0 or i == n_steps:
+    i, in_tail = 1, False
+    while i <= n_steps:
+        # The state only shrinks in the tail, so the test stops at its first hit.
+        in_tail = in_tail or worker.in_tail(c)
+        if in_tail:  # steps i..j at once, j the next sampled step
+            j = min(-(-i // every) * every, n_steps)
+            c = worker.tail(c, j - i + 1)
+            i = j
+        else:
+            t_prev = (i - 1) * scfg.dt
+            try:
+                c = worker.advance(c, t_prev)
+            except SingularityError as err:
+                if err.time is None:
+                    err.time, err.step_end = t_prev, i * scfg.dt
+                raise
+        if i % every == 0 or i == n_steps:
             emit(i)
+        i += 1
     return TrajectoryState(n_steps * scfg.dt, SpectralField(grid, _mirror(grid, c)), n_steps)

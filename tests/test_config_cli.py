@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from crystalsurf import __version__, cli
+from crystalsurf import __version__, cli, stepper
 from crystalsurf.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -579,6 +579,28 @@ class TestCliRun:
         assert len(lines) == 1
         assert lines[0].startswith("non-finite state at t = ")
         assert "positivity" not in captured.out
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf")])
+    def test_non_finite_state_before_the_tail_exits_three(self, tmp_path, capsys, monkeypatch, poison):
+        """A run that would fall below the exact-tail bound at t ~ 0.15 goes
+        non-finite at t = 0.1; a NaN or inf state never counts as tail, so
+        the run still stops at the next sample with exit 3 and no report."""
+        pointwise = stepper._superlinear_pointwise
+
+        def poisoned(cfg, v, out=None, time=None):
+            if time is not None and time >= 0.1:
+                return np.full_like(v, poison)
+            return pointwise(cfg, v, out=out, time=time)
+
+        monkeypatch.setattr(stepper, "_superlinear_pointwise", poisoned)
+        raw = base_run_dict()
+        raw["stepper"].update(t_end=0.3, sample_every=7)
+        raw["initial_data"]["modes"][0]["k"] = 4
+        out = tmp_path / "results"
+        with np.errstate(invalid="ignore"):
+            assert main(["run", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_SINGULAR
+        assert capsys.readouterr().err.splitlines() == ["non-finite state at t = 0.105"]
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("below", [False, True])

@@ -18,6 +18,7 @@ from crystalsurf.models import (
     ADL,
     ADL_SINGULAR_FLOOR,
     DEFAULT_TRUNCATION_ORDER,
+    EXACT_TAIL_BOUND,
     EXPONENTIAL,
     FULL,
     TRUNCATED,
@@ -25,6 +26,7 @@ from crystalsurf.models import (
     SingularityError,
     adl_series_partial_sum,
     binomial_coeff,
+    exact_tail_bound,
     exp_series_partial_sum,
     linear_coefficient,
     _check_adl_positivity,
@@ -377,6 +379,60 @@ class TestRemainder:
         for kind in (EXPONENTIAL, ADL):
             out = rhs(ModelConfig(kind, grid), field_from_modes(grid, [(2, 0.2, 0.3)]))
             assert out.has_zero_mean
+
+
+def _tail_probes(per_binade=64, seed=17):
+    """Both signs of: random mantissas in every binade from the smallest
+    normal float64 up to EXACT_TAIL_BOUND, the bound itself, random and
+    extreme subnormals, and zero."""
+    rng = np.random.default_rng(seed)
+    top = math.frexp(EXACT_TAIL_BOUND)[1] - 1  # EXACT_TAIL_BOUND = f * 2**top, 1 <= f < 2
+    binades = np.arange(np.finfo(np.float64).minexp, top + 1)
+    mantissas = 1.0 + rng.random((binades.size, per_binade))
+    normals = np.ldexp(mantissas, binades[:, None]).ravel()
+    normals = normals[normals <= EXACT_TAIL_BOUND]
+    tiny = np.finfo(np.float64).tiny
+    subnormals = rng.random(per_binade) * tiny
+    extremes = [EXACT_TAIL_BOUND, tiny, np.nextafter(tiny, 0.0), 5e-324, 0.0]
+    x = np.concatenate([normals, subnormals, extremes])
+    return np.concatenate([x, -x])
+
+
+class TestExactTail:
+    """Below EXACT_TAIL_BOUND both full remainders are exactly +0.0, so the
+    stepper may march with the propagator alone."""
+
+    def test_probes_cover_every_binade_up_to_the_bound(self):
+        x = _tail_probes()
+        assert np.abs(x).max() == EXACT_TAIL_BOUND
+        exponents = np.frexp(np.abs(x[np.abs(x) >= np.finfo(np.float64).tiny]))[1]
+        assert np.unique(exponents).size == math.frexp(EXACT_TAIL_BOUND)[1] + 1022
+        assert np.signbit(x).any() and np.signbit(-x).any()
+
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    def test_full_remainder_is_positive_zero_at_or_below_the_bound(self, kind):
+        cfg = ModelConfig(kind, GridSpec.create(1, 4))
+        x = _tail_probes()
+        got = _superlinear_pointwise(cfg, x, out=np.empty_like(x))
+        assert got.tobytes() == np.zeros_like(x).tobytes()
+
+    @pytest.mark.parametrize("order", [2, 6, DEFAULT_TRUNCATION_ORDER])
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    def test_truncated_remainder_is_not_zero_there(self, kind, order):
+        """Horner's `* x * x` leaves a_2 x^2, nonzero wherever x^2 is normal."""
+        cfg = ModelConfig(kind, GridSpec.create(1, 4), mode=TRUNCATED, truncation_order=order)
+        x = _tail_probes()
+        x = x[np.abs(x) >= 1e-150]
+        assert x.size > 1000
+        assert np.all(_superlinear_pointwise(cfg, x) != 0.0)
+
+    def test_bound_is_given_to_full_modes_only(self):
+        grid = GridSpec.create(1, 4)
+        for kind in (EXPONENTIAL, ADL):
+            assert exact_tail_bound(ModelConfig(kind, grid)) == EXACT_TAIL_BOUND
+            for order in (0, 1, 2, DEFAULT_TRUNCATION_ORDER):
+                cfg = ModelConfig(kind, grid, mode=TRUNCATED, truncation_order=order)
+                assert exact_tail_bound(cfg) == 0.0
 
 
 def assert_close_per_mode(got, want, grid, tol=1e-13):

@@ -5,7 +5,8 @@ stepper configuration contract, the admissibility guard, exactness on the
 pure linear flow, observer cadence, determinism, a discrete dilation
 symmetry shared by both equations, the fused 1D step against the stage
 arithmetic, one step of each scheme in each form against the Cox-Matthews
-formulas, and the convergence orders of the two schemes.
+formulas, the exact linear tail against the full step, and the convergence
+orders of the two schemes.
 """
 
 import dataclasses
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalsurf import models, stepper
 from crystalsurf.models import (
     ADL,
+    EXACT_TAIL_BOUND,
     EXPONENTIAL,
     ModelConfig,
     SingularityError,
@@ -557,6 +560,146 @@ class TestFusedStep:
         for got, want in zip(states, alone):
             assert got.tobytes() == want.tobytes()
         assert alone[0].tobytes() != alone[1].tobytes()
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """Records the `steps` of every `_Stepper.tail` call."""
+    calls = []
+    tail = _Stepper.tail
+
+    def spy(self, c, steps):
+        calls.append(steps)
+        return tail(self, c, steps)
+
+    monkeypatch.setattr(_Stepper, "tail", spy)
+    return calls
+
+
+def _march(cfg, scfg, v0, **kwargs):
+    """Every sample of a march as (t, coefficient bytes), the final state last."""
+    seen = []
+    state = integrate(cfg, scfg, v0, observer=lambda t, v: seen.append((t, v.coeffs.tobytes())), **kwargs)
+    return seen + [(state.t, state.v.coeffs.tobytes())]
+
+
+# (kind, dim, M, initial mode, amplitude, scheme, dt, t_end, sample_every):
+# short marches whose state falls below EXACT_TAIL_BOUND about half way.
+TAIL_MARCHES = {
+    "dense-exp-etdrk4-every1": (EXPONENTIAL, 1, 8, 4, 0.05, SCHEME_ETDRK4, 1e-3, 0.3, 1),
+    "dense-adl-etdrk4-partial": (ADL, 1, 8, 3, 0.02, SCHEME_ETDRK4, 1e-3, 0.3, 7),
+    "dense-exp-etd1-partial": (EXPONENTIAL, 1, 16, 4, 0.05, SCHEME_ETD1, 1e-3, 0.3, 7),
+    "fft-adl-etdrk4-partial": (ADL, 1, 64, 3, 0.02, SCHEME_ETDRK4, 1e-3, 0.3, 7),
+    "2d-exp-etd1": (EXPONENTIAL, 2, 4, (2, 1), 0.05, SCHEME_ETD1, 1e-2, 3.0, 5),
+    "2d-adl-etdrk4-partial": (ADL, 2, 4, (2, 1), 0.02, SCHEME_ETDRK4, 1e-2, 1.5, 7),
+}
+
+
+def _tail_march(name):
+    kind, dim, m, k, amplitude, scheme, dt, t_end, every = TAIL_MARCHES[name]
+    grid = GridSpec.create(dim, m)
+    scfg = StepperConfig(dt=dt, scheme=scheme, t_end=t_end, sample_every=every)
+    return ModelConfig(kind, grid), scfg, field_from_modes(grid, [(k, amplitude, 0.3)])
+
+
+class TestExactTail:
+    """Once 2 sum|c_half| < EXACT_TAIL_BOUND the remainder is exactly +0.0
+    (see test_models), and integrate marches each sample interval with the
+    propagator alone; nothing it reports may move."""
+
+    @pytest.mark.parametrize("name", TAIL_MARCHES)
+    def test_march_is_bitwise_the_march_without_tail(self, name, monkeypatch, tail_calls):
+        cfg, scfg, v0 = _tail_march(name)
+        with_tail = _march(cfg, scfg, v0)
+        blocks = list(tail_calls)
+        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        without = _march(cfg, scfg, v0)
+        assert len(tail_calls) == len(blocks) >= 10  # many blocks, none without the tail
+        assert [t for t, _ in with_tail] == [t for t, _ in without]
+        assert with_tail == without
+        every, n = scfg.sample_every, scfg.n_steps
+        assert all(steps <= every for steps in blocks)
+        if n % every:
+            assert blocks[-1] == n % every  # the last block ends at the final step
+
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tail_is_bitwise_repeated_advance(self, dim, scheme):
+        """From a state below the bound, one tail call of n steps is n
+        advances, subnormal flushes included, and leaves `c` alone."""
+        grid = GridSpec.create(dim, 8 if dim == 1 else 4)
+        m = grid.modes_per_axis
+        k = 1 if dim == 1 else (1, 1)
+        half = _seed_high_modes(grid, field_from_modes(grid, [(k, 3e-19, 0.3)]).coeffs)[..., m:]
+        worker = _Stepper(ModelConfig(ADL, grid), StepperConfig(dt=0.05, scheme=scheme))
+        assert worker.in_tail(half)
+        before = half.tobytes()
+        want = half
+        for n in range(1, 40):
+            want = worker.advance(want, 0.0)
+            got = worker.tail(half, n)
+            assert got.tobytes() == want.tobytes(), n
+        assert half.tobytes() == before
+        assert not _has_subnormal(want) and 0.0 < np.abs(want).max() < 1e-20
+
+    @pytest.mark.parametrize("bound", ["equal", "below"])
+    def test_state_at_or_above_the_bound_takes_the_full_step(self, bound, monkeypatch, tail_calls):
+        grid = GridSpec.create(1, 8)
+        cfg = ModelConfig(EXPONENTIAL, grid)
+        v0 = field_from_modes(grid, [(1, EXACT_TAIL_BOUND, 0.3), (2, 1e-19, 0.0)])
+        level = 2.0 * np.abs(v0.coeffs[8:]).sum()
+        steps = []
+        advance = _Stepper.advance
+        monkeypatch.setattr(_Stepper, "advance", lambda self, c, t: steps.append(t) or advance(self, c, t))
+        scfg = StepperConfig(dt=1e-3, t_end=1e-3)
+        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", level if bound == "equal" else np.nextafter(level, 0.0))
+        integrate(cfg, scfg, v0)
+        assert (steps, tail_calls) == ([0.0], [])
+        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", np.nextafter(level, np.inf))
+        integrate(cfg, scfg, v0)
+        assert (steps, tail_calls) == ([0.0], [1])
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_state_still_fails(self, poison, monkeypatch, tail_calls):
+        """A NaN or inf sum is not below the bound, so a state gone
+        non-finite keeps taking full steps and fails at the next sample."""
+        pointwise = stepper._superlinear_pointwise
+
+        def poisoned(cfg, v, out=None, time=None):
+            if time is not None and time >= 0.1:
+                return np.full_like(v, poison)
+            return pointwise(cfg, v, out=out, time=time)
+
+        monkeypatch.setattr(stepper, "_superlinear_pointwise", poisoned)
+        cfg, scfg, v0 = _tail_march("dense-exp-etdrk4-every1")
+        scfg = dataclasses.replace(scfg, sample_every=7)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as exc:
+                integrate(cfg, scfg, v0)
+        assert exc.value.time == pytest.approx(0.105)
+        assert tail_calls == []
+        worker = _Stepper(cfg, scfg)
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not worker.in_tail(np.array([0.0, bad, 1e-30], dtype=complex))
+            assert not worker.in_tail(np.array([0.0, complex(0.0, bad)]))
+
+    def test_truncated_mode_and_override_never_take_the_tail(self, tail_calls):
+        grid = GridSpec.create(1, 8)
+        scfg = StepperConfig(dt=1e-3, t_end=0.3, sample_every=7)
+        v0 = field_from_modes(grid, [(4, 0.05, 0.3)])
+        for kind in (EXPONENTIAL, ADL):
+            full = ModelConfig(kind, grid)
+            truncated = ModelConfig(kind, grid, mode="truncated", truncation_order=2)
+            assert _Stepper(full, scfg).tail_bound == EXACT_TAIL_BOUND
+            assert _Stepper(truncated, scfg).tail_bound == 0.0
+            assert _Stepper(full, scfg, remainder_fn(full)).tail_bound == 0.0
+            state = integrate(truncated, scfg, v0)
+            assert 2.0 * np.abs(state.v.coeffs).sum() < EXACT_TAIL_BOUND
+            state = integrate(
+                full, scfg, v0, nonlinearity=lambda c: nonlinear_remainder(full, SpectralField(grid, c)).coeffs
+            )
+            assert 2.0 * np.abs(state.v.coeffs).sum() < EXACT_TAIL_BOUND
+        assert tail_calls == []
 
 
 def _phi_mp(z: float) -> tuple:
