@@ -130,7 +130,7 @@ class TimeSeriesRecorder:
         self._grid = grid
         self._times = np.zeros(rows)
         self._coeffs = np.zeros((rows,) + grid.coeff_shape, dtype=np.complex128)
-        self._work = _Workspace(grid, (rows,))
+        self._work = _Workspace(grid, (rows,), forward=False)
         self._block = np.empty((rows, _ROW_LENGTH))
 
     def _flush(self) -> None:

@@ -20,9 +20,19 @@ depends on the grid.  On 1D grids with P <= _DENSE_MAX_POINTS each
 direction is one product with a precomputed real matrix on the float64
 view of the half (`_dense_pair`): at these sizes numpy.fft's per-call cost
 outweighs the O(P M) products, so the dense pair is the faster one.  Larger
-1D grids use numpy's rfft/irfft.  In 2D the two passes of rfft2/irfft2 are
-written out: a real FFT along the last axis and a complex FFT along the
-first, the forward's complex pass on the retained columns only.
+1D grids use numpy's rfft/irfft.  In 2D each direction is two passes: a
+complex FFT along the first axis and a real pass along the last, the
+forward's complex pass on the retained k_2 = 0..M columns only.  On 2D
+grids whose last-axis matrix, 2(M+1) x P, has at most
+_DENSE_2D_MAX_ENTRIES entries, the last-axis pass is a product with the
+same matrices, on the float64 view of the P x (M+1) intermediate; larger
+2D grids use numpy's rfft/irfft along the last axis.
+
+Every matrix product of the 2D passes runs on one OpenBLAS thread: it is
+split into row blocks of at most _ONE_THREAD_GEMM_SIZE multiply-adds, the
+size below which OpenBLAS never starts a second thread, so its bits do not
+depend on the thread count and no spinning thread slows the FFTs that
+follow.
 
 The private pair `_phys_from_coeffs`/`_coeffs_from_phys` takes and returns
 the half, coeffs[..., M:] of shape (M+1,) in 1D and (2M+1, M+1) in 2D; the
@@ -36,13 +46,13 @@ run recorder passes them; each row of its result is, bit for bit, the
 transform of that half alone.
 
 Both private transforms take an optional `_Workspace`: buffers allocated
-once per grid that hold the full spectrum, the samples and the FFT
-intermediates, so a march does not allocate (and page-fault in) a fresh
-P^d array per call.  The inverse then returns `work.phys` itself, which
-the next call with the same workspace overwrites; a workspace serves one
-caller at a time and is not re-entrant.  The forward transform always
-returns a new half.  Without a workspace both run the same code on fresh
-arrays.
+once per grid that hold the zero-padded spectrum, the samples and the
+intermediates of the two passes, so a march does not allocate (and
+page-fault in) a fresh P^d array per call.  The inverse then returns
+`work.phys` itself, which the next call with the same workspace
+overwrites; a workspace serves one caller at a time and is not
+re-entrant.  The forward transform always returns a new half.  Without a
+workspace both run the same code on fresh arrays.
 
 Values are immutable: every operation returns a new SpectralField and no
 function mutates the coefficient array of its argument.
@@ -67,6 +77,25 @@ TWO_PI = 2.0 * math.pi
 # bound, 192 x 192, is far below the size at which OpenBLAS starts a second
 # thread for a matrix-vector product.
 _DENSE_MAX_POINTS = 192
+
+# Largest last-axis matrix, in entries 2(M+1) * P, with which a 2D grid
+# runs the last-axis pass of the transform pair as blocked dense products
+# instead of numpy's rfft/irfft; the axis-0 complex pass stays an FFT.  The
+# dense pass costs P times the matrix per direction, the FFT about
+# P^2 log P whatever M is, so the crossover is in the matrix size, not in
+# P.  Scanned on one thread at paddings 1 to 3, the dense inverse+forward
+# pair was faster, or level within the scan's noise, at every grid up to
+# this size; from 11 000 entries on, the FFT won at some 5-smooth P, by up
+# to 2.5x past 20 000 (BENCH_dense_2d_pass.json).  The bound takes 2D M=32
+# at padding 2 (P=130, 8580 entries) and stops at M=34 there, at M=49 at
+# padding 1.
+_DENSE_2D_MAX_ENTRIES = 10_000
+
+# OpenBLAS runs a matrix-matrix product of m*n*k <= 65536 *
+# GEMM_MULTITHREAD_THRESHOLD (4 unless built otherwise) multiply-adds on
+# the calling thread alone; the 2D last-axis products are cut into row
+# blocks of at most this size (see `_row_blocks`).
+_ONE_THREAD_GEMM_SIZE = 65536 * 4
 
 
 @dataclass(frozen=True)
@@ -176,43 +205,83 @@ def _plan(grid: GridSpec):
     `inverse` and `forward` are the phase and scale multipliers of the
     retained k_d >= 0 half, shaped like coeffs[..., M:].  On 1D grids with
     P <= _DENSE_MAX_POINTS, `dense_inverse` and `dense_forward` are the
-    real matrices of the whole transform pair (see `_dense_pair`); they
-    are None elsewhere, where the FFT runs.  `k4_half` is the read-only,
-    C-contiguous k_d >= 0 half of |k|^4, k4[..., M:], the layout of the
-    stepper's march and of the model's remainder evaluator.
+    real matrices of the whole transform pair (see `_dense_pair`); on 2D
+    grids with at most _DENSE_2D_MAX_ENTRIES entries in that matrix,
+    `last_inverse` (2(M+1) x P) and `last_forward` (P x 2(M+1)) are the
+    same matrices, transposed, for the last-axis pass, and `last_blocks`
+    the row blocks of its products (see `_row_blocks`).  Each is None
+    elsewhere, where the FFT runs.  The last-axis matrices carry (-1)^{k_2}
+    and that axis's 1/P, so on those grids the tables hold only the first
+    axis's phase and scale.
+    `k4_half` is the read-only, C-contiguous k_d >= 0 half of |k|^4,
+    k4[..., M:], the layout of the stepper's march and of the model's
+    remainder evaluator.
     """
-    m = grid.modes_per_axis
-    scale = float(grid.phys_points_per_axis) ** grid.dim
+    m, p = grid.modes_per_axis, grid.phys_points_per_axis
     k = np.arange(-m, m + 1)
     # (-1)^k per axis; the product over axes gives the node-offset phase.
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     if grid.dim == 1:
-        phase = sign
+        dense = p <= _DENSE_MAX_POINTS
+        phase, scale = sign, float(p)
         ksq = (k.astype(float)) ** 2
     else:
-        phase = np.outer(sign, sign)
+        dense = 2 * (m + 1) * p <= _DENSE_2D_MAX_ENTRIES
+        phase = np.outer(sign, np.ones_like(sign) if dense else sign)
+        scale = float(p) if dense else float(p) ** 2
         kf = k.astype(float)
         ksq = kf[:, None] ** 2 + kf[None, :] ** 2
     half_phase = phase[..., m:]
     kmag = np.sqrt(ksq)
-    dense = grid.dim == 1 and grid.phys_points_per_axis <= _DENSE_MAX_POINTS
-    dense_inverse, dense_forward = _dense_pair(grid) if dense else (None, None)
+    inverse, forward = _dense_pair(grid) if dense else (None, None)
+    last = dense and grid.dim == 2
+    if last:
+        # C-contiguous copies: a transposed view made the products up to 2x slower.
+        inverse, forward = np.ascontiguousarray(inverse.T), np.ascontiguousarray(forward.T)
+        inverse.flags.writeable = forward.flags.writeable = False
     k4 = ksq**2
     k4_half = k4[..., m:].copy()
     k4_half.flags.writeable = False
     return {
         "inverse": half_phase * scale,
         "forward": half_phase / scale,
-        "dense_inverse": dense_inverse,
-        "dense_forward": dense_forward,
+        "dense_inverse": None if last else inverse,
+        "dense_forward": None if last else forward,
+        "last_inverse": inverse if last else None,
+        "last_forward": forward if last else None,
+        "last_blocks": _row_blocks(p, 2 * (m + 1) * p) if last else None,
         "k4": k4,
         "k4_half": k4_half,
         "kmag": kmag,
     }
 
 
+def _row_blocks(rows: int, per_row: int) -> tuple[slice, ...]:
+    """Row slices of a product with `rows` rows of `per_row` multiply-adds
+    each, in blocks of at most _ONE_THREAD_GEMM_SIZE multiply-adds.
+
+    The blocks are as equal as the division allows, so with an even
+    number of rows none holds a single row: numpy would make that block a
+    matrix-vector product, which OpenBLAS threads past a far smaller size.
+    """
+    per_block = max(2, _ONE_THREAD_GEMM_SIZE // per_row)
+    count = -(-rows // per_block)
+    edges = [rows * i // count for i in range(count + 1)]
+    return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+
+
+def _blocked_product(
+    a: np.ndarray, matrix: np.ndarray, out: np.ndarray, blocks: tuple[slice, ...]
+) -> np.ndarray:
+    """out = a @ matrix, one matrix-matrix product per row block of `blocks`."""
+    for rows in blocks:
+        np.matmul(a[rows], matrix, out=out[rows])
+    return out
+
+
 def _dense_pair(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Real matrices of the 1D transform pair on the float64 view of the half.
+    """Real matrices of the 1D transform pair on the float64 view of the half;
+    transposed, those of the 2D last-axis pass on each row of bins.
 
     The half c_0..c_M, viewed as (Re c_0, Im c_0, Re c_1, Im c_1, ...), is
     2(M+1) reals.  The inverse, shaped (P, 2(M+1)), gives the samples
@@ -324,31 +393,36 @@ class _Workspace:
     """Scratch buffers of the transform pair on one grid.
 
     `spec` is the zero-padded spectrum the inverse reads, (P, M+1) in 2D
-    with rows k_1 = M+1..P-M-1 left zero, (M+1,) in 1D; `rows` the real
-    FFT of samples along the last axis; `cols` the (P, M+1) complex FFT
-    along axis 0, of `spec` in the inverse and of the retained k_2 = 0..M
-    columns of `rows` in the forward (2D only); `phys` the P^d samples.
-    The dense 1D transforms use `phys` only.
+    with rows k_1 = M+1..P-M-1 left zero, (M+1,) in 1D; `rows` the
+    forward's last-axis pass of the samples, its P//2 + 1 rfft bins, or in
+    2D on the dense last-axis path its retained k_2 = 0..M bins; `cols`
+    the (P, M+1) complex FFT along axis 0, of `spec` in the inverse and of
+    the retained columns of `rows` in the forward (2D only); `phys` the
+    P^d samples.  The dense 1D transforms use `phys` only.
 
     With `batch`, a shape, every buffer gets those leading axes, for a
-    stack of halves of that shape (see `_phys_from_coeffs`).
+    stack of halves of that shape (see `_phys_from_coeffs`).  With
+    `forward` False, `rows`, which only the forward reads, is left out,
+    for callers that only take inverses.
 
     The buffers are views of one zeroed block.  At 2D M=32 it is about
-    0.4 MB, above glibc's mmap threshold; once such a block is freed,
+    0.34 MB, above glibc's mmap threshold; once such a block is freed,
     glibc raises its mmap and trim thresholds past that size, so the
     observer's per-sample P^d temporaries reuse heap pages instead of
     being mapped and faulted in afresh at every sample.
     """
 
-    def __init__(self, grid: GridSpec, batch: tuple[int, ...] = ()):
+    def __init__(self, grid: GridSpec, batch: tuple[int, ...] = (), forward: bool = True):
         m, p = grid.modes_per_axis, grid.phys_points_per_axis
         lead = batch + ((p,) if grid.dim == 2 else ())
+        bins = m + 1 if _plan(grid)["last_forward"] is not None else p // 2 + 1
         layout = [
             ("spec", lead + (m + 1,), np.complex128),
-            ("rows", lead + (p // 2 + 1,), np.complex128),
+            ("rows", lead + (bins,) if forward else None, np.complex128),
             ("cols", lead + (m + 1,) if grid.dim == 2 else (0,), np.complex128),
             ("phys", batch + grid.phys_shape, np.float64),
         ]
+        layout = [entry for entry in layout if entry[1] is not None]
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
         block = np.zeros(sum(sizes), dtype=np.uint8)
         offset = 0
@@ -398,7 +472,15 @@ def _phys_from_coeffs(
     # irfft2's own two passes, spelled out, because irfft2 drops its `out`
     # argument (numpy 2.4 passes out=None on to irfftn).
     cols = np.fft.ifft(spec, axis=-2, out=None if work is None else work.cols)
-    return np.fft.irfft(cols, n=p, axis=-1, out=out)
+    if plan["last_inverse"] is None:
+        return np.fft.irfft(cols, n=p, axis=-1, out=out)
+    if out is None:
+        out = np.empty(cols.shape[:-1] + (p,))
+    parts = cols.view(np.float64)
+    # One field at a time, so each row of a stack is its own field's bits.
+    for i in np.ndindex(parts.shape[:-2]):
+        _blocked_product(parts[i], plan["last_inverse"], out[i], plan["last_blocks"])
+    return out
 
 
 def _coeffs_from_phys(
@@ -414,13 +496,21 @@ def _coeffs_from_phys(
     if plan["dense_forward"] is not None:
         return np.dot(plan["dense_forward"], samples).view(np.complex128)
     table = plan["forward"]
-    rows = np.fft.rfft(samples, out=None if work is None else work.rows)
-    if grid.dim == 1:
-        return rows[: m + 1] * table
+    rows = None if work is None else work.rows
+    if plan["last_forward"] is None:
+        rows = np.fft.rfft(samples, out=rows)
+        if grid.dim == 1:
+            return rows[: m + 1] * table
+        rows = rows[:, : m + 1]
+    else:
+        if rows is None:
+            rows = np.empty((grid.phys_points_per_axis, m + 1), dtype=np.complex128)
+        # A strided array would take numpy's own loop, not BLAS.
+        samples = np.ascontiguousarray(samples)
+        _blocked_product(samples, plan["last_forward"], rows.view(np.float64), plan["last_blocks"])
     # The axis-0 FFT runs on the k_2 = 0..M columns only: per column it is
-    # the same transform rfft2 applies, so the result is rfft2's, bitwise,
-    # for half of rfft2's axis-0 work.
-    spec = np.fft.fft(rows[:, : m + 1], axis=0, out=None if work is None else work.cols)
+    # the transform rfft2 applies to them, for half of rfft2's axis-0 work.
+    spec = np.fft.fft(rows, axis=0, out=None if work is None else work.cols)
     half = np.empty((2 * m + 1, m + 1), dtype=np.complex128)
     np.multiply(spec[: m + 1], table[m:], out=half[m:])
     np.multiply(spec[-m:], table[:m], out=half[:m])

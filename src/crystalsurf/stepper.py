@@ -44,7 +44,8 @@ the full nonlinearities), the full remainder is exactly +0.0 at every
 sample, stage states included, so each step is `propagator * c` bit for
 bit.  `integrate` then marches each sample interval with `_Stepper.tail`,
 one multiplication per step and one flush per interval, and the observer
-sees the same steps and the same bits as without it.  The state cannot
+sees the same steps and the same bits as without it.  The bound is tested
+at step 0 and after each sample, not before every step; the state cannot
 leave the tail, so the test stops at its first hit.  Truncated models and
 `nonlinearity` overrides never take it.
 """
@@ -449,10 +450,10 @@ def integrate(
     every sample_every steps, and at the final step.  The state is checked
     for finiteness at those same steps, observer or not.  Runs are
     deterministic: identical inputs produce bitwise identical trajectories.
-    Once the state is below the exact-tail bound (see the module
-    docstring), the steps up to the next sample are taken as one
-    `_Stepper.tail` call; the samples, their times and their bits are
-    those of the step-by-step march.
+    Once the state is below the exact-tail bound at a sample (see the
+    module docstring), the steps of each following sample interval are
+    taken as one `_Stepper.tail` call; the samples, their times and their
+    bits are those of the step-by-step march.
 
     Args:
         nonlinearity: optional override of the remainder evaluator, mapping
@@ -513,10 +514,12 @@ def integrate(
 
     every = scfg.sample_every
     emit(0)
-    i, in_tail = 1, False
+    # The tail is exact from any state below the bound, so testing for it
+    # at samples only moves no bit; the state only shrinks in it, so the
+    # test stops at its first hit.
+    in_tail = worker.in_tail(c)
+    i = 1
     while i <= n_steps:
-        # The state only shrinks in the tail, so the test stops at its first hit.
-        in_tail = in_tail or worker.in_tail(c)
         if in_tail:  # steps i..j at once, j the next sampled step
             j = min(-(-i // every) * every, n_steps)
             c = worker.tail(c, j - i + 1)
@@ -531,5 +534,6 @@ def integrate(
                 raise
         if i % every == 0 or i == n_steps:
             emit(i)
+            in_tail = in_tail or worker.in_tail(c)
         i += 1
     return TrajectoryState(n_steps * scfg.dt, SpectralField(grid, _mirror(grid, c)), n_steps)

@@ -8,13 +8,16 @@ generators so failures are reproducible.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalsurf.spectral import (
+    _DENSE_2D_MAX_ENTRIES,
     _DENSE_MAX_POINTS,
+    _ONE_THREAD_GEMM_SIZE,
     GridSpec,
     SpectralField,
     _Workspace,
@@ -362,22 +365,22 @@ class TestWorkspace:
     """The private transforms with a reused workspace against fresh arrays."""
 
     @pytest.mark.parametrize("m, padding", WORKSPACE_2D_GRIDS)
-    def test_2d_forward_is_sliced_rfft2_bitwise(self, m, padding):
-        """The forward runs its axis-0 FFT on the retained columns only; the
-        half still equals the retained bins of rfft2, bit for bit, with and
-        without a workspace, and from_physical stays exactly Hermitian."""
+    def test_2d_forward_is_hermitian_and_near_rfft2(self, m, padding):
+        """The forward runs its axis-0 FFT on the retained columns only,
+        and on small grids its last-axis pass is a dense product, which
+        rounds differently from rfft.  The half is within 1e-13 max|samples|
+        of the retained bins of rfft2, the same bits with and without a
+        workspace, and from_physical stays exactly Hermitian."""
         grid = GridSpec.create(2, m, padding_factor=padding)
+        p = grid.phys_points_per_axis
         samples = np.random.default_rng(m).standard_normal(grid.phys_shape)
         spec = np.fft.rfft2(samples)
-        table = _plan(grid)["forward"]
-        want = np.concatenate(
-            (spec[-m:, : m + 1] * table[:m], spec[: m + 1, : m + 1] * table[m:])
-        )
-        col = want[:, 0].copy()
-        want[:, 0] = 0.5 * (col + np.conj(col[::-1]))
-        work = _Workspace(grid)
-        assert _coeffs_from_phys(grid, samples).tobytes() == want.tobytes()
-        assert _coeffs_from_phys(grid, samples, work).tobytes() == want.tobytes()
+        sign = np.where(np.arange(-m, m + 1) % 2 == 0, 1.0, -1.0)
+        want = np.concatenate((spec[-m:, : m + 1], spec[: m + 1, : m + 1]))
+        want *= np.outer(sign, sign[m:]) / p**2
+        got = _coeffs_from_phys(grid, samples)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(samples))
+        assert _coeffs_from_phys(grid, samples, _Workspace(grid)).tobytes() == got.tobytes()
         c = from_physical(samples, grid).coeffs
         assert np.array_equal(c, np.conj(c[::-1, ::-1]))
 
@@ -405,6 +408,118 @@ class TestWorkspace:
         for got, copy in kept:
             assert got.tobytes() == copy.tobytes()
         assert kept[0][0].tobytes() == kept[2][0].tobytes()
+
+
+def _last_axis_entries(m, padding):
+    """Entries of the 2D last-axis matrix, 2(M+1) x P, at M and padding."""
+    return 2 * (m + 1) * GridSpec.create(2, m, padding_factor=padding).phys_points_per_axis
+
+
+def _largest_dense_2d(padding):
+    """Largest M whose 2D grid at `padding` takes the dense last-axis pass."""
+    m = 1
+    while _last_axis_entries(m + 1, padding) <= _DENSE_2D_MAX_ENTRIES:
+        m += 1
+    return m
+
+
+# (M, padding) of the 2D dense last-axis checks: M = 8 and the benchmark's
+# M = 32, and the largest dense grids at padding 2 and 1.
+LAST_AXIS_GRIDS = [(8, 2.0), (32, 2.0), (_largest_dense_2d(2.0), 2.0), (_largest_dense_2d(1.0), 1.0)]
+
+
+def _misaligned(a):
+    """Copy of `a` starting 8 bytes past a 16-byte boundary."""
+    buf = np.empty(a.nbytes + 24, dtype=np.uint8)
+    start = -buf.ctypes.data % 16 + 8
+    view = np.ndarray(a.shape, a.dtype, buffer=buf, offset=start)
+    view[...] = a
+    return view
+
+
+class TestDenseLastAxis:
+    """The 2D last-axis pass as row-blocked products with cached matrices."""
+
+    @pytest.mark.parametrize("m, padding", LAST_AXIS_GRIDS[2:])
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_dense_up_to_the_bound(self, m, padding, step):
+        """The largest dense grids carry the matrices and the next M does
+        not; both sides match the full complex FFT references."""
+        grid = GridSpec.create(2, m + step, padding_factor=padding)
+        dense = step == 0
+        assert (_plan(grid)["last_inverse"] is not None) is dense
+        assert (_last_axis_entries(m + step, padding) <= _DENSE_2D_MAX_ENTRIES) is dense
+        c = hermitian_coeffs(grid, 1)
+        got = _phys_from_coeffs(grid, c[..., m + step :])
+        assert np.max(np.abs(got - reference_inverse(grid, c).real)) <= 1e-13 * np.sum(np.abs(c))
+        samples = np.random.default_rng(1).standard_normal(grid.phys_shape)
+        got = from_physical(samples, grid).coeffs
+        assert np.max(np.abs(got - reference_forward(grid, samples))) <= 1e-13 * np.max(np.abs(samples))
+
+    @pytest.mark.parametrize("m, padding", LAST_AXIS_GRIDS)
+    def test_every_product_stays_on_one_blas_thread(self, m, padding, monkeypatch):
+        """Every matrix product of the 2D passes, forward and inverse, with
+        and without a workspace and on a stack, has m*n*k at most
+        _ONE_THREAD_GEMM_SIZE, below which OpenBLAS runs a product on the
+        calling thread, and at least two rows, so numpy never makes it a
+        matrix-vector product, which OpenBLAS threads far earlier."""
+        grid = GridSpec.create(2, m, padding_factor=padding)
+        blocks = _plan(grid)["last_blocks"]
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            shapes.append((a.shape, b.shape, kwargs["out"].shape))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        halves = np.stack([hermitian_coeffs(grid, seed)[..., m:] for seed in (0, 1)])
+        samples = _phys_from_coeffs(grid, halves[0])
+        _coeffs_from_phys(grid, samples)
+        _coeffs_from_phys(grid, samples, _Workspace(grid))
+        _phys_from_coeffs(grid, halves, _Workspace(grid, (2,)))
+        assert len(shapes) == 5 * len(blocks)
+        for (rows, inner), (inner_b, cols), out in shapes:
+            assert inner == inner_b and out == (rows, cols)
+            assert rows >= 2 and rows * inner * cols <= _ONE_THREAD_GEMM_SIZE
+        p = grid.phys_points_per_axis
+        assert [b.stop - b.start for b in blocks] == [rows for (rows, _), _, _ in shapes[: len(blocks)]]
+        assert sum(b.stop - b.start for b in blocks) == p
+
+    @pytest.mark.parametrize("m, padding", LAST_AXIS_GRIDS)
+    def test_same_half_same_bits_across_calls(self, m, padding):
+        """Inverse and forward of one half give one set of bits, fresh or
+        through a workspace, repeated, interleaved with another field's
+        transforms, and from a copy 8 bytes off a 16-byte boundary."""
+        grid = GridSpec.create(2, m, padding_factor=padding)
+        half, other = (hermitian_coeffs(grid, seed)[..., m:] for seed in (3, 4))
+        phys = _phys_from_coeffs(grid, half)
+        coeffs = _coeffs_from_phys(grid, phys)
+        work = _Workspace(grid)
+        for _ in range(2):
+            for w in (work, None):
+                assert _phys_from_coeffs(grid, half, w).tobytes() == phys.tobytes()
+                assert _coeffs_from_phys(grid, phys, w).tobytes() == coeffs.tobytes()
+                _coeffs_from_phys(grid, _phys_from_coeffs(grid, other, w), w)
+        assert _phys_from_coeffs(grid, _misaligned(half)).tobytes() == phys.tobytes()
+        assert _coeffs_from_phys(grid, _misaligned(phys)).tobytes() == coeffs.tobytes()
+
+    def test_pair_loop_runs_on_one_thread(self):
+        """A tight loop of 2D M=32 transform pairs uses no more process CPU
+        time than wall time, within 1.5x: no second BLAS thread is busy."""
+        grid = GridSpec.create(2, 32)
+        half = hermitian_coeffs(grid, 2)[..., 32:]
+        work = _Workspace(grid)
+
+        def loop(seconds):
+            wall, cpu = time.perf_counter(), time.process_time()
+            while time.perf_counter() - wall < seconds:
+                _coeffs_from_phys(grid, _phys_from_coeffs(grid, half, work), work)
+            return time.perf_counter() - wall, time.process_time() - cpu
+
+        loop(0.2)  # let BLAS threads started earlier in the process go idle
+        wall, cpu = loop(0.5)
+        assert cpu <= 1.5 * wall
 
 
 # (dim, M): 1D grids on the dense path (M = 1, 32) and on the FFT path
