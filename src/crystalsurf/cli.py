@@ -472,6 +472,11 @@ def cmd_sweep(args) -> int:
         x0 = wiener_norm(v0, 0.0)
         if x0 == 0:
             raise ConfigError("base initial data is identically zero; cannot rescale")
+        for i, a in enumerate(sweep.amplitudes):
+            if not math.isfinite(a / x0):
+                raise ConfigError(
+                    f"sweep.amplitudes[{i}]: {a!r} / base |v0|_0 {x0!r} overflows; cannot rescale"
+                )
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -133,10 +133,17 @@ class ModelConfig:
         return linear_coefficient(self.kind)
 
 
+def _inverse_factorial(j: int) -> float:
+    """1/j! as a float.  Past j = 170, j! overflows a float: there the
+    integer quotient rounds 1/j! once, to a subnormal up to j = 177 and to
+    0.0 beyond."""
+    return 1.0 / math.factorial(j) if j <= 170 else 1 / math.factorial(j)
+
+
 # Coefficient a_j of x^j in the Taylor series of each nonlinearity:
 # exp(x) with x = -v, and (1 + x)^(-3) with x = v.
 _SERIES_COEFFICIENT = {
-    EXPONENTIAL: lambda j: 1.0 / math.factorial(j),
+    EXPONENTIAL: _inverse_factorial,
     ADL: lambda j: float((-1) ** j * binomial_coeff(j + 2, j)),
 }
 

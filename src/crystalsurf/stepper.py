@@ -42,11 +42,15 @@ spends most of its steps near rounding noise.  Once 2 sum|c_half|, which
 bounds max|v| on the grid, falls below `models.exact_tail_bound` (1e-18 for
 the full nonlinearities), the full remainder is exactly +0.0 at every
 sample, stage states included, so each step is `propagator * c` bit for
-bit.  `integrate` then marches each sample interval with `_Stepper.tail`,
-one multiplication per step and one flush per interval, and the observer
-sees the same steps and the same bits as without it.  The bound is tested
-at step 0 and after each sample, not before every step; the state cannot
-leave the tail, so the test stops at its first hit.  Truncated models and
+bit.  `integrate` then marches each sample interval with `_Stepper.tail`:
+one product and one `np.multiply.reduce` over a float64 stack of
+propagator rows per piece of up to as many steps as the stack has rows
+(64 KiB, at least two rows; one piece at 1D M=32 up to 124 steps), and one
+flush, in place of a numpy call per step.  The reduction multiplies in
+step order, so the observer sees the same steps and the same bits as
+without it.  The bound is tested at step
+0 and after each sample, not before every step; the state cannot leave
+the tail, so the test stops at its first hit.  Truncated models and
 `nonlinearity` overrides never take it.
 """
 
@@ -85,6 +89,12 @@ DT_GUARD_HEADROOM = 10.0
 
 # Smallest normal float64; _Stepper.advance flushes coefficient parts below it.
 _TINY = np.finfo(np.float64).tiny
+
+# Bytes the stack of `_Stepper.tail` may take, like the recorder's chunk
+# buffers (diagnostics._CHUNK_BYTES): below glibc's 128 KiB mmap threshold,
+# 124 rows at 1D M=32.  A grid whose half takes more than half of it (2D
+# M >= 26) gets two rows, so its tail pieces are two steps.
+_TAIL_STACK_BYTES = 64 * 1024
 
 
 class NonFiniteStateError(ArithmeticError):
@@ -350,6 +360,7 @@ class _Stepper:
         self.tail_bound = exact_tail_bound(cfg) if remainder is None else 0.0
         tables = _etd_tables(*key)
         self.propagator = tables["propagator"]
+        self._stack = None
         if not self.fused:
             self.tables = tables
             self.remainder = remainder_fn(cfg) if remainder is None else remainder
@@ -403,14 +414,40 @@ class _Stepper:
         """`steps` >= 1 exact-tail steps of `c`; bit for bit as many `advance`
         calls from a state `in_tail`.  Returns a new array.
 
+        A single step is `c * propagator`.  Longer intervals run on float64
+        views, each part times the propagator of its mode, in pieces of at
+        most as many steps as the stack (`_tail_stack`) has rows: the first
+        step of a piece is one product into row 0, and the others are one
+        `np.multiply.reduce` over the rows that follow it.  The reduction
+        multiplies the rows in order, so each step rounds as `advance`
+        does; a float64 product differs from the complex-by-real one only
+        in the sign of a zero part, which the flush sets to +0.0.
         |propagator| <= 1 and rounding is monotone, so a part below the
         smallest normal stays below it and one flush at the end zeroes what
         each step's flush would have.
         """
-        out = c * self.propagator
-        for _ in range(steps - 1):
-            np.multiply(out, self.propagator, out=out)
-        return _flush(out)
+        if steps == 1:  # two float64 views would cost more than they save
+            return _flush(c * self.propagator)
+        stack = self._tail_stack()
+        out = np.empty(stack.shape[1:])
+        state = c.view(np.float64)
+        while steps:
+            k = min(steps, len(stack))
+            np.multiply(state, stack[1], out=stack[0])
+            np.multiply.reduce(stack[:k], axis=0, out=out)
+            state, steps = out, steps - k
+        return _flush(out.view(np.complex128))
+
+    def _tail_stack(self) -> np.ndarray:
+        """The float64 stack of `tail`, made on its first call: row 0 the
+        state, rows 1.. the propagator repeated per real and imaginary part;
+        as many rows as fit in _TAIL_STACK_BYTES, and at least two."""
+        if self._stack is None:
+            row = np.repeat(self.propagator, 2, axis=-1)
+            rows = max(2, _TAIL_STACK_BYTES // row.nbytes)
+            self._stack = np.empty((rows,) + row.shape)
+            self._stack[1:] = row
+        return self._stack
 
 
 def _flush(out: np.ndarray) -> np.ndarray:

@@ -707,6 +707,19 @@ class TestCliRun:
         assert main(["run", config]) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    def test_truncated_exp_order_past_170_runs(self, tmp_path, capsys):
+        """171! overflows a float (failed before: a traceback).  The terms
+        past order 170 are below 1e-309, so the series reads as at 170."""
+        series = []
+        for order in (170, 171):
+            raw = base_run_dict()
+            raw["model"].update(mode="truncated", truncation_order=order)
+            out = tmp_path / f"order{order}"
+            assert main(["run", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_OK
+            series.append((out / "timeseries.csv").read_bytes())
+        assert capsys.readouterr().err == ""
+        assert series[0] == series[1]
+
 
 class TestCliThreshold:
     @pytest.mark.parametrize(
@@ -958,6 +971,30 @@ class TestCliSweep:
         assert lines[0].startswith("config error: ") and message in lines[0]
         assert pool_sizes == []
         assert not out.exists()
+
+    def test_overflowing_scale_exits_one_before_the_pool(self, tmp_path, capsys, pool_sizes):
+        """An amplitude whose scale a / x0 overflows is refused in the
+        parent (failed before: the member ran on inf * 0 = nan data, its
+        row read x0 = nan, and the sweep exited 0)."""
+        config = self.sweep_config(tmp_path, [0.02, 1e308], workers=2)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep.amplitudes[1]: 1e+308 / base |v0|_0 0.05 overflows; cannot rescale"
+        ]
+        assert pool_sizes == []
+        assert not out.exists()
+
+    def test_truncated_exp_order_past_170_sweeps(self, tmp_path, capsys):
+        """A sweep on a truncated exp base of order 171 runs its members
+        on the pool (failed before: the pool's remote OverflowError)."""
+        raw = {"sweep": {"amplitudes": [0.02, 0.05], "workers": 2}, "base": base_run_dict()}
+        raw["base"]["model"].update(mode="truncated", truncation_order=171)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", write_config(tmp_path, raw, name="sweep.yaml"), "--out", str(out)]) == EXIT_OK
+        with open(out / "sweep_aggregate.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["verdict"], row["error"]) for row in rows] == [("true", ""), ("true", "")]
 
     def test_singular_member_note_is_the_run_message(self, tmp_path, capsys):
         """The sweep notes a singular member with the line `run` prints

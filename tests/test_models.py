@@ -8,6 +8,7 @@ must match it to rounding.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from crystalsurf.models import (
     FULL,
     TRUNCATED,
     ModelConfig,
+    _SERIES_COEFFICIENT,
     SingularityError,
     adl_series_partial_sum,
     binomial_coeff,
@@ -168,6 +170,18 @@ class TestSeriesPartialSums:
     def test_exp_partial_sum_converges(self):
         x = np.array([0.3])
         assert exp_series_partial_sum(x, 25)[0] == pytest.approx(math.exp(-0.3), rel=1e-15)
+
+    def test_exp_partial_sum_past_the_largest_float_factorial(self):
+        """171! overflows a float (failed before: OverflowError).  1/j!
+        then rounds once from the integer quotient, to 0.0 from j = 178;
+        up to 170 the coefficients keep the float quotient's bits."""
+        coefficient = _SERIES_COEFFICIENT[EXPONENTIAL]
+        assert [coefficient(j) for j in range(171)] == [1.0 / math.factorial(j) for j in range(171)]
+        assert 0.0 < coefficient(171) == float(Fraction(1, math.factorial(171))) < np.finfo(float).tiny
+        assert coefficient(178) == 0.0
+        x = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
+        for order in (171, 178, 400):
+            assert exp_series_partial_sum(x, order).tobytes() == exp_series_partial_sum(x, 170).tobytes()
 
     def test_adl_partial_sum_converges(self):
         v = np.array([0.3])

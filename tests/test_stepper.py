@@ -701,6 +701,84 @@ class TestExactTail:
             assert 2.0 * np.abs(state.v.coeffs).sum() < EXACT_TAIL_BOUND
         assert tail_calls == []
 
+    @pytest.mark.parametrize("parts", ["signed_zeros", "subnormal", "crossing"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tail_at_the_stack_budget_is_repeated_advance(self, dim, parts):
+        """One tail call of n steps is n advances where n fills the stack
+        (one piece) and where it overflows it by one step (two), from
+        states with +-0.0 parts, subnormal parts, or normal parts that
+        the propagator takes below the smallest normal mid-interval."""
+        grid = GridSpec.create(dim, 8 if dim == 1 else 4)
+        worker = _Stepper(ModelConfig(ADL, grid), StepperConfig(dt=0.05))
+        rng = np.random.default_rng(2025)
+        shape = worker.propagator.shape + (2,)
+        low, high = {"signed_zeros": (-40, -21), "subnormal": (-323, -308), "crossing": (-307.6, -300)}[parts]
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, high, shape)
+        if parts == "signed_zeros":
+            values[rng.random(shape) < 0.4] = 0.0
+            values[rng.random(shape) < 0.4] = -0.0
+            assert np.signbit(values[values == 0.0]).any()
+        half = values.view(np.complex128)[..., 0]
+        assert worker.in_tail(half)
+        before = half.tobytes()
+        rows = len(worker._tail_stack())
+        budgets = [1, 2, rows - 1, rows, rows + 1]
+        want, advanced = {}, half
+        for n in range(1, budgets[-1] + 1):
+            advanced = worker.advance(advanced, 0.0)
+            want[n] = advanced.tobytes()
+        for n in budgets:
+            assert worker.tail(half, n).tobytes() == want[n], n
+        assert half.tobytes() == before
+        if parts == "crossing":  # normal at the start, flushed within the interval
+            assert np.all(np.abs(values) >= np.finfo(np.float64).tiny)
+            flushed = np.frombuffer(want[rows], dtype=np.float64) == 0.0
+            assert 0 < flushed.sum() < flushed.size
+
+    def test_interval_past_the_stack_runs_in_pieces(self, monkeypatch, tail_calls):
+        """400-step sample intervals span two stack pieces at 1D M=16 and
+        still give the march with the tail turned off, bit for bit."""
+        grid = GridSpec.create(1, 16)
+        cfg = ModelConfig(EXPONENTIAL, grid)
+        scfg = StepperConfig(dt=1e-3, t_end=4.0, sample_every=400)
+        v0 = field_from_modes(grid, [(2, 0.05, 0.3)])
+        assert len(_Stepper(cfg, scfg)._tail_stack()) < 400
+        with_tail = _march(cfg, scfg, v0)
+        assert tail_calls == [400, 400, 400]
+        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        assert _march(cfg, scfg, v0) == with_tail
+        assert len(tail_calls) == 3
+
+    @pytest.mark.parametrize(
+        "dim, m, rows",
+        [(1, 8, 455), (1, 32, 124), (1, 1023, 4), (2, 4, 91), (2, 16, 7), (2, 26, 2), (2, 32, 2)],
+    )
+    def test_stack_takes_at_most_64_kib(self, dim, m, rows):
+        """As many rows as fit in 64 KiB, row 0 for the state and the rest
+        the propagator per real and imaginary part; two rows, the state and
+        one propagator row, where a half takes more than 32 KiB (2D M=32)."""
+        worker = _Stepper(ModelConfig(EXPONENTIAL, GridSpec.create(dim, m)), StepperConfig(dt=1e-3))
+        stack = worker._tail_stack()
+        assert len(stack) == rows
+        assert stack.nbytes <= 64 * 1024 or (rows == 2 and stack[0].nbytes > 32 * 1024)
+        assert stack[1:].tobytes() == np.repeat(worker.propagator, 2, axis=-1).tobytes() * (rows - 1)
+        assert worker._tail_stack() is stack
+
+    def test_march_outside_the_tail_allocates_no_stack(self, monkeypatch):
+        made = []
+
+        class Recording(_Stepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(stepper, "_Stepper", Recording)
+        cfg, scfg, v0 = _tail_march("dense-exp-etd1-partial")
+        integrate(cfg, scfg, v0)
+        integrate(cfg, dataclasses.replace(scfg, t_end=0.1), v0)
+        integrate(ModelConfig(EXPONENTIAL, cfg.grid, mode="truncated", truncation_order=2), scfg, v0)
+        assert [worker._stack is None for worker in made] == [False, True, True]
+
 
 def _phi_mp(z: float) -> tuple:
     """(phi_0, ..., phi_3)(z) from their definitions in 40-digit arithmetic."""
