@@ -26,6 +26,7 @@ remainder is exactly +0.0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,12 +149,19 @@ _SERIES_COEFFICIENT = {
 }
 
 
+@functools.lru_cache(maxsize=256)
+def _series_coefficients(kind: str, order: int) -> tuple[float, ...]:
+    """(a_0, ..., a_N) of `kind`'s series, computed once per (kind, order)."""
+    coefficient = _SERIES_COEFFICIENT[kind]
+    return tuple(coefficient(j) for j in range(order + 1))
+
+
 def _horner(kind: str, x: np.ndarray, order: int, low: int = 0) -> np.ndarray:
     """sum_{j=low}^{N} a_j x^(j - low) for the series coefficients a_j of `kind`."""
-    coefficient = _SERIES_COEFFICIENT[kind]
-    acc = np.full_like(x, coefficient(order))
+    a = _series_coefficients(kind, order)
+    acc = np.full_like(x, a[order])
     for j in range(order - 1, low - 1, -1):
-        acc = acc * x + coefficient(j)
+        acc = acc * x + a[j]
     return acc
 
 

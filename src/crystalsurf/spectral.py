@@ -610,9 +610,6 @@ def require_zero_mean(f: SpectralField, tol: float = 1e-12) -> None:
         )
 
 
-_NO_ORDERS = np.zeros(0)
-
-
 def norms(
     f: SpectralField, wiener_orders: tuple = (), sobolev_orders: tuple = ()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -634,12 +631,12 @@ def _coeff_norms(
 
     For coeffs of shape (B,) + grid.coeff_shape the results are (B, orders)
     arrays whose row b is, bit for bit, norms of coeffs[b] alone: each
-    product is formed and summed along the modes as for one field.  The
-    stack form needs both families of orders.
+    product is formed and summed along the modes as for one field.  A
+    family given no orders comes back empty, shaped (B, 0) for a stack.
     """
     lead = coeffs.shape[: coeffs.ndim - grid.dim]
     a = np.abs(coeffs).reshape(lead + (1, -1))
-    wiener = sobolev = _NO_ORDERS
+    wiener = sobolev = np.zeros(lead + (0,))
     if wiener_orders:
         wiener = np.add.reduce(_norm_weights(grid, "wiener", wiener_orders) * a, axis=-1)
     if sobolev_orders:

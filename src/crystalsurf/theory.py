@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ADL, EXPONENTIAL, SingularityError
-from .spectral import GridSpec, SpectralField, norms, to_physical
+from .spectral import GridSpec, SpectralField, _coeff_norms, to_physical
 # Unused here since the interpolation checks take their norms from one
-# `norms` call, but the benchmark's span table patches this name.
+# `_coeff_norms` pass, but the benchmark's span table patches this name.
 from .spectral import wiener_norm  # noqa: F401
 
 # Absolute slack granted when checking a trajectory against its decay
@@ -165,32 +165,57 @@ class InterpolationCheck:
     passed: bool
 
 
-def interpolation_checks(f: SpectralField, pairs) -> list[InterpolationCheck]:
-    """Check |f|_s <= |f|_0^{1-s/r} |f|_r^{s/r} for every (s, r) in pairs.
+@dataclass(frozen=True)
+class InterpolationColumn:
+    """The instances of |f|_s <= |f|_0^{1-s/r} |f|_r^{s/r} for one (s, r)
+    over a stack of fields: entry b of each list is field b's."""
+
+    s: float
+    r: float
+    lhs: list[float]
+    rhs: list[float]
+    passed: list[bool]
+
+
+def interpolation_columns(grid: GridSpec, coeffs: np.ndarray, pairs) -> list[InterpolationColumn]:
+    """Check |f|_s <= |f|_0^{1-s/r} |f|_r^{s/r} for every (s, r) in pairs
+    and every field of a stack, coeffs of shape (B,) + grid.coeff_shape.
 
     Every pair must satisfy 0 <= s <= r; that is checked for all of them
     before any norm is computed.  The Wiener norms at every order the pairs
-    name, and at 0, come from one `norms` call.  The inequality is a
-    theorem for every field, so passed=False indicates an implementation
-    defect rather than a property of f.  A relative slack of 1e-12 absorbs
-    rounding.
+    name, and at 0, come from one `_coeff_norms` pass over the stack, whose
+    row b is field b's own norms bit for bit.  Each side is then a Python
+    float expression per field (numpy's power rounds differently from
+    Python's on some inputs), so entry b is what field b alone gives.  The
+    inequality is a theorem for every field, so passed=False indicates an
+    implementation defect rather than a property of f.  A relative slack
+    of 1e-12 absorbs rounding.
     """
     pairs = list(pairs)
     for s, r in pairs:
         if not (0 <= s <= r):
             raise ValueError(f"need 0 <= s <= r, got s={s}, r={r}")
     orders = tuple(sorted({0.0, *(a for pair in pairs for a in pair)}))
-    norm = dict(zip(orders, norms(f, wiener_orders=orders)[0].tolist()))
-    checks = []
+    norm = dict(zip(orders, _coeff_norms(grid, coeffs, wiener_orders=orders)[0].T.tolist()))
+    columns = []
     for s, r in pairs:
         lhs = norm[s]
         if r == 0:
             rhs = norm[0.0]
         else:
             theta = s / r
-            rhs = norm[0.0] ** (1.0 - theta) * norm[r] ** theta
-        checks.append(InterpolationCheck(s, r, lhs, rhs, lhs <= rhs * (1.0 + 1e-12)))
-    return checks
+            rhs = [a ** (1.0 - theta) * b ** theta for a, b in zip(norm[0.0], norm[r])]
+        passed = [x <= y * (1.0 + 1e-12) for x, y in zip(lhs, rhs)]
+        columns.append(InterpolationColumn(s, r, lhs, rhs, passed))
+    return columns
+
+
+def interpolation_checks(f: SpectralField, pairs) -> list[InterpolationCheck]:
+    """One-field case of interpolation_columns: every (s, r) pair of f."""
+    return [
+        InterpolationCheck(c.s, c.r, c.lhs[0], c.rhs[0], c.passed[0])
+        for c in interpolation_columns(f.grid, f.coeffs[np.newaxis], pairs)
+    ]
 
 
 def interpolation_check(f: SpectralField, s: float, r: float) -> InterpolationCheck:

@@ -773,6 +773,34 @@ class TestCliValidate:
         assert main(["validate", "--filter", "parseval"]) == EXIT_USAGE
         assert "FAIL  parseval" in capsys.readouterr().out
 
+    def test_zero_stacked_inverse_fails_linf_bound(self, capsys, monkeypatch):
+        """linf_bound transforms each grid's stack in one call; samples that
+        fall below the largest coefficient modulus must fail it."""
+        import crystalsurf.spectral as spectral_module
+
+        def zeros(grid, half, work=None):
+            return np.zeros(half.shape[: half.ndim - grid.dim] + grid.phys_shape)
+
+        monkeypatch.setattr(spectral_module, "_phys_from_coeffs", zeros)
+        assert main(["validate", "--filter", "linf"]) == EXIT_USAGE
+        assert "FAIL  linf_bound" in capsys.readouterr().out
+
+    def test_broken_wiener_weights_fail_interpolation(self, capsys, monkeypatch):
+        """A weight table whose order-0 row drops every mode makes |f|_0
+        read 0, so every instance with 0 < s < r must fail."""
+        import crystalsurf.spectral as spectral_module
+
+        weights = spectral_module._norm_weights
+
+        def broken(grid, kind, orders):
+            w = weights(grid, kind, orders).copy()
+            w[[alpha == 0 for alpha in orders]] = 0.0
+            return w
+
+        monkeypatch.setattr(spectral_module, "_norm_weights", broken)
+        assert main(["validate", "--filter", "interpolation"]) == EXIT_USAGE
+        assert "FAIL  interpolation" in capsys.readouterr().out
+
 
 class TestCliSweep:
     def sweep_config(self, tmp_path, amplitudes, workers=1):

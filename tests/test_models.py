@@ -26,6 +26,8 @@ from crystalsurf.models import (
     ModelConfig,
     _SERIES_COEFFICIENT,
     SingularityError,
+    _horner,
+    _series_coefficients,
     adl_series_partial_sum,
     binomial_coeff,
     exact_tail_bound,
@@ -182,6 +184,42 @@ class TestSeriesPartialSums:
         x = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
         for order in (171, 178, 400):
             assert exp_series_partial_sum(x, order).tobytes() == exp_series_partial_sum(x, 170).tobytes()
+
+    @staticmethod
+    def _uncached_horner(kind, x, order, low):
+        coefficient = _SERIES_COEFFICIENT[kind]
+        acc = np.full_like(x, coefficient(order))
+        for j in range(order - 1, low - 1, -1):
+            acc = acc * x + coefficient(j)
+        return acc
+
+    @pytest.mark.parametrize("order", [2, 20, 60, 171, 200])
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    def test_cached_coefficients_keep_the_bits(self, kind, order):
+        x = np.linspace(-0.6, 0.6, 131)
+        for low in (0, 2):
+            want = self._uncached_horner(kind, x, order, low)
+            assert _horner(kind, x, order, low).tobytes() == want.tobytes()
+
+    def test_second_evaluation_computes_no_coefficient(self, monkeypatch):
+        """The coefficients are made once per (kind, order), for every low."""
+        calls = []
+        for kind, coefficient in list(_SERIES_COEFFICIENT.items()):
+            monkeypatch.setitem(
+                _SERIES_COEFFICIENT, kind, lambda j, c=coefficient: calls.append(j) or c(j)
+            )
+        _series_coefficients.cache_clear()
+        try:
+            x = np.linspace(-0.3, 0.3, 17)
+            for kind in (EXPONENTIAL, ADL):
+                first = _horner(kind, x, 60, low=2)
+                made = len(calls)
+                assert made > 0
+                assert _horner(kind, x, 60, low=2).tobytes() == first.tobytes()
+                assert _horner(kind, x, 60).size == x.size
+                assert len(calls) == made
+        finally:
+            _series_coefficients.cache_clear()
 
     def test_adl_partial_sum_converges(self):
         v = np.array([0.3])

@@ -570,6 +570,12 @@ class TestStacks:
             assert wiener[b].tobytes() == one[0].tobytes()
             assert sobolev[b].tobytes() == one[1].tobytes()
             assert l2[b].tobytes() == np.float64(l2_quadrature(grid, samples[b])).tobytes()
+        # One family alone: the other comes back empty, one row per field.
+        only_wiener = _coeff_norms(grid, full, orders[0])
+        only_sobolev = _coeff_norms(grid, full, (), orders[1])
+        assert only_wiener[0].tobytes() == wiener.tobytes()
+        assert only_sobolev[1].tobytes() == sobolev.tobytes()
+        assert only_wiener[1].shape == only_sobolev[0].shape == (3, 0)
 
 
 class TestFieldFromModes:

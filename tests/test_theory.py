@@ -251,13 +251,13 @@ class TestInterpolation:
     @staticmethod
     def _count_norms(monkeypatch):
         calls = []
-        norms = theory.norms
+        norms = theory._coeff_norms
 
         def counted(*args, **kwargs):
             calls.append(args)
             return norms(*args, **kwargs)
 
-        monkeypatch.setattr(theory, "norms", counted)
+        monkeypatch.setattr(theory, "_coeff_norms", counted)
         return calls
 
     @pytest.mark.parametrize("dim, m", [(1, 4), (1, 9), (1, 16), (2, 3), (2, 6)])
@@ -298,15 +298,18 @@ class TestInterpolation:
         assert calls == []
 
     def test_validate_check_reads_each_field_once(self, monkeypatch):
-        """The validate check covers 1000 fields x 15 pairs with one norms
-        call per field (fails if the norms are recomputed per pair)."""
+        """The validate check covers 1000 fields x 15 pairs with at most one
+        norm pass per ensemble grid and chunk, each over that grid's stack
+        of the chunk (fails if the norms are recomputed per field or per
+        pair)."""
         calls = self._count_norms(monkeypatch)
         result = validation.check_interpolation(
             np.random.default_rng(validation.DEFAULT_SEED)
         )
         assert result.passed is True
         assert result.detail == "15000/15000 instances hold"
-        assert len(calls) == 1000
+        assert len(calls) <= 5 * math.ceil(200 / validation._ENSEMBLE_ROWS)
+        assert sum(coeffs.shape[0] for grid, coeffs, *_ in calls) == 1000
 
 
 class TestSeriesIdentities:
