@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +494,9 @@ def cmd_sweep(args) -> int:
         if workers == 1:
             rows = [_sweep_worker(p) for p in payloads]
         else:
+            # Imported here, so no other command pays ~11 ms to load it.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_worker, payloads))
         rows.sort(key=lambda r: r["x0"])

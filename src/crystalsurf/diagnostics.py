@@ -29,6 +29,7 @@ from .spectral import (
     SpectralField,
     _coeff_norms,
     _phys_from_coeffs,
+    _stack_rows,
     _Workspace,
     l2_quadrature,
     linf_norm,
@@ -42,12 +43,6 @@ from .theory import ENVELOPE_SLACK_FACTOR, decay_envelope, lyapunov_quadrature
 WIENER_ORDERS = (0.0, 1.0, 2.0, 4.0)
 SOBOLEV_ORDERS = (0.0, 1.0, 1.9, 2.0)
 _ROW_LENGTH = 1 + len(WIENER_ORDERS) + len(SOBOLEV_ORDERS) + 5
-
-# Bytes each of a recorder chunk's largest arrays may take (see
-# `_chunk_rows`).  64 KiB keeps every buffer and temporary of a chunk below
-# glibc's 128 KiB mmap threshold on 1D grids where one sample fits in it
-# (M <= 1023 at padding 2), so recording maps and unmaps no memory there.
-_CHUNK_BYTES = 64 * 1024
 
 # Rate fitting drops this leading fraction of samples as transient and
 # ignores amplitudes below the floor, where rounding noise dominates.
@@ -82,13 +77,15 @@ def _chunk_rows(grid: GridSpec) -> int:
     The largest arrays of a chunk are the Wiener weight product,
     len(WIENER_ORDERS) doubles per mode and sample, and the transform
     workspace, about 2 P^d doubles per sample; the chunk holds as many
-    samples as keep both within _CHUNK_BYTES, and at least one.  That is
-    31 samples at 1D M=32 and one on 2D grids.
+    samples as keep both within the 64 KiB of `spectral._stack_rows`, and
+    at least one: 31 at 1D M=32, one on 2D grids.  Up to 1D M=1023 at
+    padding 2 every chunk array then stays below glibc's 128 KiB mmap
+    threshold, so recording maps and unmaps no memory there.
     """
     per_sample = max(
         len(WIENER_ORDERS) * math.prod(grid.coeff_shape), 2 * math.prod(grid.phys_shape)
     )
-    return max(1, _CHUNK_BYTES // (8 * per_sample))
+    return _stack_rows(8 * per_sample, 1)
 
 
 class TimeSeriesRecorder:

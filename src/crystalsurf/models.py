@@ -95,15 +95,6 @@ def linear_coefficient(kind: str) -> float:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def binomial_coeff(n: int, k: int) -> int:
-    """Exact integer binomial coefficient C(n, k)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial_coeff requires n, k >= 0, got n={n}, k={k}")
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Model selection: which equation, and full or truncated nonlinearity.
@@ -145,7 +136,7 @@ def _inverse_factorial(j: int) -> float:
 # exp(x) with x = -v, and (1 + x)^(-3) with x = v.
 _SERIES_COEFFICIENT = {
     EXPONENTIAL: _inverse_factorial,
-    ADL: lambda j: float((-1) ** j * binomial_coeff(j + 2, j)),
+    ADL: lambda j: float((-1) ** j * math.comb(j + 2, j)),
 }
 
 

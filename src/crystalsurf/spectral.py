@@ -389,6 +389,17 @@ class SpectralField:
         return bool(np.max(np.abs(c - flipped)) <= tol * scale)
 
 
+# Bytes of the recorder's chunk stacks (diagnostics) and the exact tail's
+# propagator stack (stepper): half of glibc's 128 KiB mmap threshold, so a
+# stack and its temporaries come from the heap, not a fresh mapping.
+_STACK_BYTES = 64 * 1024
+
+
+def _stack_rows(row_nbytes: int, least: int) -> int:
+    """Rows of `row_nbytes` bytes that fit in _STACK_BYTES, and at least `least`."""
+    return max(least, _STACK_BYTES // row_nbytes)
+
+
 class _Workspace:
     """Scratch buffers of the transform pair on one grid.
 
@@ -409,7 +420,8 @@ class _Workspace:
     0.34 MB, above glibc's mmap threshold; once such a block is freed,
     glibc raises its mmap and trim thresholds past that size, so the
     observer's per-sample P^d temporaries reuse heap pages instead of
-    being mapped and faulted in afresh at every sample.
+    being mapped and faulted in afresh at every sample; `_stack_rows`
+    keeps the stacks of the recorder and the tail below that threshold.
     """
 
     def __init__(self, grid: GridSpec, batch: tuple[int, ...] = (), forward: bool = True):

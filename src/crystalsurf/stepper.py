@@ -11,7 +11,8 @@ with coefficients assembled from the phi functions
 
 All z values here are real and <= 0, so the phi functions are evaluated
 directly from expm1-based formulas away from the origin and from a Taylor
-series near it; the series radius is chosen so the subtracted forms never
+series near it, the exponential series of `models._horner` started at its
+m-th coefficient; the series radius is chosen so the subtracted forms never
 lose more than ~1e-13 relative accuracy to cancellation.
 
 The march, and the propagator and phi tables, use only the k_d >= 0 half
@@ -45,7 +46,8 @@ sample, stage states included, so each step is `propagator * c` bit for
 bit.  `integrate` then marches each sample interval with `_Stepper.tail`:
 one product and one `np.multiply.reduce` over a float64 stack of
 propagator rows per piece of up to as many steps as the stack has rows
-(64 KiB, at least two rows; one piece at 1D M=32 up to 124 steps), and one
+(`spectral._stack_rows`: 64 KiB, at least three rows; one piece at 1D M=32
+up to 124 steps, at 2D M=32 up to three), and one
 flush, in place of a numpy call per step.  The reduction multiplies in
 step order, so the observer sees the same steps and the same bits as
 without it.  The bound is tested at step
@@ -57,21 +59,23 @@ the tail, so the test stops at its first hit.  Truncated models and
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import (
+    EXPONENTIAL,
     ModelConfig,
     SingularityError,
+    _horner,
     _superlinear_pointwise,
     exact_tail_bound,
     nonlinear_remainder,
     remainder_fn,
 )
-from .spectral import GridSpec, SpectralField, _mirror, _plan, require_zero_mean, wiener_norm
+from .spectral import GridSpec, SpectralField, _mirror, _plan, _stack_rows
+from .spectral import require_zero_mean, wiener_norm
 
 SCHEME_ETD1 = "etd1"
 SCHEME_ETDRK4 = "etdrk4"
@@ -89,12 +93,6 @@ DT_GUARD_HEADROOM = 10.0
 
 # Smallest normal float64; _Stepper.advance flushes coefficient parts below it.
 _TINY = np.finfo(np.float64).tiny
-
-# Bytes the stack of `_Stepper.tail` may take, like the recorder's chunk
-# buffers (diagnostics._CHUNK_BYTES): below glibc's 128 KiB mmap threshold,
-# 124 rows at 1D M=32.  A grid whose half takes more than half of it (2D
-# M >= 26) gets two rows, so its tail pieces are two steps.
-_TAIL_STACK_BYTES = 64 * 1024
 
 
 class NonFiniteStateError(ArithmeticError):
@@ -155,14 +153,6 @@ class TrajectoryState:
     step_count: int
 
 
-def _phi_series(z: np.ndarray, m: int) -> np.ndarray:
-    """Taylor polynomial sum_{n<_PHI_SERIES_TERMS} z^n / (n+m)! by Horner."""
-    acc = np.full_like(z, 1.0 / math.factorial(_PHI_SERIES_TERMS - 1 + m))
-    for n in range(_PHI_SERIES_TERMS - 2, -1, -1):
-        acc = acc * z + 1.0 / math.factorial(n + m)
-    return acc
-
-
 def phi_functions(z) -> tuple:
     """Evaluate (phi_0, phi_1, phi_2, phi_3) at real z <= 0.
 
@@ -185,10 +175,10 @@ def phi_functions(z) -> tuple:
 
     small = np.abs(za) < _PHI_SERIES_RADIUS
     if np.any(small):
+        # phi_m(z) = sum_n z^n / (n+m)!, the exponential series from a_m on
         zs = za[small]
-        phi1[small] = _phi_series(zs, 1)
-        phi2[small] = _phi_series(zs, 2)
-        phi3[small] = _phi_series(zs, 3)
+        for m, phi in ((1, phi1), (2, phi2), (3, phi3)):
+            phi[small] = _horner(EXPONENTIAL, zs, _PHI_SERIES_TERMS - 1 + m, low=m)
     if np.any(~small):
         zl = za[~small]
         em = np.expm1(zl)
@@ -441,10 +431,12 @@ class _Stepper:
     def _tail_stack(self) -> np.ndarray:
         """The float64 stack of `tail`, made on its first call: row 0 the
         state, rows 1.. the propagator repeated per real and imaginary part;
-        as many rows as fit in _TAIL_STACK_BYTES, and at least two."""
+        as many rows as `spectral._stack_rows` fits in 64 KiB (124 at 1D
+        M=32), and at least three: the three rows of a 2D half at M=26..36
+        take 64-128 KiB, and its two-step pieces ran slower than `advance`."""
         if self._stack is None:
             row = np.repeat(self.propagator, 2, axis=-1)
-            rows = max(2, _TAIL_STACK_BYTES // row.nbytes)
+            rows = _stack_rows(row.nbytes, 3)
             self._stack = np.empty((rows,) + row.shape)
             self._stack[1:] = row
         return self._stack

@@ -240,13 +240,8 @@ def _series_partial_sums(w: float, n: int) -> dict[int, float]:
     starts = {3: 2, 4: 2, 5: 3, 6: 4}
     sums = {}
     for m, j0 in starts.items():
-        terms = []
-        for j in range(j0, n + 1):
-            factor = 1.0
-            for i in range(m):
-                factor *= j + 2 - i
-            terms.append(factor * w ** (j - 1))
-        sums[m] = math.fsum(terms)
+        # (j+2)(j+1)...(j+3-m) = perm(j+2, m), exact in a float below 2^53
+        sums[m] = math.fsum(math.perm(j + 2, m) * w ** (j - 1) for j in range(j0, n + 1))
     return sums
 
 

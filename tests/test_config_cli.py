@@ -6,6 +6,7 @@ exit codes, file contents, and printed summaries are all checked without
 spawning subprocesses (one subprocess test covers the module entry point).
 """
 
+import concurrent.futures
 import copy
 import csv
 import json
@@ -1099,7 +1100,7 @@ class TestCliSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return sizes
 
     @pytest.mark.parametrize(
@@ -1346,3 +1347,11 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "threshold root" in proc.stdout
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        """Only a sweep on more than one worker starts a process pool, so
+        importing the CLI in a fresh interpreter does not load its module."""
+        code = "import sys, crystalsurf.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from crystalsurf.diagnostics import (
-    _CHUNK_BYTES,
     RATE_FIT_FLOOR,
     SOBOLEV_ORDERS,
     WIENER_ORDERS,
@@ -29,6 +28,7 @@ from crystalsurf.diagnostics import (
 from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
 from crystalsurf.spectral import (
     _DENSE_MAX_POINTS,
+    _STACK_BYTES,
     GridSpec,
     SpectralField,
     field_from_modes,
@@ -339,7 +339,7 @@ class TestChunkedRecorder:
         ]
         sizes = [recorder._coeffs.nbytes, recorder._block.nbytes, work_block.nbytes, *temporaries]
         assert max(sizes) < 128 * 1024
-        assert max(temporaries) <= _CHUNK_BYTES
+        assert max(temporaries) <= _STACK_BYTES
         if (m, padding) == (32, 2.0):
             assert rows == 31
         assert _chunk_rows(GridSpec.create(2, 32)) == 1

@@ -29,7 +29,6 @@ from crystalsurf.models import (
     _horner,
     _series_coefficients,
     adl_series_partial_sum,
-    binomial_coeff,
     exact_tail_bound,
     exp_series_partial_sum,
     linear_coefficient,
@@ -120,33 +119,6 @@ class TestModelConfig:
         assert cfg.truncation_order == DEFAULT_TRUNCATION_ORDER
 
 
-class TestBinomialCoeff:
-    def test_spot_value(self):
-        assert binomial_coeff(4, 2) == 6
-
-    def test_zero_above_diagonal(self):
-        assert binomial_coeff(3, 5) == 0
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError):
-            binomial_coeff(-1, 0)
-        with pytest.raises(ValueError):
-            binomial_coeff(3, -2)
-
-    @given(n=st.integers(0, 40), k=st.integers(0, 40))
-    @settings(max_examples=200, deadline=None)
-    def test_symmetry(self, n, k):
-        if k <= n:
-            assert binomial_coeff(n, k) == binomial_coeff(n, n - k)
-
-    @given(n=st.integers(1, 40), k=st.integers(0, 40))
-    @settings(max_examples=200, deadline=None)
-    def test_pascal_recurrence(self, n, k):
-        assert binomial_coeff(n, k) == binomial_coeff(n - 1, k) + (
-            binomial_coeff(n - 1, k - 1) if k > 0 else 0
-        )
-
-
 class TestSeriesPartialSums:
     @pytest.mark.parametrize("order", [0, 1, 2, 5, 9])
     def test_exp_partial_sum_matches_term_sum(self, order):
@@ -162,7 +134,7 @@ class TestSeriesPartialSums:
         expected = np.array(
             [
                 math.fsum(
-                    (-1) ** j * binomial_coeff(j + 2, 2) * vi**j for j in range(order + 1)
+                    (-1) ** j * math.comb(j + 2, 2) * vi**j for j in range(order + 1)
                 )
                 for vi in v
             ]
@@ -184,6 +156,11 @@ class TestSeriesPartialSums:
         x = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
         for order in (171, 178, 400):
             assert exp_series_partial_sum(x, order).tobytes() == exp_series_partial_sum(x, 170).tobytes()
+
+    def test_adl_coefficients_are_the_signed_triangular_numbers(self):
+        """a_j = (-1)^j C(j+2, j) = (-1)^j (j+1)(j+2)/2 up to order 400."""
+        want = tuple(float((-1) ** j * ((j + 1) * (j + 2) // 2)) for j in range(401))
+        assert _series_coefficients(ADL, 400) == want
 
     @staticmethod
     def _uncached_horner(kind, x, order, low):

@@ -29,6 +29,7 @@ from crystalsurf.models import (
     remainder_fn,
 )
 from crystalsurf.spectral import (
+    _STACK_BYTES,
     GridSpec,
     SpectralField,
     field_from_modes,
@@ -96,6 +97,24 @@ class TestPhiFunctions:
     def test_positive_argument_rejected(self, bad):
         with pytest.raises(ValueError, match="z <= 0"):
             phi_functions(bad)
+
+    def test_taylor_branch_keeps_the_bits_of_its_own_horner(self):
+        """Below |z| = 0.25 phi_1..phi_3 are bit for bit the stepper's former
+        Taylor polynomial, kept here: sum_{n<14} z^n / (n+m)! by Horner on
+        1.0 / (n+m)!.  10^4 points in (-0.25, 0], with +-0.0, subnormals and
+        the last float below the switch."""
+        def old_series(z, m):
+            acc = np.full_like(z, 1.0 / math.factorial(13 + m))
+            for n in range(12, -1, -1):
+                acc = acc * z + 1.0 / math.factorial(n + m)
+            return acc
+
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, -0.0, -5e-324, -tiny / 3, -tiny, -1e-300, -1e-17, -np.nextafter(0.25, 0.0)]
+        zs = np.concatenate([np.linspace(-0.25, 0.0, 10_001)[1:], edges])
+        assert np.all(np.abs(zs) < 0.25)
+        for m, got in enumerate(phi_functions(zs)[1:], 1):
+            assert got.tobytes() == old_series(zs, m).tobytes(), m
 
     @given(z=st.floats(min_value=-50.0, max_value=-0.5))
     @settings(max_examples=100, deadline=None)
@@ -751,18 +770,35 @@ class TestExactTail:
 
     @pytest.mark.parametrize(
         "dim, m, rows",
-        [(1, 8, 455), (1, 32, 124), (1, 1023, 4), (2, 4, 91), (2, 16, 7), (2, 26, 2), (2, 32, 2)],
+        [(1, 8, 455), (1, 32, 124), (1, 1023, 4), (2, 4, 91), (2, 16, 7), (2, 26, 3), (2, 32, 3)],
     )
     def test_stack_takes_at_most_64_kib(self, dim, m, rows):
         """As many rows as fit in 64 KiB, row 0 for the state and the rest
-        the propagator per real and imaginary part; two rows, the state and
-        one propagator row, where a half takes more than 32 KiB (2D M=32)."""
+        the propagator per real and imaginary part; three rows, below
+        glibc's 128 KiB mmap threshold, where a half takes more than a third
+        of 64 KiB (2D M >= 26)."""
         worker = _Stepper(ModelConfig(EXPONENTIAL, GridSpec.create(dim, m)), StepperConfig(dt=1e-3))
         stack = worker._tail_stack()
         assert len(stack) == rows
-        assert stack.nbytes <= 64 * 1024 or (rows == 2 and stack[0].nbytes > 32 * 1024)
+        assert stack.nbytes <= _STACK_BYTES or (rows == 3 and stack.nbytes < 128 * 1024)
         assert stack[1:].tobytes() == np.repeat(worker.propagator, 2, axis=-1).tobytes() * (rows - 1)
         assert worker._tail_stack() is stack
+
+    def test_2d_m32_tail_runs_on_three_rows(self, monkeypatch, tail_calls):
+        """A 2D adl M=32 march of 0.02 sin(2x + y) falls below the bound near
+        t = 0.55; each later 50-step interval is one tail call in pieces of
+        three steps, and the march is the one without the tail, bit for bit."""
+        grid = GridSpec.create(2, 32)
+        cfg = ModelConfig(ADL, grid)
+        scfg = StepperConfig(dt=1e-3, t_end=1.0, sample_every=50)
+        v0 = field_from_modes(grid, [((2, 1), 0.02, 0.0)])
+        assert len(_Stepper(cfg, scfg)._tail_stack()) == 3
+        with_tail = _march(cfg, scfg, v0)
+        calls = len(tail_calls)
+        assert calls >= 9 and set(tail_calls) == {50}
+        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        assert _march(cfg, scfg, v0) == with_tail
+        assert len(tail_calls) == calls
 
     def test_march_outside_the_tail_allocates_no_stack(self, monkeypatch):
         made = []
