@@ -60,12 +60,14 @@ DEFAULT_TRUNCATION_ORDER = 20
 ADL_SINGULAR_FLOOR = 1e-8
 
 # Bound on 2 sum|c_half|, which bounds max|v| on the grid, at every ETD
-# stage state too (|propagator| <= 1).  At such |x| the first dropped term
-# of expm1 and log1p, about x^2/2, is far below half an ulp of x (it stays
-# below up to |x| ~ 1e-16), so expm1(x) == x and log1p(x) == x, and both
-# full remainders, expm1(-v) + v and expm1(-3 log1p(v)) + 3v, are -y + y =
-# +0.0 exactly: an ETD step is then the propagator alone.
-EXACT_TAIL_BOUND = 1e-18
+# stage state too (|propagator| <= 1).  Below 2^-54 ~ 5.55e-17, where the
+# first dropped term x^2/2 is far below half an ulp of x, expm1(x) and
+# log1p(x) return x itself.  The largest argument either full remainder
+# passes them is the adl chain's 3 max|v| <= 3e-17, so log1p(v) == v,
+# expm1(-y) == -y with y = 3.0 * v, and both remainders, expm1(-v) + v and
+# expm1(-3 log1p(v)) + 3v, are -y + y = +0.0 exactly: an ETD step is then
+# the propagator alone (test_models checks the identities on every binade).
+EXACT_TAIL_BOUND = 1e-17
 
 
 class SingularityError(ArithmeticError):

@@ -535,13 +535,14 @@ def _coeffs_from_phys(
 
 
 def _mirror(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """Full (2M+1)^d coefficient array from its k_d >= 0 half, c(-k) = conj(c(k))."""
+    """Full (2M+1)^d coefficient array from its k_d >= 0 half, c(-k) = conj(c(k));
+    for a stack of halves, (B,) + the half's shape, the stack of their full arrays."""
     m = grid.modes_per_axis
     if grid.dim == 1:
-        return np.concatenate((np.conj(half[:0:-1]), half))
-    full = np.empty(grid.coeff_shape, dtype=np.complex128)
-    full[:, m:] = half
-    full[:, :m] = np.conj(half[::-1, :0:-1])
+        return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
+    full = np.empty(half.shape[:-2] + grid.coeff_shape, dtype=np.complex128)
+    full[..., m:] = half
+    full[..., :m] = np.conj(half[..., ::-1, :0:-1])
     return full
 
 

@@ -40,20 +40,26 @@ and take |k|^4 of the half from `spectral._plan`'s "k4_half".
 
 Exact linear tail.  The solutions decay exponentially, and a long run
 spends most of its steps near rounding noise.  Once 2 sum|c_half|, which
-bounds max|v| on the grid, falls below `models.exact_tail_bound` (1e-18 for
-the full nonlinearities), the full remainder is exactly +0.0 at every
-sample, stage states included, so each step is `propagator * c` bit for
-bit.  `integrate` then marches each sample interval with `_Stepper.tail`:
-one product and one `np.multiply.reduce` over a float64 stack of
-propagator rows per piece of up to as many steps as the stack has rows
-(`spectral._stack_rows`: 64 KiB, at least three rows; one piece at 1D M=32
-up to 124 steps, at 2D M=32 up to three), and one
-flush, in place of a numpy call per step.  The reduction multiplies in
-step order, so the observer sees the same steps and the same bits as
-without it.  The bound is tested at step
-0 and after each sample, not before every step; the state cannot leave
-the tail, so the test stops at its first hit.  Truncated models and
-`nonlinearity` overrides never take it.
+bounds max|v| on the grid, falls below `models.exact_tail_bound` (1e-17 for
+the full nonlinearities: the adl chain then passes expm1 at most 3e-17,
+below the 2^-54 under which expm1 and log1p return their argument), the
+full remainder is exactly +0.0 at every sample, stage states included, so
+each step is `propagator * c` bit for bit.  The bound is tested at step 0
+and after each sample, from the same sum of |c| that checks the sample for
+finiteness, and not before every step; the state cannot leave the tail,
+so the test stops at its first hit.  `integrate` then marches the
+remaining samples in blocks of as many full arrays as fit in 64 KiB
+(`spectral._stack_rows`: 63 at 1D M=32, one at 2D M=32), one
+`_Stepper.tail` call, one flush and one `_mirror` per block.  The tail
+multiplies float64 views by a stack of propagator rows (64 KiB, at least
+three rows; 124 at 1D M=32, three at 2D M=32): at `sample_every` 1 a
+block is the prefix products of the stack, one `np.multiply.accumulate`;
+at longer cadences each sample is one `np.multiply.reduce` per piece of
+as many steps as the stack has rows.  Both multiply in step order, so the
+observer sees the same steps and the same bits as without the tail.  Tail
+samples are not checked for finiteness: each is a checked finite state
+times propagators of modulus at most 1.  Truncated models and
+`nonlinearity` overrides never take the tail.
 """
 
 from __future__ import annotations
@@ -99,7 +105,8 @@ class NonFiniteStateError(ArithmeticError):
     """The state overflowed or went NaN during integrate.
 
     NaN and inf propagate through every later step, so the state is checked
-    only at the sample cadence; `time` is the first sample found non-finite.
+    only at pre-tail samples (a tail state cannot turn non-finite); `time`
+    is the first sample found non-finite.
     """
 
     def __init__(self, time: float):
@@ -395,37 +402,57 @@ class _Stepper:
             out = _etd_step(self.tables, c, self.remainder, t)
         return _flush(out)
 
-    def in_tail(self, c: np.ndarray) -> bool:
-        """Whether every step from `c` on is `propagator * c` exactly (see
-        models.EXACT_TAIL_BOUND); False for a NaN or inf state."""
-        return 2.0 * np.abs(c).sum() < self.tail_bound
+    def check_sample(self, c: np.ndarray, time: float) -> bool:
+        """Whether every step from the sampled state `c` on is `propagator * c`
+        exactly (see models.EXACT_TAIL_BOUND).
 
-    def tail(self, c: np.ndarray, steps: int) -> np.ndarray:
-        """`steps` >= 1 exact-tail steps of `c`; bit for bit as many `advance`
-        calls from a state `in_tail`.  Returns a new array.
-
-        A single step is `c * propagator`.  Longer intervals run on float64
-        views, each part times the propagator of its mode, in pieces of at
-        most as many steps as the stack (`_tail_stack`) has rows: the first
-        step of a piece is one product into row 0, and the others are one
-        `np.multiply.reduce` over the rows that follow it.  The reduction
-        multiplies the rows in order, so each step rounds as `advance`
-        does; a float64 product differs from the complex-by-real one only
-        in the sign of a zero part, which the flush sets to +0.0.
-        |propagator| <= 1 and rounding is monotone, so a part below the
-        smallest normal stays below it and one flush at the end zeroes what
-        each step's flush would have.
+        Raises NonFiniteStateError at `time` when `c` holds an inf or NaN.
+        One sum of |c| serves both tests: `np.isfinite` runs only when that
+        sum is not finite, so a finite state whose sum overflows is neither
+        reported nor in the tail.
         """
-        if steps == 1:  # two float64 views would cost more than they save
-            return _flush(c * self.propagator)
+        level = 2.0 * np.abs(c).sum()
+        if level < self.tail_bound:
+            return True
+        if not np.isfinite(level) and not np.isfinite(c).all():
+            raise NonFiniteStateError(time)
+        return False
+
+    def tail(self, c: np.ndarray, steps) -> np.ndarray:
+        """The states after each count of `steps` (each >= 1) exact-tail steps,
+        one after the other from `c`, as a stack (len(steps),) + c.shape:
+        bit for bit the states of as many `advance` calls from a state below
+        the bound.  Returns a new array and leaves `c` alone.
+
+        Runs on float64 views, each part times the propagator of its mode,
+        in pieces of at most as many steps as the stack (`_tail_stack`) has
+        rows; the first step of a piece is one product into row 0.  With
+        one step per count the rows of the result are the prefix products
+        of a piece, one `np.multiply.accumulate`; otherwise each count is
+        one `np.multiply.reduce` per piece into its row.  Both multiply the
+        rows in order, so each step rounds as `advance` does; a float64
+        product differs from the complex-by-real one only in the sign of a
+        zero part, which the flush sets to +0.0.  |propagator| <= 1 and
+        rounding is monotone, so a part below the smallest normal stays
+        below it and one flush of the result zeroes what each step's flush
+        would have.
+        """
         stack = self._tail_stack()
-        out = np.empty(stack.shape[1:])
+        out = np.empty((len(steps),) + stack.shape[1:])
         state = c.view(np.float64)
-        while steps:
-            k = min(steps, len(stack))
-            np.multiply(state, stack[1], out=stack[0])
-            np.multiply.reduce(stack[:k], axis=0, out=out)
-            state, steps = out, steps - k
+        if len(steps) == sum(steps):  # one step per row: prefix products
+            for at in range(0, len(out), len(stack)):
+                rows = out[at : at + len(stack)]
+                np.multiply(state, stack[1], out=stack[0])
+                np.multiply.accumulate(stack[: len(rows)], axis=0, out=rows)
+                state = rows[-1]
+        else:
+            for row, n in zip(out, steps):
+                while n:
+                    k = min(n, len(stack))
+                    np.multiply(state, stack[1], out=stack[0])
+                    np.multiply.reduce(stack[:k], axis=0, out=row)
+                    state, n = row, n - k
         return _flush(out.view(np.complex128))
 
     def _tail_stack(self) -> np.ndarray:
@@ -477,11 +504,11 @@ def integrate(
 
     The observer, when given, is called as observer(t, v) at step 0, then
     every sample_every steps, and at the final step.  The state is checked
-    for finiteness at those same steps, observer or not.  Runs are
+    for finiteness at pre-tail samples, observer or not.  Runs are
     deterministic: identical inputs produce bitwise identical trajectories.
     Once the state is below the exact-tail bound at a sample (see the
-    module docstring), the steps of each following sample interval are
-    taken as one `_Stepper.tail` call; the samples, their times and their
+    module docstring), the following samples are marched in blocks, one
+    `_Stepper.tail` call per block; the samples, their times and their
     bits are those of the step-by-step march.
 
     Args:
@@ -495,7 +522,8 @@ def integrate(
         SingularityError: propagated from the adl nonlinearity with the
             failing time attached, or the step's start and end times when
             an intermediate stage failed.
-        NonFiniteStateError: the state held an inf or NaN at a sample.
+        NonFiniteStateError: the state held an inf or NaN at a pre-tail
+            sample.
     """
     if v0.grid != cfg.grid:
         raise ValueError("initial field grid does not match the model configuration grid")
@@ -535,34 +563,39 @@ def integrate(
     c[grid.zero_index] = 0.0
     c = c[..., m:]
 
-    def emit(step_index: int) -> None:
-        if not np.isfinite(c).all():
-            raise NonFiniteStateError(step_index * scfg.dt)
-        if observer is not None:
-            observer(step_index * scfg.dt, SpectralField(grid, _mirror(grid, c)))
-
-    every = scfg.sample_every
-    emit(0)
-    # The tail is exact from any state below the bound, so testing for it
-    # at samples only moves no bit; the state only shrinks in it, so the
+    dt, every = scfg.dt, scfg.sample_every
+    # A pre-tail sample is checked for finiteness and for the tail at once;
+    # the tail is exact from any state below the bound, so testing for it at
+    # samples only moves no bit, and the state only shrinks in it, so the
     # test stops at its first hit.
-    in_tail = worker.in_tail(c)
-    i = 1
-    while i <= n_steps:
-        if in_tail:  # steps i..j at once, j the next sampled step
-            j = min(-(-i // every) * every, n_steps)
-            c = worker.tail(c, j - i + 1)
-            i = j
-        else:
-            t_prev = (i - 1) * scfg.dt
-            try:
-                c = worker.advance(c, t_prev)
-            except SingularityError as err:
-                if err.time is None:
-                    err.time, err.step_end = t_prev, i * scfg.dt
-                raise
+    in_tail = worker.check_sample(c, 0.0)
+    if observer is not None:
+        observer(0.0, SpectralField(grid, _mirror(grid, c)))
+    i = 0
+    while i < n_steps and not in_tail:
+        t_prev, i = i * dt, i + 1
+        try:
+            c = worker.advance(c, t_prev)
+        except SingularityError as err:
+            if err.time is None:
+                err.time, err.step_end = t_prev, i * dt
+            raise
         if i % every == 0 or i == n_steps:
-            emit(i)
-            in_tail = in_tail or worker.in_tail(c)
-        i += 1
-    return TrajectoryState(n_steps * scfg.dt, SpectralField(grid, _mirror(grid, c)), n_steps)
+            in_tail = worker.check_sample(c, i * dt)
+            if observer is not None:
+                observer(i * dt, SpectralField(grid, _mirror(grid, c)))
+    if i < n_steps:
+        # The tail's samples, in blocks of as many full arrays as fit in
+        # _stack_rows' budget: one tail call, one flush and one mirror per
+        # block.  A tail state is a checked finite state times propagators
+        # of modulus <= 1, so no tail sample is checked.
+        ends = [*range(i + every, n_steps, every), n_steps]
+        steps = [end - start for start, end in zip([i, *ends], ends)]
+        rows = _stack_rows(v0.coeffs.nbytes, 1)
+        for at in range(0, len(ends), rows):
+            block = worker.tail(c, steps[at : at + rows])
+            c = block[-1]
+            if observer is not None:
+                for end, full in zip(ends[at : at + rows], _mirror(grid, block)):
+                    observer(end * dt, SpectralField(grid, full))
+    return TrajectoryState(n_steps * dt, SpectralField(grid, _mirror(grid, c)), n_steps)

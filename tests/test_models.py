@@ -410,19 +410,19 @@ class TestRemainder:
             assert out.has_zero_mean
 
 
-def _tail_probes(per_binade=64, seed=17):
+def _tail_probes(limit=EXACT_TAIL_BOUND, per_binade=64, seed=17):
     """Both signs of: random mantissas in every binade from the smallest
-    normal float64 up to EXACT_TAIL_BOUND, the bound itself, random and
-    extreme subnormals, and zero."""
+    normal float64 up to `limit`, `limit` itself, random and extreme
+    subnormals, and zero."""
     rng = np.random.default_rng(seed)
-    top = math.frexp(EXACT_TAIL_BOUND)[1] - 1  # EXACT_TAIL_BOUND = f * 2**top, 1 <= f < 2
+    top = math.frexp(limit)[1] - 1  # limit = f * 2**top, 1 <= f < 2
     binades = np.arange(np.finfo(np.float64).minexp, top + 1)
     mantissas = 1.0 + rng.random((binades.size, per_binade))
     normals = np.ldexp(mantissas, binades[:, None]).ravel()
-    normals = normals[normals <= EXACT_TAIL_BOUND]
+    normals = normals[normals <= limit]
     tiny = np.finfo(np.float64).tiny
     subnormals = rng.random(per_binade) * tiny
-    extremes = [EXACT_TAIL_BOUND, tiny, np.nextafter(tiny, 0.0), 5e-324, 0.0]
+    extremes = [limit, tiny, np.nextafter(tiny, 0.0), 5e-324, 0.0]
     x = np.concatenate([normals, subnormals, extremes])
     return np.concatenate([x, -x])
 
@@ -437,6 +437,18 @@ class TestExactTail:
         exponents = np.frexp(np.abs(x[np.abs(x) >= np.finfo(np.float64).tiny]))[1]
         assert np.unique(exponents).size == math.frexp(EXACT_TAIL_BOUND)[1] + 1022
         assert np.signbit(x).any() and np.signbit(-x).any()
+
+    def test_expm1_and_log1p_return_their_argument_there(self):
+        """The bound's proof on this numpy: below 2^-54 expm1 and log1p return
+        their argument, and the adl chain passes log1p at most max|v| and
+        expm1 at most 3 max|v|, so both must hold bit for bit, signed zeros
+        included, on every binade up to the bound and three times it."""
+        assert 3.0 * EXACT_TAIL_BOUND < 2.0**-54
+        x = _tail_probes(3.0 * EXACT_TAIL_BOUND)
+        assert np.abs(x).max() == 3.0 * EXACT_TAIL_BOUND
+        assert np.expm1(x).tobytes() == x.tobytes()
+        x = _tail_probes()
+        assert np.log1p(x).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
     def test_full_remainder_is_positive_zero_at_or_below_the_bound(self, kind):

@@ -583,12 +583,12 @@ class TestFusedStep:
 
 @pytest.fixture
 def tail_calls(monkeypatch):
-    """Records the `steps` of every `_Stepper.tail` call."""
+    """Records the `steps` of every `_Stepper.tail` call, one list per block."""
     calls = []
     tail = _Stepper.tail
 
     def spy(self, c, steps):
-        calls.append(steps)
+        calls.append(list(steps))
         return tail(self, c, steps)
 
     monkeypatch.setattr(_Stepper, "tail", spy)
@@ -633,13 +633,19 @@ class TestExactTail:
         blocks = list(tail_calls)
         monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
         without = _march(cfg, scfg, v0)
-        assert len(tail_calls) == len(blocks) >= 10  # many blocks, none without the tail
+        assert len(tail_calls) == len(blocks) >= 1  # none without the tail
         assert [t for t, _ in with_tail] == [t for t, _ in without]
         assert with_tail == without
+        intervals = [steps for block in blocks for steps in block]
         every, n = scfg.sample_every, scfg.n_steps
-        assert all(steps <= every for steps in blocks)
+        assert len(intervals) >= 10 and all(steps <= every for steps in intervals)
         if n % every:
-            assert blocks[-1] == n % every  # the last block ends at the final step
+            assert intervals[-1] == n % every  # the last interval ends at the final step
+        # Some samples lie between this bound and the earlier 1e-18, where
+        # the march took full steps before; they now take the tail.
+        m, shape = cfg.grid.modes_per_axis, cfg.grid.coeff_shape
+        levels = [2.0 * np.abs(np.frombuffer(c, complex).reshape(shape)[..., m:]).sum() for _, c in with_tail]
+        assert any(EXACT_TAIL_BOUND > level >= 1e-18 for level in levels)
 
     @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -651,15 +657,21 @@ class TestExactTail:
         k = 1 if dim == 1 else (1, 1)
         half = _seed_high_modes(grid, field_from_modes(grid, [(k, 3e-19, 0.3)]).coeffs)[..., m:]
         worker = _Stepper(ModelConfig(ADL, grid), StepperConfig(dt=0.05, scheme=scheme))
-        assert worker.in_tail(half)
+        assert worker.check_sample(half, 0.0)
         before = half.tobytes()
-        want = half
+        want = [half]
         for n in range(1, 40):
-            want = worker.advance(want, 0.0)
-            got = worker.tail(half, n)
-            assert got.tobytes() == want.tobytes(), n
+            want.append(worker.advance(want[-1], 0.0))
+            got = worker.tail(half, [n])
+            assert got.shape == (1,) + half.shape
+            assert got[0].tobytes() == want[n].tobytes(), n
+        # a stack of samples: one step each, and uneven counts
+        assert worker.tail(half, [1] * 39).tobytes() == b"".join(w.tobytes() for w in want[1:])
+        counts = [3, 1, 7, 2, 1, 11]
+        ends = np.cumsum(counts)
+        assert worker.tail(half, counts).tobytes() == b"".join(want[e].tobytes() for e in ends)
         assert half.tobytes() == before
-        assert not _has_subnormal(want) and 0.0 < np.abs(want).max() < 1e-20
+        assert not _has_subnormal(want[-1]) and 0.0 < np.abs(want[-1]).max() < 1e-20
 
     @pytest.mark.parametrize("bound", ["equal", "below"])
     def test_state_at_or_above_the_bound_takes_the_full_step(self, bound, monkeypatch, tail_calls):
@@ -676,12 +688,13 @@ class TestExactTail:
         assert (steps, tail_calls) == ([0.0], [])
         monkeypatch.setattr(models, "EXACT_TAIL_BOUND", np.nextafter(level, np.inf))
         integrate(cfg, scfg, v0)
-        assert (steps, tail_calls) == ([0.0], [1])
+        assert (steps, tail_calls) == ([0.0], [[1]])
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     def test_non_finite_state_still_fails(self, poison, monkeypatch, tail_calls):
         """A NaN or inf sum is not below the bound, so a state gone
-        non-finite keeps taking full steps and fails at the next sample."""
+        non-finite never takes the tail and fails at the first sample
+        after it, the one the check names."""
         pointwise = stepper._superlinear_pointwise
 
         def poisoned(cfg, v, out=None, time=None):
@@ -697,10 +710,24 @@ class TestExactTail:
                 integrate(cfg, scfg, v0)
         assert exc.value.time == pytest.approx(0.105)
         assert tail_calls == []
-        worker = _Stepper(cfg, scfg)
+
+    def test_sample_check_reports_only_non_finite_states(self):
+        """One |c| sum gives the tail test; an inf or NaN part raises with
+        the sample's time, and a finite state whose sum overflows to inf
+        is neither reported nor in the tail."""
+        grid = GridSpec.create(1, 2)
+        worker = _Stepper(ModelConfig(EXPONENTIAL, grid), StepperConfig(dt=1e-3))
         for bad in (np.nan, np.inf, -np.inf):
-            assert not worker.in_tail(np.array([0.0, bad, 1e-30], dtype=complex))
-            assert not worker.in_tail(np.array([0.0, complex(0.0, bad)]))
+            for c in ([0.0, bad, 1e-30], [0.0, complex(0.0, bad), 0.0]):
+                with pytest.raises(NonFiniteStateError) as exc:
+                    worker.check_sample(np.array(c, dtype=complex), 0.25)
+                assert exc.value.time == 0.25
+        huge = np.array([0.0, complex(1e308, 1e308), -1e308])
+        with np.errstate(over="ignore"):
+            assert np.abs(huge).sum() == np.inf
+            assert not worker.check_sample(huge, 0.25)
+        assert worker.check_sample(np.array([0.0, 1e-18, complex(0.0, -1e-18)]), 0.25)
+        assert not worker.check_sample(np.array([0.0, EXACT_TAIL_BOUND, 0.0]), 0.25)
 
     def test_truncated_mode_and_override_never_take_the_tail(self, tail_calls):
         grid = GridSpec.create(1, 8)
@@ -738,7 +765,7 @@ class TestExactTail:
             values[rng.random(shape) < 0.4] = -0.0
             assert np.signbit(values[values == 0.0]).any()
         half = values.view(np.complex128)[..., 0]
-        assert worker.in_tail(half)
+        assert worker.check_sample(half, 0.0)
         before = half.tobytes()
         rows = len(worker._tail_stack())
         budgets = [1, 2, rows - 1, rows, rows + 1]
@@ -747,7 +774,9 @@ class TestExactTail:
             advanced = worker.advance(advanced, 0.0)
             want[n] = advanced.tobytes()
         for n in budgets:
-            assert worker.tail(half, n).tobytes() == want[n], n
+            assert worker.tail(half, [n]).tobytes() == want[n], n
+            # n one-step samples: prefix products over one or two pieces
+            assert worker.tail(half, [1] * n).tobytes() == b"".join(want[j] for j in range(1, n + 1)), n
         assert half.tobytes() == before
         if parts == "crossing":  # normal at the start, flushed within the interval
             assert np.all(np.abs(values) >= np.finfo(np.float64).tiny)
@@ -763,10 +792,10 @@ class TestExactTail:
         v0 = field_from_modes(grid, [(2, 0.05, 0.3)])
         assert len(_Stepper(cfg, scfg)._tail_stack()) < 400
         with_tail = _march(cfg, scfg, v0)
-        assert tail_calls == [400, 400, 400]
+        assert tail_calls == [[400, 400, 400, 400]]
         monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
         assert _march(cfg, scfg, v0) == with_tail
-        assert len(tail_calls) == 3
+        assert len(tail_calls) == 1
 
     @pytest.mark.parametrize(
         "dim, m, rows",
@@ -786,7 +815,8 @@ class TestExactTail:
 
     def test_2d_m32_tail_runs_on_three_rows(self, monkeypatch, tail_calls):
         """A 2D adl M=32 march of 0.02 sin(2x + y) falls below the bound near
-        t = 0.55; each later 50-step interval is one tail call in pieces of
+        t = 0.5; a full array there takes more than 64 KiB, so each later
+        50-step interval is a block of its own, one tail call in pieces of
         three steps, and the march is the one without the tail, bit for bit."""
         grid = GridSpec.create(2, 32)
         cfg = ModelConfig(ADL, grid)
@@ -795,10 +825,32 @@ class TestExactTail:
         assert len(_Stepper(cfg, scfg)._tail_stack()) == 3
         with_tail = _march(cfg, scfg, v0)
         calls = len(tail_calls)
-        assert calls >= 9 and set(tail_calls) == {50}
+        assert calls >= 9 and all(block == [50] for block in tail_calls)
         monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
         assert _march(cfg, scfg, v0) == with_tail
         assert len(tail_calls) == calls
+
+    @pytest.mark.parametrize("every", [1, 7, 50])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sample_blocks_are_the_march_without_tail(self, dim, every, monkeypatch, tail_calls):
+        """The tail's samples come in blocks of as many full arrays as fit in
+        64 KiB (63 at 1D M=32, 14 at 2D M=8), the last block partial; the
+        observer sees the march without the tail, bit for bit, and a field
+        it keeps keeps its values after later blocks."""
+        m, k, rows, dt, t_end = (32, 4, 63, 1e-3, 4.0) if dim == 1 else (8, (2, 1), 14, 1e-2, 10.0)
+        grid = GridSpec.create(dim, m)
+        scfg = StepperConfig(dt=dt, t_end=t_end, sample_every=every)
+        cfg = ModelConfig(EXPONENTIAL, grid)
+        v0 = field_from_modes(grid, [(k, 0.05, 0.3)])
+        kept = []
+        state = integrate(cfg, scfg, v0, observer=lambda t, v: kept.append((t, v, v.coeffs.tobytes())))
+        blocks = [len(block) for block in tail_calls]
+        assert len(blocks) >= 2 and set(blocks[:-1]) == {rows} and 0 < blocks[-1] < rows
+        assert all(v.coeffs.tobytes() == seen for _, v, seen in kept)
+        with_tail = [(t, seen) for t, _, seen in kept] + [(state.t, state.v.coeffs.tobytes())]
+        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        assert _march(cfg, scfg, v0) == with_tail
+        assert len(tail_calls) == len(blocks)
 
     def test_march_outside_the_tail_allocates_no_stack(self, monkeypatch):
         made = []
