@@ -1,9 +1,11 @@
 """Command line entry point: run, threshold, validate, and sweep.
 
-Exit codes are the machine contract: 0 success, 1 usage or config error
-or an output directory that cannot be written, 2 inadmissible initial data
-under --strict, 3 runtime singularity or non-finite state.  Stdout is for
-humans; the written files are for machines.
+Exit codes are the machine contract: 0 success, 1 usage or config error,
+an output directory that cannot be written or arrays that cannot be
+allocated, 2 inadmissible initial data under --strict, 3 runtime
+singularity or non-finite state.  The commands raise; `main` is the one
+place where an exception becomes its exit code and a one-line message on
+stderr.  Stdout is for humans; the written files are for machines.
 """
 
 from __future__ import annotations
@@ -289,18 +291,11 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_run_config(args.config)
-        grid = build_grid(cfg)
-        v0 = build_initial_field(cfg, grid, Path(args.config).resolve().parent)
-        out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
-        check_output_target(out_dir)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
-        print(f"cannot write output: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_run_config(args.config)
+    grid = build_grid(cfg)
+    v0 = build_initial_field(cfg, grid, Path(args.config).resolve().parent)
+    out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
+    check_output_target(out_dir)
     x0 = wiener_norm(v0, 0.0)
     admissibility = smallness_report(cfg.model.kind, x0)
     if not admissibility.admissible:
@@ -312,20 +307,8 @@ def cmd_run(args) -> int:
         if args.strict:
             print("aborting: --strict refuses inadmissible initial data", file=sys.stderr)
             return EXIT_INADMISSIBLE
-    try:
-        report = execute_run(cfg, v0)
-    except (SingularityError, NonFiniteStateError) as err:
-        print(failure_message(err), file=sys.stderr)
-        return EXIT_SINGULAR
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        written = write_output_bundle(report, out_dir, cfg.outputs.formats)
-    except OSError as err:
-        print(f"cannot write output: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    report = execute_run(cfg, v0)
+    written = write_output_bundle(report, out_dir, cfg.outputs.formats)
 
     print(f"model: {cfg.model.kind} ({cfg.model.mode})")
     print(f"x0 = {report.x0:.12g}, delta = {report.delta:.12g}, admissible: {report.admissible}")
@@ -460,25 +443,21 @@ def write_sweep_aggregate(path: Path, rows) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        sweep = load_sweep_config(args.config)
-        if args.workers is not None and args.workers < 1:
-            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
-        base = sweep.base
-        grid = build_grid(base)
-        build_stepper(base)  # refuses e.g. sample_every < 1 before any member runs
-        v0 = build_initial_field(base, grid, Path(args.config).resolve().parent)
-        x0 = wiener_norm(v0, 0.0)
-        if x0 == 0:
-            raise ConfigError("base initial data is identically zero; cannot rescale")
-        for i, a in enumerate(sweep.amplitudes):
-            if not math.isfinite(a / x0):
-                raise ConfigError(
-                    f"sweep.amplitudes[{i}]: {a!r} / base |v0|_0 {x0!r} overflows; cannot rescale"
-                )
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    sweep = load_sweep_config(args.config)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+    base = sweep.base
+    grid = build_grid(base)
+    build_stepper(base)  # refuses e.g. sample_every < 1 before any member runs
+    v0 = build_initial_field(base, grid, Path(args.config).resolve().parent)
+    x0 = wiener_norm(v0, 0.0)
+    if x0 == 0:
+        raise ConfigError("base initial data is identically zero; cannot rescale")
+    for i, a in enumerate(sweep.amplitudes):
+        if not math.isfinite(a / x0):
+            raise ConfigError(
+                f"sweep.amplitudes[{i}]: {a!r} / base |v0|_0 {x0!r} overflows; cannot rescale"
+            )
     out_base = Path(args.out) if args.out else Path(base.outputs.directory)
     raw_cfg = run_config_to_dict(base)
     payloads = [
@@ -488,24 +467,20 @@ def cmd_sweep(args) -> int:
     # A process pool starts all its workers up front, so it is never larger
     # than the number of members.
     workers = min(sweep.workers if args.workers is None else args.workers, len(payloads))
-    try:
-        for *_, member_dir in payloads:
-            check_output_target(member_dir)
-        if workers == 1:
-            rows = [_sweep_worker(p) for p in payloads]
-        else:
-            # Imported here, so no other command pays ~11 ms to load it.
-            from concurrent.futures import ProcessPoolExecutor
+    for *_, member_dir in payloads:
+        check_output_target(member_dir)
+    if workers == 1:
+        rows = [_sweep_worker(p) for p in payloads]
+    else:
+        # Imported here, so no other command pays ~11 ms to load it.
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_worker, payloads))
-        rows.sort(key=lambda r: r["x0"])
-        out_base.mkdir(parents=True, exist_ok=True)
-        aggregate = out_base / "sweep_aggregate.csv"
-        write_sweep_aggregate(aggregate, rows)
-    except OSError as err:
-        print(f"cannot write output: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_worker, payloads))
+    rows.sort(key=lambda r: r["x0"])
+    out_base.mkdir(parents=True, exist_ok=True)
+    aggregate = out_base / "sweep_aggregate.csv"
+    write_sweep_aggregate(aggregate, rows)
     print(f"{'x0':>12} {'delta':>14} {'fitted_rate':>14} {'verdict':>8}")
     for row in rows:
         note = f"  ({row['error']})" if row["error"] else ""
@@ -517,8 +492,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1 with their one
+    `prog: error: ...` line; exit 2 is the --strict refusal.
+    add_subparsers builds the subcommand parsers with this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crystalsurf",
         description=(
             "Spectral solver and verification suite for two fourth-order "
@@ -559,9 +543,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Parse argv and run its command; the one place where a command's
+    failure becomes its exit code and one line on stderr."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SingularityError, NonFiniteStateError) as err:
+        message, code = failure_message(err), EXIT_SINGULAR
+    except OSError as err:
+        message, code = f"cannot write output: {err}", EXIT_USAGE
+    except ValueError as err:
+        # ConfigError, and integrate's dt-guard and max_steps refusals.
+        message, code = f"config error: {err}", EXIT_USAGE
+    except MemoryError as err:
+        message, code = f"out of memory: {err}", EXIT_USAGE
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

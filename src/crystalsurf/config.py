@@ -47,7 +47,8 @@ def _as_mapping(value, path: str) -> dict:
 
 
 def _reject_unknown(mapping: dict, allowed, path: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    # YAML allows integer keys, and an int and a str do not compare.
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ConfigError(
             f"{path}: unknown key(s) {', '.join(repr(k) for k in unknown)}; "
@@ -323,15 +324,30 @@ _Loader.add_implicit_resolver(
 )
 
 
+def _yaml_error_line(err: yaml.YAMLError) -> str:
+    """PyYAML's message in one line: what went wrong and where, without
+    the stream name and the quoted snippet that its str() spreads over
+    several lines."""
+    if isinstance(err, yaml.MarkedYAMLError) and err.problem_mark is not None:
+        what = ", ".join(part for part in (err.context, err.problem) if part)
+        mark = err.problem_mark
+        return f"{what} at line {mark.line + 1}, column {mark.column + 1}"
+    if isinstance(err, yaml.reader.ReaderError):
+        return f"{str(err).splitlines()[0]} at position {err.position}"
+    return " ".join(str(err).split())
+
+
 def load_yaml(path: str | Path) -> dict:
+    """The file's bytes go to PyYAML, which decodes UTF-8 and UTF-16 itself
+    and reports a byte it cannot decode as a YAMLError."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     try:
-        raw = yaml.load(text, Loader=_Loader)
+        raw = yaml.load(data, Loader=_Loader)
     except yaml.YAMLError as err:
-        raise ConfigError(f"invalid YAML in {path}: {err}") from err
+        raise ConfigError(f"invalid YAML in {path}: {_yaml_error_line(err)}") from err
     if raw is None:
         raise ConfigError(f"config file {path} is empty")
     return raw

@@ -9,6 +9,7 @@ spawning subprocesses (one subprocess test covers the module entry point).
 import concurrent.futures
 import copy
 import csv
+import errno
 import json
 import math
 import subprocess
@@ -37,6 +38,7 @@ from crystalsurf.config import (
     parse_sweep_config,
     run_config_to_dict,
 )
+from crystalsurf.models import SingularityError
 from crystalsurf.diagnostics import (
     SOBOLEV_ORDERS,
     WIENER_ORDERS,
@@ -45,6 +47,7 @@ from crystalsurf.diagnostics import (
     TimeSeries,
 )
 from crystalsurf.spectral import SpectralField, wiener_norm
+from crystalsurf.stepper import NonFiniteStateError
 
 
 def base_run_dict():
@@ -116,6 +119,34 @@ class TestStrictParsing:
         raw["model"]["extra"] = 1
         with pytest.raises(ConfigError, match="allowed: kind, mode, truncation_order"):
             parse_run_config(raw)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "{1: a, foo: b}",
+                "<config>: unknown key(s) 1, 'foo'; "
+                "allowed: grid, initial_data, model, outputs, stepper",
+            ),
+            (
+                "{model: {kind: exp, 7: x, y: 1}}",
+                "model: unknown key(s) 7, 'y'; allowed: kind, mode, truncation_order",
+            ),
+        ],
+        ids=["top-level", "section"],
+    )
+    def test_unknown_keys_of_mixed_types_rejected(self, text, message):
+        """YAML allows integer keys next to string ones; both are named
+        (failed before: sorting them raised a TypeError)."""
+        raw = base_run_dict()
+        for key, value in yaml.safe_load(text).items():
+            if isinstance(value, dict):
+                raw[key].update(value)
+            else:
+                raw[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(raw)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "mutate, match",
@@ -316,6 +347,25 @@ class TestLoadYaml:
         p.write_text("")
         with pytest.raises(ConfigError, match="is empty"):
             load_yaml(p)
+
+    def test_invalid_yaml_is_one_line_with_its_position(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text("a: [1,\n")
+        with pytest.raises(ConfigError) as exc:
+            load_yaml(p)
+        assert str(exc.value) == (
+            f"invalid YAML in {p}: while parsing a flow node, expected the node "
+            "content, but found '<stream end>' at line 2, column 1"
+        )
+
+    def test_unicode_files_load_as_their_text(self, tmp_path):
+        """A BOM-prefixed UTF-8 file and a UTF-16 one load the values of
+        their text (failed before for UTF-16: the file was read as UTF-8)."""
+        text = "a: 1\nb: caf\u00e9\n"
+        p = tmp_path / "run.yaml"
+        for encoding in ("utf-8", "utf-8-sig", "utf-16"):
+            p.write_bytes(text.encode(encoding))
+            assert load_yaml(p) == {"a": 1, "b": "caf\u00e9"}, encoding
 
     RUN_TEXT = """\
 model: {kind: exp}
@@ -1140,6 +1190,139 @@ class TestCliSweep:
         config = write_config(tmp_path, raw, name="sweep.yaml")
         assert main(["sweep", config]) == EXIT_USAGE
         assert "amplitude grid is empty" in capsys.readouterr().err
+
+
+# Each failure type main maps: an instance, its exit code and its line.
+FAILURES = {
+    "singular": (
+        SingularityError("adl nonlinearity singular", time=0.25),
+        EXIT_SINGULAR,
+        "singularity at t = 0.25: adl nonlinearity singular",
+    ),
+    "non-finite": (NonFiniteStateError(0.5), EXIT_SINGULAR, "non-finite state at t = 0.5"),
+    "value": (ValueError("dt too large"), EXIT_USAGE, "config error: dt too large"),
+    "memory": (
+        MemoryError("Unable to allocate 8 EiB"),
+        EXIT_USAGE,
+        "out of memory: Unable to allocate 8 EiB",
+    ),
+    "os": (
+        OSError(errno.ENOSPC, "No space left on device"),
+        EXIT_USAGE,
+        "cannot write output: [Errno 28] No space left on device",
+    ),
+}
+
+
+class TestMainOwnsExitCodes:
+    """cmd_run and cmd_sweep raise; main turns each failure into its exit
+    code and one stderr line (before, each command caught some types and a
+    traceback ended the rest, and usage errors exited 2)."""
+
+    @staticmethod
+    def raiser(err):
+        def fail(*args, **kwargs):
+            raise err
+        return fail
+
+    def check(self, argv, err, code, line, capsys):
+        """The command lets err through, and main maps it to code and line."""
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(type(err)):
+            args.func(args)
+        capsys.readouterr()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "callee, err, code, line",
+        [
+            ("execute_run", *FAILURES["singular"]),
+            ("execute_run", *FAILURES["non-finite"]),
+            ("execute_run", *FAILURES["value"]),
+            ("execute_run", *FAILURES["memory"]),
+            ("write_output_bundle", *FAILURES["os"]),
+        ],
+        ids=["singular", "non-finite", "value", "memory", "os"],
+    )
+    def test_run_failures(self, tmp_path, capsys, monkeypatch, callee, err, code, line):
+        monkeypatch.setattr(cli, callee, self.raiser(err))
+        out = tmp_path / "results"
+        self.check(["run", write_config(tmp_path, base_run_dict()), "--out", str(out)],
+                   err, code, line, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "callee, err, code, line",
+        [
+            ("load_sweep_config", *FAILURES["singular"]),
+            ("load_sweep_config", *FAILURES["non-finite"]),
+            ("load_sweep_config", *FAILURES["value"]),
+            ("execute_run", *FAILURES["memory"]),
+            ("write_output_bundle", *FAILURES["os"]),
+            ("write_sweep_aggregate", *FAILURES["os"]),
+        ],
+        ids=["singular", "non-finite", "value", "memory", "os-member", "os-aggregate"],
+    )
+    def test_sweep_failures(self, tmp_path, capsys, monkeypatch, callee, err, code, line):
+        """Singular, non-finite and refused members are rows, not exits,
+        so those types are raised before any member runs."""
+        monkeypatch.setattr(cli, callee, self.raiser(err))
+        raw = {"sweep": {"amplitudes": [0.02, 0.05], "workers": 1}, "base": base_run_dict()}
+        raw["base"]["stepper"]["t_end"] = 0.02
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        self.check(["sweep", config, "--out", str(tmp_path / "sweepout")], err, code, line, capsys)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys, command):
+        """A 0xff byte is an invalid-YAML line (failed before: a
+        UnicodeDecodeError traceback)."""
+        config = tmp_path / f"{command}.yaml"
+        config.write_bytes(b"model: {kind: \xff}\n")
+        out = tmp_path / "results"
+        assert main([command, str(config), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: invalid YAML in {config}: "
+            "unacceptable character #x00ff: invalid start byte at position 14"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [
+            ([], "crystalsurf"),
+            (["frobnicate"], "crystalsurf"),
+            (["--bogus", "threshold", "exp"], "crystalsurf"),
+            (["run"], "crystalsurf run"),
+            (["run", "run.yaml", "--strict=yes"], "crystalsurf run"),
+            (["threshold", "heat"], "crystalsurf threshold"),
+            (["validate", "--filter"], "crystalsurf validate"),
+            (["sweep", "sweep.yaml", "--workers", "abc"], "crystalsurf sweep"),
+        ],
+        ids=["no-command", "unknown-command", "unknown-flag", "run-no-config",
+             "run-flag-value", "threshold-choice", "validate-no-value", "sweep-workers"],
+    )
+    def test_usage_errors_exit_one_with_one_line(self, capsys, argv, prog):
+        """Exit 2 is --strict's verdict on inadmissible data; a usage error
+        is exit 1 like a config error (was argparse's 2, after the usage)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{prog}: error: ")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["run", "-h"], ["sweep", "--help"]])
+    def test_version_and_help_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
 
 def per_cell_csv(names, rows) -> str:
