@@ -26,6 +26,7 @@ from . import __version__
 from .config import (
     ConfigError,
     RunConfig,
+    as_worker_count,
     build_grid,
     build_initial_field,
     build_model,
@@ -58,6 +59,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_SINGULAR = 3
+
+
+class InadmissibleDataError(Exception):
+    """--strict's refusal of initial data past the decay threshold."""
+
 
 # Sobolev orders whose fitted decay rates go into the report.
 HR_REPORT_ORDERS = (0.0, 1.0, 1.9)
@@ -107,10 +113,6 @@ def write_csv(path: Path, names, columns) -> None:
         fh.write(",".join(names) + "\n")
         for chunk in _chunks(columns):
             fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
-
-
-def write_timeseries_csv(path: Path, series: TimeSeries) -> None:
-    write_csv(path, *timeseries_columns(series))
 
 
 def write_decay_plot_csv(path: Path, report: RunReport) -> None:
@@ -277,7 +279,7 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
     written = []
     if "csv" in formats:
         p = out_dir / "timeseries.csv"
-        write_timeseries_csv(p, report.series)
+        write_csv(p, *timeseries_columns(report.series))
         written.append(p)
     if "json" in formats:
         p = out_dir / "report.json"
@@ -299,14 +301,10 @@ def cmd_run(args) -> int:
     x0 = wiener_norm(v0, 0.0)
     admissibility = smallness_report(cfg.model.kind, x0)
     if not admissibility.admissible:
-        print(
-            f"warning: initial amplitude {x0:.6g} is past the decay threshold "
-            f"(delta = {admissibility.delta:.6g} <= 0); no envelope will be certified",
-            file=sys.stderr,
-        )
+        past = f"{x0:.6g} is past the decay threshold (delta = {admissibility.delta:.6g} <= 0)"
         if args.strict:
-            print("aborting: --strict refuses inadmissible initial data", file=sys.stderr)
-            return EXIT_INADMISSIBLE
+            raise InadmissibleDataError(f"--strict refuses inadmissible initial data: x0 = {past}")
+        print(f"warning: initial amplitude {past}; no envelope will be certified", file=sys.stderr)
     report = execute_run(cfg, v0)
     written = write_output_bundle(report, out_dir, cfg.outputs.formats)
 
@@ -444,8 +442,7 @@ def write_sweep_aggregate(path: Path, rows) -> None:
 
 def cmd_sweep(args) -> int:
     sweep = load_sweep_config(args.config)
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+    workers = sweep.workers if args.workers is None else as_worker_count(args.workers, "--workers")
     base = sweep.base
     grid = build_grid(base)
     build_stepper(base)  # refuses e.g. sample_every < 1 before any member runs
@@ -466,7 +463,7 @@ def cmd_sweep(args) -> int:
     ]
     # A process pool starts all its workers up front, so it is never larger
     # than the number of members.
-    workers = min(sweep.workers if args.workers is None else args.workers, len(payloads))
+    workers = min(workers, len(payloads))
     for *_, member_dir in payloads:
         check_output_target(member_dir)
     if workers == 1:
@@ -548,6 +545,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InadmissibleDataError as err:
+        message, code = f"aborting: {err}", EXIT_INADMISSIBLE
     except (SingularityError, NonFiniteStateError) as err:
         message, code = failure_message(err), EXIT_SINGULAR
     except OSError as err:

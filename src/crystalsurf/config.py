@@ -117,14 +117,14 @@ def _as_list(item_check, what: str = "a non-empty list"):
     return checked
 
 
-def _as_wavenumber(value, path: str, dim: int) -> tuple[int, ...]:
-    """A mode's k: a scalar (or one-item list) in 1D, a pair in 2D."""
+def _as_wavenumber(value, path: str, dim: int) -> int | tuple[int, int]:
+    """A mode's k in its file form: an int (or one-item list) in 1D, a pair in 2D."""
     if dim == 1:
         if isinstance(value, list):
             if len(value) != 1:
                 raise ConfigError(f"{path}: expected one wavenumber for dim=1")
             value = value[0]
-        return (_as_int(value, path),)
+        return _as_int(value, path)
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{path}: expected a pair [k1, k2] for dim=2")
     return tuple(_as_int(ki, f"{path}[{i}]") for i, ki in enumerate(value))
@@ -164,7 +164,7 @@ class StepperSection:
 
 @dataclass(frozen=True, kw_only=True)
 class ModeEntry:
-    k: tuple[int, ...] = _key(None)  # its shape depends on grid.dim: _as_wavenumber
+    k: int | tuple[int, int] = _key(None)  # its form depends on grid.dim: _as_wavenumber
     amplitude: float = _key(_as_number)
     phase: float = _key(_as_number, default=0.0)
 
@@ -194,11 +194,21 @@ class RunConfig:
     initial_data: InitialDataSection
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    amplitudes: tuple[float, ...]
+# A worker count's check, of the sweep.workers key and of sweep's --workers.
+as_worker_count = _within(_as_int, lambda n: n >= 1, ">= 1")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepSection:
+    amplitudes: tuple[float, ...] = _key(
+        _as_list(_within(_as_number, lambda a: a > 0, "positive"), "a non-empty list of amplitudes")
+    )
+    workers: int = _key(as_worker_count, default=4)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig(SweepSection):
     base: RunConfig
-    workers: int = 4
 
 
 def _parse(cls, raw, path: str, /, **context_checks):
@@ -283,17 +293,9 @@ def sweep_member_dirname(amplitude: float) -> str:
 def parse_sweep_config(raw) -> SweepConfig:
     m = _as_mapping(raw, "<config>")
     _reject_unknown(m, {"sweep", "base"}, "<config>")
-    sw = _as_mapping(_get(m, "sweep", "<config>"), "sweep")
-    _reject_unknown(sw, {"amplitudes", "workers"}, "sweep")
-    araw = _get(sw, "amplitudes", "sweep")
-    if not isinstance(araw, list):
-        raise ConfigError("sweep.amplitudes: expected a list of amplitudes")
-    if not araw:
-        raise ConfigError("sweep.amplitudes: amplitude grid is empty")
-    positive = _within(_as_number, lambda a: a > 0, "positive")
-    amplitudes = tuple(positive(a, f"sweep.amplitudes[{i}]") for i, a in enumerate(araw))
+    sweep = _parse(SweepSection, _get(m, "sweep", "<config>"), "sweep")
     first_index = {}
-    for i, a in enumerate(amplitudes):
+    for i, a in enumerate(sweep.amplitudes):
         name = sweep_member_dirname(a)
         if name in first_index:
             raise ConfigError(
@@ -301,10 +303,8 @@ def parse_sweep_config(raw) -> SweepConfig:
                 f"as sweep.amplitudes[{first_index[name]}]"
             )
         first_index[name] = i
-    at_least_one = _within(_as_int, lambda n: n >= 1, ">= 1")
-    workers = at_least_one(sw.get("workers", SweepConfig.workers), "sweep.workers")
     base = parse_run_config(_get(m, "base", "<config>"), "base")
-    return SweepConfig(amplitudes, base, workers)
+    return SweepConfig(amplitudes=sweep.amplitudes, workers=sweep.workers, base=base)
 
 
 class _Loader(yaml.SafeLoader):
@@ -374,20 +374,29 @@ def _to_raw(value):
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
     """Serialize back to the file schema; inverse of parse_run_config."""
-    out = _to_raw(cfg)
-    if cfg.grid.dim == 1:  # a 1D wavenumber is written as a scalar
-        for entry in out["initial_data"].get("modes", ()):
-            entry["k"] = entry["k"][0]
-    return out
+    return _to_raw(cfg)
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
+    g = cfg.grid
+    # The largest even P whose P^d samples numpy can index: it indexes an
+    # array's bytes with an intp, and a run's largest array, the 2D
+    # transform workspace, takes a little over 32 bytes a sample.
+    samples = np.iinfo(np.intp).max // 64
+    limit = samples if g.dim == 1 else math.isqrt(samples)
+    limit -= limit % 2
+    if g.phys_points is not None:
+        key, too_many = "grid.phys_points", g.phys_points > limit
+    else:  # 2M+1 alone first: a huge int does not convert to a float
+        n = 2 * g.modes + 1
+        key, too_many = "grid.padding", n > limit or g.padding * n > limit
+    if too_many:
+        raise ConfigError(
+            f"{key}: P above {limit} points per axis, whose P^{g.dim} samples numpy cannot index"
+        )
     try:
         return GridSpec.create(
-            cfg.grid.dim,
-            cfg.grid.modes,
-            padding_factor=cfg.grid.padding,
-            phys_points_per_axis=cfg.grid.phys_points,
+            g.dim, g.modes, padding_factor=g.padding, phys_points_per_axis=g.phys_points
         )
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
@@ -408,10 +417,7 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
     """Construct the initial slope field from the config's initial_data."""
     section = cfg.initial_data
     if section.kind == "modes":
-        entries = [
-            (e.k[0] if grid.dim == 1 else e.k, e.amplitude, e.phase)
-            for e in section.modes
-        ]
+        entries = [(e.k, e.amplitude, e.phase) for e in section.modes]
         try:
             return field_from_modes(grid, entries)
         except ValueError as err:

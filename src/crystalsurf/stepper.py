@@ -75,6 +75,7 @@ from .models import (
     ModelConfig,
     SingularityError,
     _horner,
+    _require_model_grid,
     _superlinear_pointwise,
     exact_tail_bound,
     nonlinear_remainder,
@@ -525,8 +526,7 @@ def integrate(
         NonFiniteStateError: the state held an inf or NaN at a pre-tail
             sample.
     """
-    if v0.grid != cfg.grid:
-        raise ValueError("initial field grid does not match the model configuration grid")
+    _require_model_grid(cfg, v0)
     require_zero_mean(v0)
 
     n_steps = scfg.n_steps

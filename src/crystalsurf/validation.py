@@ -11,12 +11,11 @@ coefficient-level audit of the exponential margin.
 
 The four randomized checks (parseval, roundtrip, linf_bound,
 interpolation) draw their fields as coefficient stacks, one per grid of a
-small 1D/2D ensemble for every chunk of up to 40 fields per grid, in the
-order `random_field` draws one field at a time, so every field has the
-bits it would have alone.  linf_bound and interpolation check each stack
-with one stacked inverse transform or norm pass, whose row b is field b's
-own result bit for bit; parseval and roundtrip call the public one-field
-functions on each row.
+small 1D/2D ensemble for every chunk of up to 40 fields per grid, each
+stack's scales and coefficients in one draw each.  linf_bound and
+interpolation check each stack with one stacked inverse transform or norm
+pass, whose row b is field b's own result bit for bit; parseval and
+roundtrip call the public one-field functions on each row.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def random_field(grid: spectral.GridSpec, rng: np.random.Generator, scale: float
     averaged with their conjugate mirror so they are exactly Hermitian.
 
     The real parts are drawn first, then the imaginary parts; the one-field
-    case of `_ensemble`."""
+    case of `_hermitian_stack`."""
     draws = rng.standard_normal((1, 2) + grid.coeff_shape)
     return spectral.SpectralField(grid, _hermitian_stack(grid, draws, np.array([scale]))[0])
 
@@ -69,12 +68,9 @@ def _ensemble(rng: np.random.Generator, count: int):
     (grid, coefficient stack) pairs, one per grid for each chunk of at most
     _ENSEMBLE_ROWS fields per grid.
 
-    Field i lies on grid i % 5 and is drawn in `random_field`'s order at
-    scale 10^U(-3, 1), the scale drawn first: row b of grid g's stack in
-    chunk c is field 5 (c _ENSEMBLE_ROWS + b) + g, bit for bit the field
-    `random_field` draws from the same stream.  The draws go straight into
-    one preallocated array per grid, and each chunk's stack is made
-    Hermitian in one operation.
+    Field i lies on grid i % 5 and has scale 10^U(-3, 1).  Each stack takes
+    one draw of its scales and one of its coefficients, real and imaginary
+    parts, and is made Hermitian in one operation.
     """
     grids = [
         spectral.GridSpec.create(1, 4),
@@ -84,18 +80,13 @@ def _ensemble(rng: np.random.Generator, count: int):
         spectral.GridSpec.create(2, 6),
     ]
     n = len(grids)
-    rows = min(_ENSEMBLE_ROWS, -(-count // n))
-    draws = [np.empty((rows, 2) + grid.coeff_shape) for grid in grids]
-    scales = np.empty((n, rows))
-    for start in range(0, count, n * rows):
-        stop = min(count, start + n * rows)
-        for i in range(start, stop):
-            b, g = divmod(i - start, n)
-            scales[g, b] = 10.0 ** rng.uniform(-3, 1)
-            rng.standard_normal(out=draws[g][b])
+    for start in range(0, count, n * _ENSEMBLE_ROWS):
+        stop = min(count, start + n * _ENSEMBLE_ROWS)
         for g, grid in enumerate(grids):
             size = len(range(start + g, stop, n))
-            yield grid, _hermitian_stack(grid, draws[g][:size], scales[g, :size])
+            scales = 10.0 ** rng.uniform(-3, 1, size)
+            draws = rng.standard_normal((size, 2) + grid.coeff_shape)
+            yield grid, _hermitian_stack(grid, draws, scales)
 
 
 def check_parseval(rng: np.random.Generator) -> CheckResult:

@@ -72,7 +72,7 @@ class TestStrictParsing:
         assert cfg.model.kind == "exp"
         assert cfg.grid.modes == 8
         assert cfg.stepper.dt == 1e-3
-        assert cfg.initial_data.modes[0].k == (1,)
+        assert cfg.initial_data.modes[0].k == 1
         assert cfg.initial_data.modes[0].amplitude == 0.05
 
     def test_defaults_fill_in(self):
@@ -209,7 +209,7 @@ class TestStrictParsing:
     def test_wavenumber_shapes_per_dimension(self):
         raw = base_run_dict()
         raw["initial_data"]["modes"][0]["k"] = [2]
-        assert parse_run_config(raw).initial_data.modes[0].k == (2,)
+        assert parse_run_config(raw).initial_data.modes[0].k == 2
         raw["initial_data"]["modes"][0]["k"] = [1, 2]
         with pytest.raises(ConfigError, match="expected one wavenumber for dim=1"):
             parse_run_config(raw)
@@ -262,8 +262,16 @@ class TestSweepParsing:
     @pytest.mark.parametrize(
         "mutate, match",
         [
-            (lambda d: d["sweep"].update(amplitudes="all"), "expected a list"),
-            (lambda d: d["sweep"].update(amplitudes=[]), "amplitude grid is empty"),
+            pytest.param(
+                lambda d: d["sweep"].update(amplitudes="all"),
+                r"^sweep\.amplitudes: expected a non-empty list of amplitudes$",
+                id="not-a-list",
+            ),
+            pytest.param(
+                lambda d: d["sweep"].update(amplitudes=[]),
+                r"^sweep\.amplitudes: expected a non-empty list of amplitudes$",
+                id="empty",
+            ),
             (
                 lambda d: d["sweep"].update(amplitudes=[0.1, -0.2]),
                 r"amplitudes\[1\]: must be positive",
@@ -428,6 +436,22 @@ class TestBuildInitialField:
         v0 = build_initial_field(cfg, grid)
         assert wiener_norm(v0, 0.0) == pytest.approx(0.05, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_points_up_to_what_numpy_can_index(self, dim):
+        """The largest even P whose P^d samples numpy can index, at 64 bytes
+        a sample, makes a grid; the next even P is refused."""
+        samples = np.iinfo(np.intp).max // 64
+        p = samples if dim == 1 else math.isqrt(samples)
+        p -= p % 2
+        raw = base_run_dict()
+        raw["grid"] = {"dim": dim, "modes": 8, "phys_points": p}
+        raw["initial_data"]["modes"][0]["k"] = [1] * dim
+        assert build_grid(parse_run_config(raw)).phys_points_per_axis == p
+        assert p**dim * 64 <= np.iinfo(np.intp).max < (p + 2) ** dim * 64
+        raw["grid"]["phys_points"] = p + 2
+        with pytest.raises(ConfigError, match=r"^grid\.phys_points: P above \d+ points per axis"):
+            build_grid(parse_run_config(raw))
+
     @pytest.mark.parametrize("suffix", [".npy", ".txt"])
     def test_file_initial_data(self, tmp_path, suffix):
         raw = base_run_dict()
@@ -589,8 +613,15 @@ class TestCliRun:
         raw = base_run_dict()
         raw["initial_data"]["modes"][0]["amplitude"] = 0.2
         config = write_config(tmp_path, raw)
-        assert main(["run", config, "--strict"]) == EXIT_INADMISSIBLE
-        assert "refuses inadmissible" in capsys.readouterr().err
+        out = tmp_path / "results"
+        assert main(["run", config, "--strict", "--out", str(out)]) == EXIT_INADMISSIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("aborting: --strict refuses inadmissible initial data: x0 = ")
+        assert "is past the decay threshold (delta = -" in lines[0]
+        assert not out.exists()
 
     def test_singular_adl_run_exits_three(self, tmp_path, capsys):
         raw = base_run_dict()
@@ -1189,7 +1220,9 @@ class TestCliSweep:
         raw = {"sweep": {"amplitudes": []}, "base": base_run_dict()}
         config = write_config(tmp_path, raw, name="sweep.yaml")
         assert main(["sweep", config]) == EXIT_USAGE
-        assert "amplitude grid is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep.amplitudes: expected a non-empty list of amplitudes"
+        ]
 
 
 # Each failure type main maps: an instance, its exit code and its line.
@@ -1274,6 +1307,42 @@ class TestMainOwnsExitCodes:
         raw["base"]["stepper"]["t_end"] = 0.02
         config = write_config(tmp_path, raw, name="sweep.yaml")
         self.check(["sweep", config, "--out", str(tmp_path / "sweepout")], err, code, line, capsys)
+
+    @pytest.mark.parametrize(
+        "grid, line",
+        [
+            (
+                {"dim": 1, "modes": 4, "padding": 1e300},
+                "config error: grid.padding: P above 144115188075855870 points per axis, "
+                "whose P^1 samples numpy cannot index",
+            ),
+            (
+                {"dim": 2, "modes": 4, "padding": 1.7e308},
+                "config error: grid.padding: P above 379625062 points per axis, "
+                "whose P^2 samples numpy cannot index",
+            ),
+            (
+                {"dim": 1, "modes": 4, "phys_points": 10**20},
+                "config error: grid.phys_points: P above 144115188075855870 points per axis, "
+                "whose P^1 samples numpy cannot index",
+            ),
+        ],
+        ids=["padding-1d", "padding-2d", "phys_points"],
+    )
+    def test_grid_numpy_cannot_index_exits_one(self, tmp_path, capsys, grid, line):
+        """A P whose P^d samples numpy cannot index is refused with the key
+        that set it (was numpy's `Maximum allowed dimension exceeded`, or an
+        OverflowError traceback for a padding near the float maximum)."""
+        raw = base_run_dict()
+        raw["grid"] = grid
+        if grid["dim"] == 2:
+            raw["initial_data"]["modes"][0]["k"] = [1, 0]
+        out = tmp_path / "results"
+        assert main(["run", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys, command):

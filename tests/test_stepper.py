@@ -263,7 +263,7 @@ class TestIntegrate:
     def test_grid_mismatch_rejected(self):
         cfg = ModelConfig(EXPONENTIAL, GridSpec.create(1, 8))
         other = field_from_modes(GridSpec.create(1, 4), [(1, 0.1, 0.0)])
-        with pytest.raises(ValueError, match="does not match the model configuration grid"):
+        with pytest.raises(ValueError, match="^field grid does not match the model configuration grid$"):
             integrate(cfg, StepperConfig(dt=0.01, t_end=0.1), other)
 
     def test_nonzero_mean_rejected(self):

@@ -1,10 +1,10 @@
 """Tests for the randomized property checks behind `crystalsurf validate`.
 
-The oracle for the four ensemble checks is their per-field form: one
-`random_field` per field, drawn in the ensemble's order, checked with the
-public one-field norm and transform functions.  The checks draw their
-fields into one stack per grid and check each stack with the stacked
-kernels; they must return the oracle's CheckResult at every seed.
+The oracle for the four ensemble checks is their per-field form: each
+field taken as one row of `_ensemble`'s stacks and checked with the
+public one-field norm and transform functions.  The checks check each
+stack with the stacked kernels; they must return the oracle's
+CheckResult at every seed.
 """
 
 import math
@@ -20,9 +20,9 @@ SEEDS = [validation.DEFAULT_SEED, 0, 7, 2**40 + 3]
 
 
 def per_field(rng, count):
-    grids = [spectral.GridSpec.create(dim, m) for dim, m in ENSEMBLE_GRIDS]
-    for i in range(count):
-        yield validation.random_field(grids[i % len(grids)], rng, scale=10.0 ** rng.uniform(-3, 1))
+    for grid, coeffs in validation._ensemble(rng, count):
+        for c in coeffs:
+            yield spectral.SpectralField(grid, c)
 
 
 def oracle_parseval(rng):
@@ -78,20 +78,28 @@ def test_stacked_check_equals_the_per_field_loop(name, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_ensemble_rows_are_the_per_field_draws(seed):
-    """Row b of grid g's stack in chunk c is field 5 (c rows + b) + g of the
-    per-field loop, bit for bit, also in a last chunk that is not full."""
+def test_ensemble_stacks_cycle_the_grids_in_chunks(seed):
+    """Field i lies on grid i % 5: chunk c holds fields c 5 rows ..
+    (c + 1) 5 rows - 1, one stack per grid, also in a last chunk that is
+    not full.  Every row is exactly Hermitian, and a seed gives the same
+    stacks every time."""
     rows = validation._ENSEMBLE_ROWS
     count = 5 * rows + 23
     stacks = list(validation._ensemble(np.random.default_rng(seed), count))
-    fields = list(per_field(np.random.default_rng(seed), count))
-    assert len(stacks) == 10
-    assert [grid for grid, _ in stacks] == [f.grid for f in fields[:5]] * 2
-    assert sum(len(coeffs) for _, coeffs in stacks) == count
-    for n, (grid, coeffs) in enumerate(stacks):
-        chunk, g = divmod(n, 5)
-        for b, row in enumerate(coeffs):
-            assert row.tobytes() == fields[5 * (chunk * rows + b) + g].coeffs.tobytes()
+    grids = [spectral.GridSpec.create(dim, m) for dim, m in ENSEMBLE_GRIDS]
+    assert [grid for grid, _ in stacks] == grids * 2
+    sizes = [len(coeffs) for _, coeffs in stacks]
+    assert sizes == [rows] * 5 + [len(range(g, 23, 5)) for g in range(5)]
+    for g in range(5):
+        assert sizes[g] + sizes[5 + g] == len(range(g, count, 5))
+    for grid, coeffs in stacks:
+        assert coeffs.shape[1:] == grid.coeff_shape
+        mirror = np.conj(np.flip(coeffs, axis=tuple(range(1, grid.dim + 1))))
+        assert np.array_equal(coeffs, mirror)
+    again = validation._ensemble(np.random.default_rng(seed), count)
+    for (grid, coeffs), (grid2, coeffs2) in zip(stacks, again, strict=True):
+        assert grid2 == grid
+        assert coeffs2.tobytes() == coeffs.tobytes()
 
 
 @pytest.mark.parametrize("dim, m", ENSEMBLE_GRIDS)
