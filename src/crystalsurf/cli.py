@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +72,11 @@ HR_REPORT_ORDERS = (0.0, 1.0, 1.9)
 # Threshold table granularity and the slack appended past the sign change.
 THRESHOLD_TABLE_STEP = 0.01
 
-_FLOAT_FMT = "%.17g"
-# Rows per formatting call of the CSV and report.json writers.
+# Rows per formatting call of the series files.
 _WRITE_CHUNK_ROWS = 256
+
+# The files of an output bundle, by format, in the order they are written.
+_BUNDLE_FILES = {"csv": "timeseries.csv", "json": "report.json", "plot": "decay_plot.csv"}
 
 
 def _norm_label(prefix: str, order: float) -> str:
@@ -99,28 +102,14 @@ def timeseries_columns(series: TimeSeries) -> tuple[list[str], list[np.ndarray]]
     return names, cols
 
 
-def _chunks(columns) -> Iterator[np.ndarray]:
-    """The float64 table of these columns, _WRITE_CHUNK_ROWS rows at a time."""
+def _formatted_chunks(columns) -> Iterator[tuple[int, np.ndarray, list[str]]]:
+    """The float64 table of these columns, _WRITE_CHUNK_ROWS rows at a time:
+    each chunk's first row index, the chunk, and the repr of its cells row
+    by row, the shortest text that reads back to the same double."""
     table = np.column_stack(columns)
-    return (table[i : i + _WRITE_CHUNK_ROWS] for i in range(0, len(table), _WRITE_CHUNK_ROWS))
-
-
-def write_csv(path: Path, names, columns) -> None:
-    """Header plus one row per entry of these float columns, each cell at
-    17 significant digits; every chunk of rows is formatted by one %."""
-    row_format = ",".join([_FLOAT_FMT] * len(names)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for chunk in _chunks(columns):
-            fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
-
-
-def write_decay_plot_csv(path: Path, report: RunReport) -> None:
-    """t, |v|_0 and the certified envelope, ready for direct plotting."""
-    t = report.series.times
-    cert = report.certificate
-    env = cert.envelope if cert is not None else np.full_like(t, math.nan)
-    write_csv(path, ["t", "wiener_0", "envelope"], (t, report.series.wiener[0.0], env))
+    for start in range(0, len(table), _WRITE_CHUNK_ROWS):
+        chunk = table[start : start + _WRITE_CHUNK_ROWS]
+        yield start, chunk, list(map(repr, chunk.ravel().tolist()))
 
 
 def _json_safe(obj):
@@ -182,33 +171,60 @@ _ROWS_END = "\n    ]\n  }\n}\n"
 
 
 def write_report_json(path: Path, report: RunReport) -> None:
-    """report.json, byte for byte json.dumps(report_payload(report), indent=2)
-    plus a newline.
+    """report.json alone, byte for byte json.dumps(report_payload(report),
+    indent=2) plus a newline; see write_output_bundle."""
+    _write_series_files(report, {"json": path})
 
-    The series rows, nearly all of the file, do not go through the
-    pure-Python encoder that indent=2 selects: a row template in that
-    layout is filled with one % per chunk of rows.  %s of a float is its
-    repr, which is what json writes; a chunk holding a non-finite number
-    has its cells rendered by json.dumps of _json_safe first.  The rest of
-    the payload is rendered with indent=2 and an empty row list, whose
-    text is then replaced.
+
+def _write_series_files(report: RunReport, paths: dict[str, Path]) -> None:
+    """Write the files of `paths`, keyed like _BUNDLE_FILES, in one pass
+    over the chunks of _formatted_chunks; each file's rows of a chunk are
+    one % of its row template.
+
+    A float's repr is the text json writes for it, so the report.json rows
+    take the shared cell texts, except in a chunk holding a non-finite
+    number, whose JSON cells are rendered by json.dumps of _json_safe.
+    The rest of report.json is rendered with indent=2 and an empty row
+    list, whose text is then replaced.
     """
-    head = json.dumps(_report_head(report), indent=2)
-    cols = timeseries_columns(report.series)[1]
-    row_format = "      [\n        " + ",\n        ".join(["%s"] * len(cols)) + "\n      ]"
-    with open(path, "w") as fh:
-        if not len(report.series):
-            fh.write(head + "\n")
-            return
-        fh.write(head.removesuffix(_ROWS_EMPTY_TAIL) + "[\n")
+    names, cols = timeseries_columns(report.series)
+    if paths.keys() == {"plot"}:
+        cols = cols[:2]  # t and wiener_0, the columns decay_plot.csv shares
+    width = len(cols)
+    csv_row = ",".join(["%s"] * width) + "\n"
+    json_row = "      [\n        " + ",\n        ".join(["%s"] * width) + "\n      ]"
+    cert = report.certificate
+    envelope = cert.envelope if cert is not None else np.full(len(report.series), math.nan)
+    with ExitStack() as stack:
+        fh = {f: stack.enter_context(open(p, "w")) for f, p in paths.items()}
+        if "csv" in fh:
+            fh["csv"].write(",".join(names) + "\n")
+        if "json" in fh:
+            head = json.dumps(_report_head(report), indent=2)
+            if len(report.series):
+                head = head.removesuffix(_ROWS_EMPTY_TAIL) + "["
+            fh["json"].write(head + "\n")
+        if "plot" in fh:
+            fh["plot"].write("t,wiener_0,envelope\n")
         separator = ""
-        for chunk in _chunks(cols):
-            cells = chunk.ravel().tolist()
-            if not np.isfinite(chunk).all():
-                cells = [json.dumps(x) for x in _json_safe(cells)]
-            fh.write(separator + ",\n".join([row_format] * len(chunk)) % tuple(cells))
-            separator = ",\n"
-        fh.write(_ROWS_END)
+        for start, chunk, cells in _formatted_chunks(cols):
+            n = len(chunk)
+            if "csv" in fh:
+                fh["csv"].write(csv_row * n % tuple(cells))
+            if "json" in fh:
+                json_cells = cells
+                if not np.isfinite(chunk).all():
+                    json_cells = [json.dumps(x) for x in _json_safe(chunk.ravel().tolist())]
+                fh["json"].write(separator + ",\n".join([json_row] * n) % tuple(json_cells))
+                separator = ",\n"
+            if "plot" in fh:
+                plot_cells = [None] * (3 * n)
+                plot_cells[0::3] = cells[0::width]
+                plot_cells[1::3] = cells[1::width]
+                plot_cells[2::3] = envelope[start : start + n].tolist()
+                fh["plot"].write("%s,%s,%r\n" * n % tuple(plot_cells))
+        if "json" in fh and len(report.series):
+            fh["json"].write(_ROWS_END)
 
 
 def execute_run(cfg: RunConfig, v0: SpectralField) -> RunReport:
@@ -275,21 +291,24 @@ def check_output_target(out_dir: Path) -> None:
 
 
 def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]:
+    """Write the files of `formats` into out_dir: timeseries.csv (csv),
+    report.json (json) and decay_plot.csv (plot), in that order; returns
+    their paths.
+
+    Every series number is formatted once, _WRITE_CHUNK_ROWS rows at a
+    time, as its repr, the shortest text that reads back to the same
+    double, and that one text serves every file: the timeseries.csv
+    cells, the report.json rows and the t and wiener_0 cells of
+    decay_plot.csv.  Only the envelope column of decay_plot.csv is
+    formatted on its own.  Non-finite numbers read nan, inf and -inf in
+    the CSV files and are the strings "nan", "inf" and "-inf" in
+    report.json, which is byte for byte json.dumps(report_payload(report),
+    indent=2) plus a newline.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        p = out_dir / "timeseries.csv"
-        write_csv(p, *timeseries_columns(report.series))
-        written.append(p)
-    if "json" in formats:
-        p = out_dir / "report.json"
-        write_report_json(p, report)
-        written.append(p)
-    if "plot" in formats:
-        p = out_dir / "decay_plot.csv"
-        write_decay_plot_csv(p, report)
-        written.append(p)
-    return written
+    paths = {f: out_dir / name for f, name in _BUNDLE_FILES.items() if f in formats}
+    _write_series_files(report, paths)
+    return list(paths.values())
 
 
 def cmd_run(args) -> int:
@@ -362,7 +381,7 @@ def cmd_threshold(args) -> int:
     print(f"model: {payload['model']}")
     print(f"threshold root: {payload['root']:.12g}")
     lo, hi = payload["bracket"]
-    print(f"bracket: [{lo:.17g}, {hi:.17g}] (width {payload['bracket_width']:.3g})")
+    print(f"bracket: [{lo!r}, {hi!r}] (width {payload['bracket_width']:.3g})")
     print(f"{'x':>6}  {'delta':>22}")
     for row in payload["table"]:
         print(f"{row['x']:>6.2f}  {row['delta']:>22.15g}")
@@ -424,17 +443,18 @@ def _sweep_worker(payload) -> dict:
 
 
 def write_sweep_aggregate(path: Path, rows) -> None:
-    """One row per member: x0, delta and fitted_rate at 17 significant
-    digits, the verdict lowercase, then `error`, empty for a member that
-    ran and its one-line failure_message otherwise."""
+    """One row per member: x0, delta and fitted_rate as their repr, the
+    text report.json gives them (nan where a member has no rate), the
+    verdict lowercase, then `error`, empty for a member that ran and its
+    one-line failure_message otherwise."""
     with open(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x0", "delta", "fitted_rate", "verdict", "error"])
         for row in rows:
             writer.writerow([
-                _FLOAT_FMT % row["x0"],
-                _FLOAT_FMT % row["delta"],
-                _FLOAT_FMT % row["fitted_rate"],
+                repr(float(row["x0"])),
+                repr(float(row["delta"])),
+                repr(float(row["fitted_rate"])),
                 str(row["verdict"]).lower(),
                 row["error"],
             ])

@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .models import MODEL_KINDS, NONLINEARITY_MODES, DEFAULT_TRUNCATION_ORDER, ModelConfig
+from .models import (
+    DEFAULT_TRUNCATION_ORDER,
+    MAX_TRUNCATION_ORDER,
+    MODEL_KINDS,
+    NONLINEARITY_MODES,
+    ModelConfig,
+)
 from .spectral import GridSpec, SpectralField, field_from_modes, from_physical, max_abs, with_zero_mean
 from .stepper import SCHEMES, StepperConfig
 
@@ -140,7 +146,12 @@ class ModelSection:
     kind: str = _key(partial(_as_str, choices=MODEL_KINDS))
     mode: str = _key(partial(_as_str, choices=NONLINEARITY_MODES), default="full")
     truncation_order: int = _key(
-        _within(_as_int, lambda n: n >= 0, ">= 0"), default=DEFAULT_TRUNCATION_ORDER
+        _within(
+            _within(_as_int, lambda n: n >= 0, ">= 0"),
+            lambda n: n <= MAX_TRUNCATION_ORDER,
+            f"<= {MAX_TRUNCATION_ORDER}",
+        ),
+        default=DEFAULT_TRUNCATION_ORDER,
     )
 
 

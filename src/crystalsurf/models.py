@@ -55,6 +55,14 @@ NONLINEARITY_MODES = (FULL, TRUNCATED)
 
 DEFAULT_TRUNCATION_ORDER = 20
 
+# Highest truncation order N a model takes.  Past j = 177 every exp
+# coefficient 1/j! is 0.0 (see _inverse_factorial), so a higher exp order
+# computes the same numbers; and every order is one Horner pass per
+# evaluation and one coefficient made before the first step, so an order
+# such as 10**20 would never start.  The adl series is held to the same
+# cap.
+MAX_TRUNCATION_ORDER = 177
+
 # Collocation values of 1 + v at or below this count as a blow-up of the
 # adl nonlinearity rather than a resolvable state.
 ADL_SINGULAR_FLOOR = 1e-8
@@ -119,8 +127,11 @@ class ModelConfig:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.mode not in NONLINEARITY_MODES:
             raise ValueError(f"mode must be one of {NONLINEARITY_MODES}, got {self.mode!r}")
-        if self.mode == TRUNCATED and self.truncation_order < 0:
-            raise ValueError("truncation_order must be >= 0")
+        if self.mode == TRUNCATED and not 0 <= self.truncation_order <= MAX_TRUNCATION_ORDER:
+            raise ValueError(
+                f"truncation_order must be >= 0 and <= {MAX_TRUNCATION_ORDER}, "
+                f"got {self.truncation_order}"
+            )
 
     @property
     def linear_coefficient(self) -> float:

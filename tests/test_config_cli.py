@@ -38,7 +38,7 @@ from crystalsurf.config import (
     parse_sweep_config,
     run_config_to_dict,
 )
-from crystalsurf.models import SingularityError
+from crystalsurf.models import MAX_TRUNCATION_ORDER, SingularityError
 from crystalsurf.diagnostics import (
     SOBOLEV_ORDERS,
     WIENER_ORDERS,
@@ -205,6 +205,20 @@ class TestStrictParsing:
         mutate(raw)
         with pytest.raises(ConfigError, match=match):
             parse_run_config(raw)
+
+    def test_truncation_order_up_to_the_cap(self):
+        """The cap is accepted in either mode; one past it, or 10**20 (which
+        hung `run` before its first step), is refused with its key path."""
+        raw = base_run_dict()
+        for mode in ("full", "truncated"):
+            raw["model"].update(mode=mode, truncation_order=MAX_TRUNCATION_ORDER)
+            assert parse_run_config(raw).model.truncation_order == MAX_TRUNCATION_ORDER
+            for order in (MAX_TRUNCATION_ORDER + 1, 10**20):
+                raw["model"]["truncation_order"] = order
+                want = f"model.truncation_order: must be <= {MAX_TRUNCATION_ORDER}, got {order}"
+                with pytest.raises(ConfigError) as exc:
+                    parse_run_config(raw)
+                assert str(exc.value) == want
 
     def test_wavenumber_shapes_per_dimension(self):
         raw = base_run_dict()
@@ -580,7 +594,7 @@ class TestCliRun:
         ]
 
     def test_csv_floats_round_trip_against_json(self, tmp_path):
-        """17 significant digits reproduce the doubles bit for bit."""
+        """The repr cells reproduce the doubles bit for bit."""
         config = write_config(tmp_path, base_run_dict())
         out = tmp_path / "results"
         assert main(["run", config, "--out", str(out)]) == EXIT_OK
@@ -1401,7 +1415,7 @@ def per_cell_csv(names, rows) -> str:
     def cell(x):
         if isinstance(x, str):
             return '"' + x.replace('"', '""') + '"' if set(x) & set(',"\r\n') else x
-        return str(x).lower() if isinstance(x, bool) else "%.17g" % x
+        return str(x).lower() if isinstance(x, bool) else repr(float(x))
 
     lines = [",".join(names)]
     for row in rows:
@@ -1410,9 +1424,12 @@ def per_cell_csv(names, rows) -> str:
 
 
 # Doubles whose text is easy to get wrong: signed zero, the smallest
-# subnormal and normal, the largest double, and two where %.17g and repr
-# differ.
-EDGE_CELLS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16]
+# subnormal and normal, the largest double, two whose repr is shorter
+# than 17 digits and one whose repr is a 17-digit exponent form.
+EDGE_CELLS = [
+    -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16,
+    1.2345678901234568e17,
+]
 
 
 def synthetic_report(n_rows, seed=0, non_finite=False, admissible=True):
@@ -1541,6 +1558,37 @@ class TestWriters:
             want = per_cell_csv(["t", "wiener_0", "envelope"],
                                 zip(report.series.times, report.series.wiener[0.0], env))
             assert (tmp_path / "decay_plot.csv").read_text() == want
+
+    @pytest.mark.parametrize("n_rows", [7, 2 * cli._WRITE_CHUNK_ROWS + 5])
+    def test_timeseries_cells_are_the_report_json_number_texts(self, tmp_path, n_rows):
+        """Each timeseries.csv cell is the text of its number in report.json,
+        a non-finite one the text of its string."""
+        report = synthetic_report(n_rows, seed=n_rows + 2, non_finite=True)
+        cli.write_output_bundle(report, tmp_path, ("csv", "json"))
+        with open(tmp_path / "timeseries.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        text = (tmp_path / "report.json").read_text()
+        series = json.loads(text, parse_float=str)["series"]
+        assert header == series["columns"]
+        assert rows == series["rows"]
+        cells = {x for row in rows for x in row}
+        assert {"nan", "inf", "-inf", "-0.0", "0.1", "1.2345678901234568e+17"} <= cells
+
+    @pytest.mark.parametrize("formats", [("csv", "plot"), ("csv", "json", "plot")])
+    def test_decay_plot_shares_the_timeseries_cells(self, tmp_path, formats):
+        """decay_plot.csv's t and wiener_0 cells are timeseries.csv's strings;
+        written alone it gives the same bytes."""
+        report = synthetic_report(2 * cli._WRITE_CHUNK_ROWS + 5, seed=4, non_finite=True)
+        cli.write_output_bundle(report, tmp_path, formats)
+        with open(tmp_path / "timeseries.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        plot = (tmp_path / "decay_plot.csv").read_text()
+        plot_rows = list(csv.reader(plot.splitlines()))
+        assert plot_rows[0] == ["t", "wiener_0", "envelope"]
+        assert [r[:2] for r in plot_rows[1:]] == [r[:2] for r in rows[1:]]
+        alone = tmp_path / "alone"
+        cli.write_output_bundle(report, alone, ("plot",))
+        assert (alone / "decay_plot.csv").read_text() == plot
 
     def test_sweep_aggregate_csv_with_its_bool_column(self, tmp_path):
         """The verdict column is lowercase; the trailing error column is

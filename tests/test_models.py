@@ -22,6 +22,7 @@ from crystalsurf.models import (
     EXACT_TAIL_BOUND,
     EXPONENTIAL,
     FULL,
+    MAX_TRUNCATION_ORDER,
     TRUNCATED,
     ModelConfig,
     _SERIES_COEFFICIENT,
@@ -112,6 +113,17 @@ class TestModelConfig:
         grid = GridSpec.create(1, 4)
         with pytest.raises(ValueError, match="truncation_order"):
             ModelConfig(EXPONENTIAL, grid, mode="truncated", truncation_order=-1)
+
+    def test_truncation_order_up_to_the_cap(self):
+        """Past the cap every exp coefficient is 0.0; one past it is refused."""
+        grid = GridSpec.create(1, 4)
+        for kind in (EXPONENTIAL, ADL):
+            cfg = ModelConfig(kind, grid, mode="truncated", truncation_order=MAX_TRUNCATION_ORDER)
+            assert cfg.truncation_order == MAX_TRUNCATION_ORDER
+            over = MAX_TRUNCATION_ORDER + 1
+            with pytest.raises(ValueError, match=f"<= {MAX_TRUNCATION_ORDER}, got {over}"):
+                ModelConfig(kind, grid, mode="truncated", truncation_order=over)
+        assert _SERIES_COEFFICIENT[EXPONENTIAL](MAX_TRUNCATION_ORDER + 1) == 0.0
 
     def test_default_truncation_order(self):
         grid = GridSpec.create(1, 4)
