@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    OUTPUT_FILES,
     ConfigError,
     RunConfig,
     as_worker_count,
@@ -74,9 +76,6 @@ THRESHOLD_TABLE_STEP = 0.01
 
 # Rows per formatting call of the series files.
 _WRITE_CHUNK_ROWS = 256
-
-# The files of an output bundle, by format, in the order they are written.
-_BUNDLE_FILES = {"csv": "timeseries.csv", "json": "report.json", "plot": "decay_plot.csv"}
 
 
 def _norm_label(prefix: str, order: float) -> str:
@@ -164,69 +163,6 @@ def report_payload(report: RunReport) -> dict:
     return payload
 
 
-# How json.dumps(indent=2) lays out the series rows, the last entry of the
-# report: each row at 6 spaces, its numbers at 8, and what follows them.
-_ROWS_EMPTY_TAIL = "[]\n  }\n}"
-_ROWS_END = "\n    ]\n  }\n}\n"
-
-
-def write_report_json(path: Path, report: RunReport) -> None:
-    """report.json alone, byte for byte json.dumps(report_payload(report),
-    indent=2) plus a newline; see write_output_bundle."""
-    _write_series_files(report, {"json": path})
-
-
-def _write_series_files(report: RunReport, paths: dict[str, Path]) -> None:
-    """Write the files of `paths`, keyed like _BUNDLE_FILES, in one pass
-    over the chunks of _formatted_chunks; each file's rows of a chunk are
-    one % of its row template.
-
-    A float's repr is the text json writes for it, so the report.json rows
-    take the shared cell texts, except in a chunk holding a non-finite
-    number, whose JSON cells are rendered by json.dumps of _json_safe.
-    The rest of report.json is rendered with indent=2 and an empty row
-    list, whose text is then replaced.
-    """
-    names, cols = timeseries_columns(report.series)
-    if paths.keys() == {"plot"}:
-        cols = cols[:2]  # t and wiener_0, the columns decay_plot.csv shares
-    width = len(cols)
-    csv_row = ",".join(["%s"] * width) + "\n"
-    json_row = "      [\n        " + ",\n        ".join(["%s"] * width) + "\n      ]"
-    cert = report.certificate
-    envelope = cert.envelope if cert is not None else np.full(len(report.series), math.nan)
-    with ExitStack() as stack:
-        fh = {f: stack.enter_context(open(p, "w")) for f, p in paths.items()}
-        if "csv" in fh:
-            fh["csv"].write(",".join(names) + "\n")
-        if "json" in fh:
-            head = json.dumps(_report_head(report), indent=2)
-            if len(report.series):
-                head = head.removesuffix(_ROWS_EMPTY_TAIL) + "["
-            fh["json"].write(head + "\n")
-        if "plot" in fh:
-            fh["plot"].write("t,wiener_0,envelope\n")
-        separator = ""
-        for start, chunk, cells in _formatted_chunks(cols):
-            n = len(chunk)
-            if "csv" in fh:
-                fh["csv"].write(csv_row * n % tuple(cells))
-            if "json" in fh:
-                json_cells = cells
-                if not np.isfinite(chunk).all():
-                    json_cells = [json.dumps(x) for x in _json_safe(chunk.ravel().tolist())]
-                fh["json"].write(separator + ",\n".join([json_row] * n) % tuple(json_cells))
-                separator = ",\n"
-            if "plot" in fh:
-                plot_cells = [None] * (3 * n)
-                plot_cells[0::3] = cells[0::width]
-                plot_cells[1::3] = cells[1::width]
-                plot_cells[2::3] = envelope[start : start + n].tolist()
-                fh["plot"].write("%s,%s,%r\n" * n % tuple(plot_cells))
-        if "json" in fh and len(report.series):
-            fh["json"].write(_ROWS_END)
-
-
 def execute_run(cfg: RunConfig, v0: SpectralField) -> RunReport:
     """Integrate v0 under the configured model and collect the full report.
 
@@ -290,24 +226,72 @@ def check_output_target(out_dir: Path) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
 
 
+# How json.dumps(indent=2) lays out the series rows, the last entry of the
+# report: each row at 6 spaces, its numbers at 8, and what follows them.
+_ROWS_EMPTY_TAIL = "[]\n  }\n}"
+_ROWS_END = "\n    ]\n  }\n}\n"
+
+
 def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]:
-    """Write the files of `formats` into out_dir: timeseries.csv (csv),
-    report.json (json) and decay_plot.csv (plot), in that order; returns
-    their paths.
+    """Write the files of `formats` into out_dir, in the order and under the
+    names of config.OUTPUT_FILES: timeseries.csv (csv), report.json (json)
+    and decay_plot.csv (plot); returns their paths.
 
     Every series number is formatted once, _WRITE_CHUNK_ROWS rows at a
     time, as its repr, the shortest text that reads back to the same
     double, and that one text serves every file: the timeseries.csv
     cells, the report.json rows and the t and wiener_0 cells of
-    decay_plot.csv.  Only the envelope column of decay_plot.csv is
-    formatted on its own.  Non-finite numbers read nan, inf and -inf in
-    the CSV files and are the strings "nan", "inf" and "-inf" in
-    report.json, which is byte for byte json.dumps(report_payload(report),
-    indent=2) plus a newline.
+    decay_plot.csv.  Each file's rows of a chunk are one % of its row
+    template.  Only the envelope column of decay_plot.csv is formatted on
+    its own.  A float's repr is the text json writes for it; a chunk
+    holding a non-finite number has its report.json cells rendered by
+    json.dumps of _json_safe instead, so non-finite numbers read nan, inf
+    and -inf in the CSV files and are the strings "nan", "inf" and "-inf"
+    in report.json.  The rest of report.json is rendered with indent=2
+    and an empty row list, whose text is then replaced, so the file is
+    byte for byte json.dumps(report_payload(report), indent=2) plus a
+    newline.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {f: out_dir / name for f, name in _BUNDLE_FILES.items() if f in formats}
-    _write_series_files(report, paths)
+    paths = {f: out_dir / name for f, name in OUTPUT_FILES.items() if f in formats}
+    names, cols = timeseries_columns(report.series)
+    if paths.keys() == {"plot"}:
+        cols = cols[:2]  # t and wiener_0, the columns decay_plot.csv shares
+    width = len(cols)
+    csv_row = ",".join(["%s"] * width) + "\n"
+    json_row = "      [\n        " + ",\n        ".join(["%s"] * width) + "\n      ]"
+    cert = report.certificate
+    envelope = cert.envelope if cert is not None else np.full(len(report.series), math.nan)
+    with ExitStack() as stack:
+        fh = {f: stack.enter_context(open(p, "w")) for f, p in paths.items()}
+        if "csv" in fh:
+            fh["csv"].write(",".join(names) + "\n")
+        if "json" in fh:
+            head = json.dumps(_report_head(report), indent=2)
+            if len(report.series):
+                head = head.removesuffix(_ROWS_EMPTY_TAIL) + "["
+            fh["json"].write(head + "\n")
+        if "plot" in fh:
+            fh["plot"].write("t,wiener_0,envelope\n")
+        separator = ""
+        for start, chunk, cells in _formatted_chunks(cols):
+            n = len(chunk)
+            if "csv" in fh:
+                fh["csv"].write(csv_row * n % tuple(cells))
+            if "json" in fh:
+                json_cells = cells
+                if not np.isfinite(chunk).all():
+                    json_cells = [json.dumps(x) for x in _json_safe(chunk.ravel().tolist())]
+                fh["json"].write(separator + ",\n".join([json_row] * n) % tuple(json_cells))
+                separator = ",\n"
+            if "plot" in fh:
+                plot_cells = [None] * (3 * n)
+                plot_cells[0::3] = cells[0::width]
+                plot_cells[1::3] = cells[1::width]
+                plot_cells[2::3] = envelope[start : start + n].tolist()
+                fh["plot"].write("%s,%s,%r\n" * n % tuple(plot_cells))
+        if "json" in fh and len(report.series):
+            fh["json"].write(_ROWS_END)
     return list(paths.values())
 
 
@@ -356,13 +340,14 @@ def threshold_payload(kind: str) -> dict:
     lo, hi = threshold_bracket(kind)
     root = 0.5 * (lo + hi)
     table = []
-    x = 0.0
-    while True:
+    for k in itertools.count():
+        # Row k at its printed x: a running sum of steps drifts off it
+        # (ten steps of 0.01 make 0.09999999999999999).
+        x = round(k * THRESHOLD_TABLE_STEP, 10)
         d = delta(kind, x)
-        table.append({"x": round(x, 10), "delta": d})
+        table.append({"x": x, "delta": d})
         if d < 0:
             break
-        x += THRESHOLD_TABLE_STEP
     return {
         "model": kind,
         "root": root,

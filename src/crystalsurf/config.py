@@ -7,8 +7,10 @@ validated dataclasses.
 
 Each key is declared once, as a field of its `*Section` dataclass: the
 field's default is the key's default (no default: a required key) and its
-metadata holds the key's check.  `_parse` reads every section from those
-fields and `run_config_to_dict` writes them back.
+metadata holds the key's check.  A key that sets a library parameter takes
+its default from the library's own dataclass (`ModelConfig`, `GridSpec`,
+`StepperConfig`).  `_parse` reads every section from those fields and
+`run_config_to_dict` writes them back.
 """
 
 from __future__ import annotations
@@ -22,17 +24,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .models import (
-    DEFAULT_TRUNCATION_ORDER,
-    MAX_TRUNCATION_ORDER,
-    MODEL_KINDS,
-    NONLINEARITY_MODES,
-    ModelConfig,
-)
-from .spectral import GridSpec, SpectralField, field_from_modes, from_physical, max_abs, with_zero_mean
+from .models import MAX_TRUNCATION_ORDER, MODEL_KINDS, NONLINEARITY_MODES, ModelConfig
+from .spectral import GridSpec, SpectralField, extremes, field_from_modes, from_physical, with_zero_mean
 from .stepper import SCHEMES, StepperConfig
 
-OUTPUT_FORMATS = ("csv", "json", "plot")
+# The file of each output format, in the order a run writes them.
+OUTPUT_FILES = {"csv": "timeseries.csv", "json": "report.json", "plot": "decay_plot.csv"}
+OUTPUT_FORMATS = tuple(OUTPUT_FILES)
 
 # The key that holds the data of each initial_data kind.
 INITIAL_DATA_KEYS = {"modes": "modes", "file": "path"}
@@ -144,14 +142,14 @@ def _key(check, **default):
 @dataclass(frozen=True, kw_only=True)
 class ModelSection:
     kind: str = _key(partial(_as_str, choices=MODEL_KINDS))
-    mode: str = _key(partial(_as_str, choices=NONLINEARITY_MODES), default="full")
+    mode: str = _key(partial(_as_str, choices=NONLINEARITY_MODES), default=ModelConfig.mode)
     truncation_order: int = _key(
         _within(
             _within(_as_int, lambda n: n >= 0, ">= 0"),
             lambda n: n <= MAX_TRUNCATION_ORDER,
             f"<= {MAX_TRUNCATION_ORDER}",
         ),
-        default=DEFAULT_TRUNCATION_ORDER,
+        default=ModelConfig.truncation_order,
     )
 
 
@@ -159,7 +157,7 @@ class ModelSection:
 class GridSection:
     dim: int = _key(_within(_as_int, lambda d: d in (1, 2), "1 or 2"), default=1)
     modes: int = _key(_as_int)
-    padding: float = _key(_as_number, default=2.0)
+    padding: float = _key(_as_number, default=GridSpec.padding_factor)
     phys_points: int | None = _key(_as_int, default=None)
 
 
@@ -168,9 +166,9 @@ class StepperSection:
     scheme: str = _key(partial(_as_str, choices=SCHEMES))
     dt: float = _key(_as_number)
     t_end: float = _key(_as_number)
-    sample_every: int = _key(_as_int, default=1)
-    max_steps: int = _key(_as_int, default=10_000_000)
-    allow_large_dt: bool = _key(_as_bool, default=False)
+    sample_every: int = _key(_as_int, default=StepperConfig.sample_every)
+    max_steps: int = _key(_as_int, default=StepperConfig.max_steps)
+    allow_large_dt: bool = _key(_as_bool, default=StepperConfig.allow_large_dt)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -457,7 +455,7 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
         ) from err
     f = from_physical(samples, grid)
     mean = abs(f.mean_value)
-    if mean > 1e-10 * (1.0 + max_abs(samples)):
+    if mean > 1e-10 * (1.0 + extremes(grid, samples)[2]):
         raise ConfigError(
             f"initial_data.path: samples have mean {f.mean_value:.3e}; "
             "the slope field must have zero mean"

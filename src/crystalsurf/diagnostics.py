@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ADL, EXPONENTIAL, ModelConfig, rhs
+from .models import ADL, EXPONENTIAL, FULL, TRUNCATED, ModelConfig, rhs
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -31,6 +31,7 @@ from .spectral import (
     _phys_from_coeffs,
     _stack_rows,
     _Workspace,
+    extremes,
     l2_quadrature,
     linf_norm,
 )
@@ -140,16 +141,14 @@ class TimeSeriesRecorder:
         # arrays, as the workspace holds a full chunk's samples.
         work = self._work if full else None
         s = _phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :], work)
-        axes = tuple(range(1, s.ndim))
-        lo, hi = s.min(axis=axes), s.max(axis=axes)
+        lo, hi, linf = extremes(grid, s)
         nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
         block = self._block[:n]
         block[:, 0] = self._times[:n]
         block[:, 1 : 1 + nw] = wiener
         block[:, 1 + nw : 1 + nw + ns] = sobolev
         block[:, -5] = l2_quadrature(grid, s)
-        # max|v| bit for bit: Python's max(hi, -lo), and abs() turns -0.0 into 0.0
-        block[:, -4] = np.abs(np.where(-lo > hi, -lo, hi))
+        block[:, -4] = linf
         block[:, -3] = lyapunov_quadrature(self.kind, grid, s)
         block[:, -2] = 1.0 + lo
         block[:, -1] = 1.0 + hi
@@ -238,10 +237,11 @@ def certify_decay(
     )
 
 
-def check_lyapunov_monotone(series: TimeSeries, rel_slack: float = MONOTONE_REL_SLACK) -> bool:
-    """True when the Lyapunov samples never increase beyond relative slack."""
+def check_lyapunov_monotone(series: TimeSeries) -> bool:
+    """True when no Lyapunov sample exceeds its predecessor by more than
+    MONOTONE_REL_SLACK relative."""
     ly = series.lyapunov
-    return bool(np.all(ly[1:] <= ly[:-1] * (1.0 + rel_slack)))
+    return bool(np.all(ly[1:] <= ly[:-1] * (1.0 + MONOTONE_REL_SLACK)))
 
 
 def hr_decay_fit(series: TimeSeries, order: float) -> float:
@@ -317,11 +317,11 @@ def truncation_study(kind: str, v: SpectralField, orders) -> TruncationResult:
         raise ValueError("orders must be at least two strictly increasing integers")
     if kind == ADL and linf_norm(v) >= 1:
         raise ValueError("adl truncation study requires max|v| < 1 for convergence")
-    full_cfg = ModelConfig(kind, v.grid, "full")
+    full_cfg = ModelConfig(kind, v.grid, FULL)
     reference = rhs(full_cfg, v)
     errors = []
     for n in orders:
-        cfg = ModelConfig(kind, v.grid, "truncated", n)
+        cfg = ModelConfig(kind, v.grid, TRUNCATED, n)
         errors.append(linf_norm(SpectralField(v.grid, rhs(cfg, v).coeffs - reference.coeffs)))
     ratios = []
     for (n0, e0), (n1, e1) in zip(zip(orders, errors), zip(orders[1:], errors[1:])):

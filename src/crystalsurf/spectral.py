@@ -68,6 +68,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# A field counts as zero-mean when its mean coefficient is at most this
+# fraction of 1 + sum|c(k)|: rounding from transforms and arithmetic on
+# an exactly zero-mean field stays far below it.
+ZERO_MEAN_TOL = 1e-12
+
 # Largest P at which a 1D grid runs the transform pair as dense matrix
 # products instead of numpy.fft calls (see `_dense_pair`).  Measured on
 # inverse+forward pairs: the dense pair is faster at every P up to 192 at
@@ -613,11 +618,12 @@ def with_zero_mean(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, c)
 
 
-def require_zero_mean(f: SpectralField, tol: float = 1e-12) -> None:
-    """Raise ValueError unless the mean coefficient is negligible."""
+def require_zero_mean(f: SpectralField) -> None:
+    """Raise ValueError unless the mean coefficient is at most
+    ZERO_MEAN_TOL times 1 + sum|c(k)|."""
     center = f.coeffs[f.grid.zero_index]
     scale = 1.0 + float(np.sum(np.abs(f.coeffs)))
-    if abs(center) > tol * scale:
+    if abs(center) > ZERO_MEAN_TOL * scale:
         raise ValueError(
             f"field has non-zero mean coefficient {center!r}; expected a zero-mean field"
         )
@@ -688,9 +694,19 @@ def l2_quadrature(grid: GridSpec, samples: np.ndarray) -> np.floating | np.ndarr
     return np.sqrt(grid.cell_volume * squares)
 
 
-def max_abs(samples: np.ndarray) -> float:
-    """Largest absolute value among collocation samples."""
-    return float(np.max(np.abs(samples)))
+def extremes(grid: GridSpec, samples: np.ndarray):
+    """Min, max and max|v| of collocation samples, over the grid's axes,
+    the last grid.dim of `samples`: float64 scalars for one field's
+    samples, arrays of one value per field for a stack of them.
+
+    max|v| is taken from the min and the max, as max(hi, -lo) the way
+    Python's max picks it, through abs, which turns the -0.0 of all
+    negative-zero samples into 0.0: bit for bit np.max(np.abs(samples)),
+    without its P^d temporary.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    lo, hi = samples.min(axis=axes), samples.max(axis=axes)
+    return lo, hi, np.abs(np.where(-lo > hi, -lo, hi))
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -700,4 +716,4 @@ def l2_norm(f: SpectralField) -> float:
 
 def linf_norm(f: SpectralField) -> float:
     """Maximum absolute sample value on the collocation grid."""
-    return max_abs(to_physical(f))
+    return float(extremes(f.grid, to_physical(f))[2])

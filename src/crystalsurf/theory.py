@@ -42,10 +42,19 @@ _ROOT_BRACKET_HI = {EXPONENTIAL: 1.0, ADL: 0.5}
 
 
 def delta_exp(x: float) -> float:
-    """Decay margin of the exponential model at Wiener amplitude x >= 0."""
+    """Decay margin of the exponential model at Wiener amplitude x >= 0.
+
+    -inf past float overflow (x above about 709.78, where e^x does not
+    fit a double): the IEEE value of the overflowed formula.
+    """
     if x < 0:
         raise ValueError(f"delta_exp requires x >= 0, got {x}")
-    return 2.0 - math.exp(x) * (1.0 + x * (7.0 + x * (6.0 + x)))
+    try:
+        growth = math.exp(x)
+    except OverflowError:
+        return -math.inf
+    return 2.0 - growth * (1.0 + x * (7.0 + x * (6.0 + x)))
+
 
 def delta_adl(x: float) -> float:
     """Decay margin of the adl model at Wiener amplitude 0 <= x < 1."""
@@ -85,16 +94,16 @@ def smallness_report(kind: str, x: float) -> SmallnessReport:
 
 
 def threshold_bracket(kind: str, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, float]:
-    """Bisection bracket [lo, hi] of width <= tol around the unique root."""
+    """Bracket [lo, hi] of width <= tol around the unique root of
+    delta(kind, .), by bisection from known-sign anchors."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = 0.0, _ROOT_BRACKET_HI[kind]
-    f = delta_exp if kind == EXPONENTIAL else delta_adl
-    if not (f(lo) > 0 > f(hi)):
+    if not (delta(kind, lo) > 0 > delta(kind, hi)):
         raise RuntimeError("root bracket anchors lost their sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
+        if delta(kind, mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -139,10 +148,13 @@ def lyapunov_l1(v: SpectralField) -> float:
 def lyapunov_l2(v: SpectralField) -> float:
     """Integral of (1 + v)^{-2}; requires 1 + v > 0 on the grid.
 
-    Nonincreasing along adl-model trajectories.
+    Nonincreasing along adl-model trajectories.  min(1 + v) is taken as
+    1 + min(v), as the adl guard and the recorder take it: rounding of
+    1 + x is monotone in x, so the bits are the same, without a P^d
+    temporary.
     """
     s = to_physical(v)
-    floor = float(np.min(1.0 + s))
+    floor = float(1.0 + s.min())
     if floor <= 0:
         raise SingularityError(
             f"lyapunov_l2 undefined: min(1 + v) = {floor:.3e} on the collocation grid"
@@ -210,17 +222,10 @@ def interpolation_columns(grid: GridSpec, coeffs: np.ndarray, pairs) -> list[Int
     return columns
 
 
-def interpolation_checks(f: SpectralField, pairs) -> list[InterpolationCheck]:
-    """One-field case of interpolation_columns: every (s, r) pair of f."""
-    return [
-        InterpolationCheck(c.s, c.r, c.lhs[0], c.rhs[0], c.passed[0])
-        for c in interpolation_columns(f.grid, f.coeffs[np.newaxis], pairs)
-    ]
-
-
 def interpolation_check(f: SpectralField, s: float, r: float) -> InterpolationCheck:
-    """One-pair case of interpolation_checks."""
-    return interpolation_checks(f, [(s, r)])[0]
+    """One-field, one-pair case of interpolation_columns."""
+    (c,) = interpolation_columns(f.grid, f.coeffs[np.newaxis], [(s, r)])
+    return InterpolationCheck(c.s, c.r, c.lhs[0], c.rhs[0], c.passed[0])
 
 
 # The four resummation identities: series coefficient factors, starting

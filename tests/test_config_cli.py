@@ -48,6 +48,7 @@ from crystalsurf.diagnostics import (
 )
 from crystalsurf.spectral import SpectralField, wiener_norm
 from crystalsurf.stepper import NonFiniteStateError
+from crystalsurf.theory import delta
 
 
 def base_run_dict():
@@ -637,6 +638,27 @@ class TestCliRun:
         assert "is past the decay threshold (delta = -" in lines[0]
         assert not out.exists()
 
+    def test_amplitude_past_exp_overflow_exits_three(self, tmp_path, capsys):
+        """At |v0|_0 = 800, e^x overflows in delta_exp: the run warns with
+        delta = -inf and stops at its first non-finite sample with exit 3,
+        and --strict refuses the data with exit 2 (both ended in an
+        OverflowError traceback from smallness_report before)."""
+        raw = base_run_dict()
+        raw["initial_data"]["modes"][0]["amplitude"] = 800.0
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        past = "800 is past the decay threshold (delta = -inf <= 0)"
+        assert main(["run", config, "--out", str(out)]) == EXIT_SINGULAR
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: initial amplitude {past}; no envelope will be certified",
+            "non-finite state at t = 0.005",
+        ]
+        assert not (out / "report.json").exists()
+        assert main(["run", config, "--strict", "--out", str(out)]) == EXIT_INADMISSIBLE
+        assert capsys.readouterr().err.splitlines() == [
+            f"aborting: --strict refuses inadmissible initial data: x0 = {past}"
+        ]
+
     def test_singular_adl_run_exits_three(self, tmp_path, capsys):
         raw = base_run_dict()
         raw["model"]["kind"] = "adl"
@@ -836,6 +858,17 @@ class TestCliThreshold:
         deltas = [row["delta"] for row in table]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] < 0
+
+    @pytest.mark.parametrize("kind", ["exp", "adl"])
+    def test_rows_are_evaluated_at_their_printed_x(self, capsys, kind):
+        """Row k is x = round(k * THRESHOLD_TABLE_STEP, 10) and delta(x)
+        there (the exp row printed as 0.1 carried delta(0.09999999999999999),
+        a sum of ten steps, before)."""
+        assert main(["threshold", kind, "--json"]) == EXIT_OK
+        table = json.loads(capsys.readouterr().out)["table"]
+        assert [row["x"] for row in table] == [round(0.01 * k, 10) for k in range(len(table))]
+        for row in table:
+            assert row["delta"] == delta(kind, row["x"]), row
 
     def test_text_output(self, capsys):
         assert main(["threshold", "exp"]) == EXIT_OK
@@ -1108,6 +1141,21 @@ class TestCliSweep:
         ]
         assert pool_sizes == []
         assert not out.exists()
+
+    def test_member_past_exp_overflow_is_a_failed_row(self, tmp_path, capsys):
+        """A member at |v0|_0 = 800, where delta_exp overflows to -inf, is
+        a failed row of the aggregate, and the sweep exits 0 (its
+        OverflowError lost the whole sweep before)."""
+        config = self.sweep_config(tmp_path, [0.05, 800.0], workers=2)
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_OK
+        with open(out / "sweep_aggregate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows[0][3:] == ["true", ""]
+        assert float(rows[1][0]) == pytest.approx(800.0, rel=1e-12)
+        assert rows[1][1:] == ["-inf", "nan", "false", "non-finite state at t = 0.005"]
+        assert (out / "amplitude_0.05" / "report.json").exists()
+        assert not (out / "amplitude_800").exists()
 
     def test_truncated_exp_order_past_170_sweeps(self, tmp_path, capsys):
         """A sweep on a truncated exp base of order 171 runs its members
@@ -1504,8 +1552,7 @@ class TestWriters:
     )
     def test_report_json_equals_stdlib_indent_2(self, tmp_path, n_rows, non_finite, admissible):
         report = synthetic_report(n_rows, seed=n_rows, non_finite=non_finite, admissible=admissible)
-        path = tmp_path / "report.json"
-        cli.write_report_json(path, report)
+        (path,) = cli.write_output_bundle(report, tmp_path, ["json"])
         text = path.read_text()
         assert text == self.stdlib_json(report)
         rows = json.loads(text)["series"]["rows"]
@@ -1531,14 +1578,12 @@ class TestWriters:
         member = cli.execute_run(cfg, SpectralField(grid, v0.coeffs * 0.2))
         member.sweep_member = {"amplitude": 0.01, "scale": 0.2}
         for report in (admissible, inadmissible, member):
-            path = tmp_path / "report.json"
-            cli.write_report_json(path, report)
+            (path,) = cli.write_output_bundle(report, tmp_path, ["json"])
             assert path.read_text() == self.stdlib_json(report)
 
     def test_inadmissible_report_with_infinite_fits(self, tmp_path):
         report = synthetic_report(5, admissible=False)
-        path = tmp_path / "report.json"
-        cli.write_report_json(path, report)
+        (path,) = cli.write_output_bundle(report, tmp_path, ["json"])
         assert path.read_text() == self.stdlib_json(report)
         payload = json.loads(path.read_text())
         assert payload["hr_decay_fits"] == {"0": "inf", "1": "inf", "1.9": "inf"}

@@ -376,6 +376,22 @@ class TestFitDecayRate:
     def test_floor_constant(self):
         assert RATE_FIT_FLOOR == 1e-13
 
+    def test_fit_starts_at_the_first_tenth_of_a_piecewise_series(self):
+        """RATE_FIT_TRANSIENT_FRACTION is 0.1: the first tenth of a run is
+        the transient, where the higher modes of the data still decay
+        faster than the slowest one, and the rest is the decay the rate
+        describes.  On a series whose rate falls from 6 to 2 at t = 0.6,
+        24% of the way in, the fit is np.polyfit's over the samples from
+        floor(0.1 n) on, fast part included; dropping 30% would drop the
+        whole fast part and read 2."""
+        n = 50
+        t = np.linspace(0.0, 2.0, n)
+        values = np.exp(np.where(t < 0.6, -6.0 * t, -3.6 - 2.0 * (t - 0.6)))
+        start = math.floor(0.1 * n)
+        want = -np.polyfit(t[start:], np.log(values[start:]), 1)[0]
+        assert not want == pytest.approx(2.0, rel=1e-3)
+        assert fit_decay_rate(t, values) == pytest.approx(want, rel=1e-12)
+
 
 class TestCertifyDecay:
     def test_trajectory_inside_envelope_passes(self):
@@ -428,6 +444,16 @@ class TestMonotoneChecks:
     def test_lyapunov_large_uptick_fails(self):
         series = synthetic_series([0, 1], [1, 1], lyapunov_values=[6.2, 6.3])
         assert check_lyapunov_monotone(series) is False
+
+    def test_slack_absorbs_rounding_but_not_a_rise(self):
+        """MONOTONE_REL_SLACK is 1e-10: consecutive quadratures of a
+        monotone trajectory may differ by rounding, a few ulps of a sum
+        over P^d samples, far below it, while a rise of 1e-6 relative is
+        a real increase of the functional, which the check must report."""
+        base = 6.283185307179586
+        for rise, monotone in ((1e-12, True), (1e-6, False)):
+            series = synthetic_series([0, 1], [1, 1], lyapunov_values=[base, base * (1.0 + rise)])
+            assert check_lyapunov_monotone(series) is monotone, rise
 
 
 

@@ -415,6 +415,22 @@ class TestRemainder:
         else:
             _check_adl_positivity(values)
 
+    def test_singular_floor_between_thin_and_blown_up_surfaces(self):
+        """ADL_SINGULAR_FLOOR is 1e-8: where min(1 + v) = 1e-5 the surface
+        is thin but (1 + v)^-3 = 1e15 is a finite, resolvable value, so the
+        full adl remainder evaluates; at min(1 + v) = 1e-9 the height
+        u = 1/(1 + v) is 1e9 and the state counts as a blow-up."""
+        grid = GridSpec.create(1, 4)
+        cfg = ModelConfig(ADL, grid)
+        for floor, singular in ((1e-5, False), (1e-9, True)):
+            v = np.full(grid.phys_shape, 0.1)
+            v[3] = floor - 1.0
+            if singular:
+                with pytest.raises(SingularityError, match="adl nonlinearity singular"):
+                    _superlinear_pointwise(cfg, v)
+            else:
+                assert np.all(np.isfinite(_superlinear_pointwise(cfg, v)))
+
     def test_rhs_has_zero_mean(self):
         grid = GridSpec.create(1, 8)
         for kind in (EXPONENTIAL, ADL):

@@ -25,6 +25,7 @@ from crystalsurf.spectral import (
     _coeffs_from_phys,
     _phys_from_coeffs,
     _plan,
+    extremes,
     field_from_modes,
     from_physical,
     l2_norm,
@@ -767,6 +768,27 @@ class TestNorms:
         f = field_from_modes(grid, [(4, 0.9, 0.0)])
         # the collocation grid hits the sine's extrema when P is a multiple of 4k
         assert linf_norm(f) == pytest.approx(0.9, rel=1e-12)
+
+    @pytest.mark.parametrize("dim, m", [(1, 8), (2, 3)])
+    def test_extremes_of_a_stack_are_each_fields_own(self, dim, m):
+        """extremes gives min, max and np.max(np.abs(.)) of every field of a
+        stack bit for bit, signed zeros included: all-negative-zero
+        samples have max|v| = +0.0."""
+        grid = GridSpec.create(dim, m)
+        rng = np.random.default_rng(dim * 100 + m)
+        stack = rng.standard_normal((5,) + grid.phys_shape)
+        stack[1] = -stack[1] ** 2  # all negative: max|v| is -min
+        stack[2] = -0.0
+        stack[3].flat[::2] = -0.0
+        stack[3].flat[1::2] = 0.0
+        lo, hi, peak = extremes(grid, stack)
+        for b, samples in enumerate(stack):
+            assert lo[b].tobytes() == samples.min().tobytes()
+            assert hi[b].tobytes() == samples.max().tobytes()
+            assert peak[b].tobytes() == np.max(np.abs(samples)).tobytes()
+            one = extremes(grid, samples)
+            assert [x.tobytes() for x in one] == [lo[b].tobytes(), hi[b].tobytes(), peak[b].tobytes()]
+        assert peak[2].tobytes() == np.float64(0.0).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cached_weights_give_bitwise_identical_norms(self, dim):

@@ -34,7 +34,7 @@ from crystalsurf.theory import (
     delta_exp,
     delta_exp_coefficient_audit,
     interpolation_check,
-    interpolation_checks,
+    interpolation_columns,
     lyapunov,
     lyapunov_l1,
     lyapunov_l2,
@@ -52,6 +52,15 @@ ROOT_ADL = 2.51950424200890269e-02
 
 
 class TestDecayMargins:
+    @pytest.mark.parametrize("x", [709.0, 709.8, 800.0, 1e300, math.inf])
+    def test_exp_margin_past_float_overflow_is_minus_inf(self, x):
+        """Above x ~ 709.78, e^x does not fit a double: the margin is -inf,
+        the IEEE value of the overflowed formula (raised OverflowError
+        before), and the data are reported inadmissible."""
+        assert delta_exp(x) == -math.inf
+        report = smallness_report(EXPONENTIAL, x)
+        assert report.delta == -math.inf and report.admissible is False
+
     def test_exact_values_at_zero(self):
         """At zero amplitude the margins equal the linear decay rates."""
         assert delta_exp(0.0) == 1.0
@@ -272,19 +281,19 @@ class TestInterpolation:
         rng.shuffle(pairs)
         for _ in range(4):
             f = validation.random_field(grid, rng, scale=10.0 ** rng.uniform(-3, 1))
-            checks = interpolation_checks(f, pairs)
-            assert [(c.s, c.r) for c in checks] == pairs
-            for (s, r), check in zip(pairs, checks):
+            columns = interpolation_columns(grid, f.coeffs[np.newaxis], pairs)
+            assert [(c.s, c.r) for c in columns] == pairs
+            for (s, r), column in zip(pairs, columns):
                 lhs = wiener_norm(f, s)
                 if r == 0:
                     rhs = wiener_norm(f, 0.0)
                 else:
                     theta = s / r
                     rhs = wiener_norm(f, 0.0) ** (1.0 - theta) * wiener_norm(f, r) ** theta
-                assert check.lhs.hex() == lhs.hex()
-                assert check.rhs.hex() == rhs.hex()
-                assert check.passed is (lhs <= rhs * (1.0 + 1e-12))
-            assert all(c.passed for c in checks)
+                assert column.lhs[0].hex() == lhs.hex()
+                assert column.rhs[0].hex() == rhs.hex()
+                assert column.passed[0] is (lhs <= rhs * (1.0 + 1e-12))
+            assert all(c.passed[0] for c in columns)
 
     @pytest.mark.parametrize("bad", [(2.0, 1.0), (-0.5, 1.0), (1, math.nan)])
     @pytest.mark.parametrize("at", [0, 2, 4])
@@ -294,7 +303,7 @@ class TestInterpolation:
         pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (0.0, 0.0)]
         pairs.insert(at, bad)
         with pytest.raises(ValueError, match="need 0 <= s <= r"):
-            interpolation_checks(f, pairs)
+            interpolation_columns(f.grid, f.coeffs[np.newaxis], pairs)
         assert calls == []
 
     def test_validate_check_reads_each_field_once(self, monkeypatch):
