@@ -41,9 +41,10 @@ and carries no information.  `_mirror` rebuilds the full (2M+1)^d layout,
 which SpectralField keeps, once per public result.  The inverse reads only
 the half and therefore assumes Hermitian input, c(-k) = conj(c(k)); every
 constructor here produces such arrays and every operation keeps them so.
-The inverse also takes a stack of halves, one per leading index, as the
-run recorder passes them; each row of its result is, bit for bit, the
-transform of that half alone.
+Both directions also take a stack, one field per leading index: the
+inverse a stack of halves, as the run recorder passes them, the forward a
+stack of sample arrays, as validate's round trip passes them.  Each row
+of the result is, bit for bit, the transform of that row alone.
 
 Both private transforms take an optional `_Workspace`: buffers allocated
 once per grid that hold the zero-padded spectrum, the samples and the
@@ -149,10 +150,14 @@ class GridSpec:
         cls,
         dim: int,
         modes_per_axis: int,
-        padding_factor: float = 2.0,
+        padding_factor: float = padding_factor,
         phys_points_per_axis: int | None = None,
     ) -> "GridSpec":
-        """Build a grid, choosing the smallest admissible even P when not given."""
+        """Build a grid, choosing the smallest admissible even P when not given.
+
+        The padding default is the field's: the class body's
+        `padding_factor` is its default value when this signature is made.
+        """
         if phys_points_per_axis is None:
             target = padding_factor * (2 * modes_per_axis + 1)
             p = int(math.ceil(target - 1e-9))
@@ -281,6 +286,19 @@ def _blocked_product(
     """out = a @ matrix, one matrix-matrix product per row block of `blocks`."""
     for rows in blocks:
         np.matmul(a[rows], matrix, out=out[rows])
+    return out
+
+
+def _field_products(
+    a: np.ndarray, matrix: np.ndarray, out: np.ndarray, blocks: tuple[slice, ...]
+) -> np.ndarray:
+    """`_blocked_product` of one field's (P, n) array, the last two axes of
+    `a`, or of each field of a stack of them in turn, so each row of a
+    stack is its own field's bits; one field takes no index iterator."""
+    if a.ndim == 2:
+        return _blocked_product(a, matrix, out, blocks)
+    for i in np.ndindex(a.shape[:-2]):
+        _blocked_product(a[i], matrix, out[i], blocks)
     return out
 
 
@@ -417,9 +435,9 @@ class _Workspace:
     P^d samples.  The dense 1D transforms use `phys` only.
 
     With `batch`, a shape, every buffer gets those leading axes, for a
-    stack of halves of that shape (see `_phys_from_coeffs`).  With
-    `forward` False, `rows`, which only the forward reads, is left out,
-    for callers that only take inverses.
+    stack of fields of that shape (see `_phys_from_coeffs` and
+    `_coeffs_from_phys`).  With `forward` False, `rows`, which only the
+    forward reads, is left out, for callers that only take inverses.
 
     The buffers are views of one zeroed block.  At 2D M=32 it is about
     0.34 MB, above glibc's mmap threshold; once such a block is freed,
@@ -493,11 +511,7 @@ def _phys_from_coeffs(
         return np.fft.irfft(cols, n=p, axis=-1, out=out)
     if out is None:
         out = np.empty(cols.shape[:-1] + (p,))
-    parts = cols.view(np.float64)
-    # One field at a time, so each row of a stack is its own field's bits.
-    for i in np.ndindex(parts.shape[:-2]):
-        _blocked_product(parts[i], plan["last_inverse"], out[i], plan["last_blocks"])
-    return out
+    return _field_products(cols.view(np.float64), plan["last_inverse"], out, plan["last_blocks"])
 
 
 def _coeffs_from_phys(
@@ -505,37 +519,46 @@ def _coeffs_from_phys(
 ) -> np.ndarray:
     """Raw-array forward transform to the k_d >= 0 half, coeffs[..., M:].
 
-    The half is always a new array.  `_mirror` rebuilds the full layout
-    from it, exactly Hermitian.
+    `samples` is one field's P^d array or a stack of them, (B,) + P^d,
+    whose row b of the result is, bit for bit, the transform of
+    samples[b] alone: the dense 1D path makes one matrix-vector product
+    per row, the 2D dense last-axis pass one field at a time, and the
+    FFTs run along the field's own axes.  With a workspace, whose `batch`
+    must then be the stack's leading shape, the intermediates go to its
+    buffers.  The half is always a new array.  `_mirror` rebuilds the
+    full layout from it, exactly Hermitian.
     """
     m = grid.modes_per_axis
     plan = _plan(grid)
     if plan["dense_forward"] is not None:
-        return np.dot(plan["dense_forward"], samples).view(np.complex128)
+        if samples.ndim == 1:
+            return np.dot(plan["dense_forward"], samples).view(np.complex128)
+        # As in the inverse: matmul makes np.dot's BLAS call for each row.
+        return np.matmul(plan["dense_forward"], samples[..., None])[..., 0].view(np.complex128)
     table = plan["forward"]
     rows = None if work is None else work.rows
     if plan["last_forward"] is None:
         rows = np.fft.rfft(samples, out=rows)
         if grid.dim == 1:
-            return rows[: m + 1] * table
-        rows = rows[:, : m + 1]
+            return rows[..., : m + 1] * table
+        rows = rows[..., : m + 1]
     else:
         if rows is None:
-            rows = np.empty((grid.phys_points_per_axis, m + 1), dtype=np.complex128)
+            rows = np.empty(samples.shape[:-1] + (m + 1,), dtype=np.complex128)
         # A strided array would take numpy's own loop, not BLAS.
         samples = np.ascontiguousarray(samples)
-        _blocked_product(samples, plan["last_forward"], rows.view(np.float64), plan["last_blocks"])
+        _field_products(samples, plan["last_forward"], rows.view(np.float64), plan["last_blocks"])
     # The axis-0 FFT runs on the k_2 = 0..M columns only: per column it is
     # the transform rfft2 applies to them, for half of rfft2's axis-0 work.
-    spec = np.fft.fft(rows, axis=0, out=None if work is None else work.cols)
-    half = np.empty((2 * m + 1, m + 1), dtype=np.complex128)
-    np.multiply(spec[: m + 1], table[m:], out=half[m:])
-    np.multiply(spec[-m:], table[:m], out=half[:m])
+    spec = np.fft.fft(rows, axis=-2, out=None if work is None else work.cols)
+    half = np.empty(spec.shape[:-2] + (2 * m + 1, m + 1), dtype=np.complex128)
+    np.multiply(spec[..., : m + 1, :], table[m:], out=half[..., m:, :])
+    np.multiply(spec[..., -m:, :], table[:m], out=half[..., :m, :])
     # The k_2 = 0 column comes from a complex FFT along axis 0, which leaves
     # its k_1 -> -k_1 symmetry inexact; the other columns have no partner
     # inside the half.
-    col = half[:, 0]
-    half[:, 0] = 0.5 * (col + np.conj(col[::-1]))
+    col = half[..., 0]
+    half[..., 0] = 0.5 * (col + np.conj(col[..., ::-1]))
     return half
 
 

@@ -12,10 +12,11 @@ coefficient-level audit of the exponential margin.
 The four randomized checks (parseval, roundtrip, linf_bound,
 interpolation) draw their fields as coefficient stacks, one per grid of a
 small 1D/2D ensemble for every chunk of up to 40 fields per grid, each
-stack's scales and coefficients in one draw each.  linf_bound and
-interpolation check each stack with one stacked inverse transform or norm
-pass, whose row b is field b's own result bit for bit; parseval and
-roundtrip call the public one-field functions on each row.
+stack's scales and coefficients in one draw each.  Each check takes a
+stack through stacked kernels, whose row b is field b's own result bit
+for bit: parseval one inverse transform and one quadrature, roundtrip one
+inverse and one forward transform and one mirror, linf_bound one inverse
+transform and one norm pass, interpolation one norm pass.
 """
 
 from __future__ import annotations
@@ -90,10 +91,13 @@ def _ensemble(rng: np.random.Generator, count: int):
 
 
 def check_parseval(rng: np.random.Generator) -> CheckResult:
-    """Grid-quadrature L2 norm vs (2 pi)^{d/2} x coefficient norm, 1e-10 rel."""
+    """Grid-quadrature L2 norm vs (2 pi)^{d/2} x coefficient norm, 1e-10 rel.
+
+    Each grid's stack takes one inverse transform and one quadrature."""
     gaps = []
     for grid, coeffs in _ensemble(rng, 200):
-        lhs = np.array([spectral.l2_norm(spectral.SpectralField(grid, c)) for c in coeffs])
+        samples = spectral._phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
+        lhs = spectral.l2_quadrature(grid, samples)
         squares = np.sum(np.abs(coeffs) ** 2, axis=tuple(range(-grid.dim, 0)))
         rhs = np.sqrt(spectral.TWO_PI**grid.dim * squares)
         gaps.append(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300))
@@ -102,14 +106,15 @@ def check_parseval(rng: np.random.Generator) -> CheckResult:
 
 
 def check_roundtrip(rng: np.random.Generator) -> CheckResult:
-    """to_physical then from_physical reproduces coefficients to 1e-12."""
+    """to_physical then from_physical reproduces coefficients to 1e-12.
+
+    Each grid's stack takes one inverse and one forward transform and one
+    mirror, the steps of that pair of public functions."""
     gaps = []
     for grid, coeffs in _ensemble(rng, 200):
         axes = tuple(range(-grid.dim, 0))
-        back = np.array([
-            spectral.from_physical(spectral.to_physical(spectral.SpectralField(grid, c)), grid).coeffs
-            for c in coeffs
-        ])
+        samples = spectral._phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
+        back = spectral._mirror(grid, spectral._coeffs_from_phys(grid, samples))
         scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
         gaps.append(np.max(np.abs(back - coeffs), axis=axes) / scale)
     worst = float(np.max(np.concatenate(gaps)))

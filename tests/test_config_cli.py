@@ -893,14 +893,31 @@ class TestCliValidate:
         assert "no checks match" in capsys.readouterr().err
 
     def test_injected_fault_is_detected(self, capsys, monkeypatch):
-        """Breaking the quadrature norm must flip the Parseval check to
-        FAIL and the exit code to failure; guards against a suite that
-        cannot fail."""
+        """Breaking the quadrature norm, which `l2_norm` and the stacked
+        Parseval check both call, must flip the Parseval check to FAIL and
+        the exit code to failure; guards against a suite that cannot fail."""
         import crystalsurf.spectral as spectral_module
 
-        monkeypatch.setattr(spectral_module, "l2_norm", lambda f: 0.0)
+        def zeros(grid, samples):
+            return np.zeros(samples.shape[: samples.ndim - grid.dim])
+
+        monkeypatch.setattr(spectral_module, "l2_quadrature", zeros)
         assert main(["validate", "--filter", "parseval"]) == EXIT_USAGE
         assert "FAIL  parseval" in capsys.readouterr().out
+
+    def test_zero_stacked_forward_fails_roundtrip(self, capsys, monkeypatch):
+        """roundtrip transforms each grid's stack of samples back in one
+        call; a forward that returns zero halves must fail it."""
+        import crystalsurf.spectral as spectral_module
+
+        def zeros(grid, samples, work=None):
+            m = grid.modes_per_axis
+            lead = samples.shape[: samples.ndim - grid.dim]
+            return np.zeros(lead + grid.coeff_shape[:-1] + (m + 1,), dtype=np.complex128)
+
+        monkeypatch.setattr(spectral_module, "_coeffs_from_phys", zeros)
+        assert main(["validate", "--filter", "roundtrip"]) == EXIT_USAGE
+        assert "FAIL  roundtrip" in capsys.readouterr().out
 
     def test_zero_stacked_inverse_fails_linf_bound(self, capsys, monkeypatch):
         """linf_bound transforms each grid's stack in one call; samples that

@@ -558,6 +558,25 @@ class TestStacks:
             p = grid.phys_points_per_axis
             assert not np.any(work.spec[:, m + 1 : p - m])
 
+    # 2D M=35 at padding 2 (P=142, 2*36*142 = 10 224 entries) is past
+    # _DENSE_2D_MAX_ENTRIES: the rfft last-axis pass, which no CORE_GRIDS grid takes.
+    @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS + [(2, 35, 2.0)])
+    def test_forward_rows_match_single_calls(self, dim, m, padding):
+        """The forward of a 3-field stack of samples, contiguous, strided
+        and through a workspace, is row by row the forward of each field."""
+        grid = GridSpec.create(dim, m, padding_factor=padding)
+        if (dim, m) == (2, 35):
+            assert _last_axis_entries(m, padding) > _DENSE_2D_MAX_ENTRIES
+            assert _plan(grid)["last_forward"] is None
+        rng = np.random.default_rng(dim * 1000 + m)
+        wide = rng.standard_normal((3,) + grid.phys_shape[:-1] + (2 * grid.phys_points_per_axis,))
+        for samples in (np.ascontiguousarray(wide[..., ::2]), wide[..., ::2]):
+            want = np.stack([_coeffs_from_phys(grid, s) for s in samples])
+            assert want.shape == (3,) + grid.coeff_shape[:-1] + (m + 1,)
+            assert _coeffs_from_phys(grid, samples).tobytes() == want.tobytes()
+            got = _coeffs_from_phys(grid, samples, _Workspace(grid, (3,)))
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dim, m", STACK_GRIDS)
     def test_norm_and_quadrature_rows_match_single_fields(self, dim, m):
         grid = GridSpec.create(dim, m)
