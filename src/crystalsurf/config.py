@@ -317,11 +317,37 @@ def parse_sweep_config(raw) -> SweepConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """yaml.SafeLoader that also reads YAML 1.2 floats.
+    """yaml.SafeLoader that also reads YAML 1.2 floats and refuses a
+    repeated key.
 
     PyYAML follows YAML 1.1, whose floats need a dot and a signed
-    exponent, so `dt: 1e-4` would load as the string "1e-4".
+    exponent, so `dt: 1e-4` would load as the string "1e-4".  It also
+    lets the last of a mapping's repeated keys win, so a second `dt:` in
+    a stepper mapping would replace the first without a word.
     """
+
+    def compose_mapping_node(self, anchor):
+        """SafeLoader's mapping node, refusing a scalar key that it repeats.
+
+        Keys are compared as their resolved tag and text, so `dt` and
+        "dt" are one key, 1 and 1.0 two.  Merge keys (<<) are skipped: the
+        keys they bring in may be overridden.  A non-scalar key is left to
+        PyYAML's own `found unhashable key` error.
+        """
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = (key_node.tag, key_node.value)
+                if key in seen:
+                    raise yaml.composer.ComposerError(
+                        "while composing a mapping",
+                        node.start_mark,
+                        f"found duplicate key {key_node.value!r}",
+                        key_node.start_mark,
+                    )
+                seen.add(key)
+        return node
 
 
 # YAML 1.2's core-schema float, tried after SafeLoader's own resolvers, so

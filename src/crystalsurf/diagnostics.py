@@ -30,7 +30,6 @@ from .spectral import (
     _coeff_norms,
     _phys_from_coeffs,
     _stack_rows,
-    _Workspace,
     extremes,
     l2_quadrature,
     linf_norm,
@@ -76,10 +75,10 @@ def _chunk_rows(grid: GridSpec) -> int:
     """Samples per recorder chunk on the grid.
 
     The largest arrays of a chunk are the Wiener weight product,
-    len(WIENER_ORDERS) doubles per mode and sample, and the transform
-    workspace, about 2 P^d doubles per sample; the chunk holds as many
-    samples as keep both within the 64 KiB of `spectral._stack_rows`, and
-    at least one: 31 at 1D M=32, one on 2D grids.  Up to 1D M=1023 at
+    len(WIENER_ORDERS) doubles per mode and sample, and the stacked
+    transform's arrays, about 2 P^d doubles per sample; the chunk holds as
+    many samples as keep both within the 64 KiB of `spectral._stack_rows`,
+    and at least one: 31 at 1D M=32, one on 2D grids.  Up to 1D M=1023 at
     padding 2 every chunk array then stays below glibc's 128 KiB mmap
     threshold, so recording maps and unmaps no memory there.
     """
@@ -128,19 +127,14 @@ class TimeSeriesRecorder:
         self._grid = grid
         self._times = np.zeros(rows)
         self._coeffs = np.zeros((rows,) + grid.coeff_shape, dtype=np.complex128)
-        self._work = _Workspace(grid, (rows,), forward=False)
         self._block = np.empty((rows, _ROW_LENGTH))
 
     def _flush(self) -> None:
         """Append the rows of the buffered samples and empty the buffers."""
         n, grid = self._pending, self._grid
-        full = n == len(self._times)
         coeffs = self._coeffs[:n]
         wiener, sobolev = _coeff_norms(grid, coeffs, WIENER_ORDERS, SOBOLEV_ORDERS)
-        # A partial chunk, left only for finalize, is transformed into fresh
-        # arrays, as the workspace holds a full chunk's samples.
-        work = self._work if full else None
-        s = _phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :], work)
+        s = _phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
         lo, hi, linf = extremes(grid, s)
         nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
         block = self._block[:n]

@@ -47,13 +47,14 @@ stack of sample arrays, as validate's round trip passes them.  Each row
 of the result is, bit for bit, the transform of that row alone.
 
 Both private transforms take an optional `_Workspace`: buffers allocated
-once per grid that hold the zero-padded spectrum, the samples and the
-intermediates of the two passes, so a march does not allocate (and
-page-fault in) a fresh P^d array per call.  The inverse then returns
-`work.phys` itself, which the next call with the same workspace
-overwrites; a workspace serves one caller at a time and is not
-re-entrant.  The forward transform always returns a new half.  Without a
-workspace both run the same code on fresh arrays.
+once per grid that hold one field's zero-padded spectrum, samples and
+intermediates of the two passes, so the march's remainder evaluator does
+not allocate (and page-fault in) a fresh P^d array per call.  The inverse
+then returns `work.phys` itself, which the next call with the same
+workspace overwrites; a workspace serves one field of one caller at a
+time and is not re-entrant.  The forward transform always returns a new
+half.  Without a workspace both run the same code on fresh arrays, as
+every stack does.
 
 Values are immutable: every operation returns a new SpectralField and no
 function mutates the coefficient array of its argument.
@@ -283,22 +284,12 @@ def _row_blocks(rows: int, per_row: int) -> tuple[slice, ...]:
 def _blocked_product(
     a: np.ndarray, matrix: np.ndarray, out: np.ndarray, blocks: tuple[slice, ...]
 ) -> np.ndarray:
-    """out = a @ matrix, one matrix-matrix product per row block of `blocks`."""
+    """out = a @ matrix over the last two axes, one np.matmul per row block
+    of `blocks`.  `a` is one field's (P, n) array or a stack of them; matmul
+    makes one BLAS product per field of a stack, so each row of a stack is
+    its own field's bits."""
     for rows in blocks:
-        np.matmul(a[rows], matrix, out=out[rows])
-    return out
-
-
-def _field_products(
-    a: np.ndarray, matrix: np.ndarray, out: np.ndarray, blocks: tuple[slice, ...]
-) -> np.ndarray:
-    """`_blocked_product` of one field's (P, n) array, the last two axes of
-    `a`, or of each field of a stack of them in turn, so each row of a
-    stack is its own field's bits; one field takes no index iterator."""
-    if a.ndim == 2:
-        return _blocked_product(a, matrix, out, blocks)
-    for i in np.ndindex(a.shape[:-2]):
-        _blocked_product(a[i], matrix, out[i], blocks)
+        np.matmul(a[..., rows, :], matrix, out=out[..., rows, :])
     return out
 
 
@@ -432,12 +423,8 @@ class _Workspace:
     2D on the dense last-axis path its retained k_2 = 0..M bins; `cols`
     the (P, M+1) complex FFT along axis 0, of `spec` in the inverse and of
     the retained columns of `rows` in the forward (2D only); `phys` the
-    P^d samples.  The dense 1D transforms use `phys` only.
-
-    With `batch`, a shape, every buffer gets those leading axes, for a
-    stack of fields of that shape (see `_phys_from_coeffs` and
-    `_coeffs_from_phys`).  With `forward` False, `rows`, which only the
-    forward reads, is left out, for callers that only take inverses.
+    P^d samples.  The dense 1D transforms use `phys` only.  A workspace
+    serves one field; a stack is transformed into fresh arrays.
 
     The buffers are views of one zeroed block.  At 2D M=32 it is about
     0.34 MB, above glibc's mmap threshold; once such a block is freed,
@@ -447,17 +434,16 @@ class _Workspace:
     keeps the stacks of the recorder and the tail below that threshold.
     """
 
-    def __init__(self, grid: GridSpec, batch: tuple[int, ...] = (), forward: bool = True):
+    def __init__(self, grid: GridSpec):
         m, p = grid.modes_per_axis, grid.phys_points_per_axis
-        lead = batch + ((p,) if grid.dim == 2 else ())
+        lead = (p,) if grid.dim == 2 else ()
         bins = m + 1 if _plan(grid)["last_forward"] is not None else p // 2 + 1
         layout = [
             ("spec", lead + (m + 1,), np.complex128),
-            ("rows", lead + (bins,) if forward else None, np.complex128),
+            ("rows", lead + (bins,), np.complex128),
             ("cols", lead + (m + 1,) if grid.dim == 2 else (0,), np.complex128),
-            ("phys", batch + grid.phys_shape, np.float64),
+            ("phys", grid.phys_shape, np.float64),
         ]
-        layout = [entry for entry in layout if entry[1] is not None]
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
         block = np.zeros(sum(sizes), dtype=np.uint8)
         offset = 0
@@ -475,8 +461,8 @@ def _phys_from_coeffs(
     shape (M+1,) in 1D, (2M+1, M+1) in 2D, or a stack of them, (B, M+1)
     or (B, 2M+1, M+1), whose row b of the result is, bit for bit, the
     transform of half[b] alone.  The FFT path zero-pads it to the P//2 + 1
-    bins of the grid.  With a workspace, whose `batch` must then be the
-    stack's leading shape, the samples are written to `work.phys`.
+    bins of the grid.  With a workspace, for one field only, the samples
+    are written to `work.phys`.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
@@ -485,14 +471,14 @@ def _phys_from_coeffs(
     if plan["dense_inverse"] is not None:
         # A strided half has no float64 view; a contiguous one is not copied.
         parts = np.ascontiguousarray(half).view(np.float64)
+        # One field keeps np.dot, which returns `out` itself: the stacked
+        # form below would return a view of it.
         if parts.ndim == 1:
             return np.dot(plan["dense_inverse"], parts, out=out)
         # One matrix-vector product per half: matmul makes the BLAS call
         # np.dot makes for a single half, where a matrix-matrix product of
         # the stack would sum in another order.
-        return np.matmul(
-            plan["dense_inverse"], parts[..., None], out=None if out is None else out[..., None]
-        )[..., 0]
+        return np.matmul(plan["dense_inverse"], parts[..., None])[..., 0]
     table = plan["inverse"]
     if grid.dim == 1:
         spec = np.multiply(half, table, out=None if work is None else work.spec)
@@ -511,7 +497,7 @@ def _phys_from_coeffs(
         return np.fft.irfft(cols, n=p, axis=-1, out=out)
     if out is None:
         out = np.empty(cols.shape[:-1] + (p,))
-    return _field_products(cols.view(np.float64), plan["last_inverse"], out, plan["last_blocks"])
+    return _blocked_product(cols.view(np.float64), plan["last_inverse"], out, plan["last_blocks"])
 
 
 def _coeffs_from_phys(
@@ -522,18 +508,17 @@ def _coeffs_from_phys(
     `samples` is one field's P^d array or a stack of them, (B,) + P^d,
     whose row b of the result is, bit for bit, the transform of
     samples[b] alone: the dense 1D path makes one matrix-vector product
-    per row, the 2D dense last-axis pass one field at a time, and the
-    FFTs run along the field's own axes.  With a workspace, whose `batch`
-    must then be the stack's leading shape, the intermediates go to its
-    buffers.  The half is always a new array.  `_mirror` rebuilds the
-    full layout from it, exactly Hermitian.
+    per row, the 2D dense last-axis pass one BLAS product per field and
+    row block, and the FFTs run along the field's own axes.  With a
+    workspace, for one field only, the intermediates go to its buffers.
+    The half is always a new array.  `_mirror` rebuilds the full layout
+    from it, exactly Hermitian.
     """
     m = grid.modes_per_axis
     plan = _plan(grid)
     if plan["dense_forward"] is not None:
-        if samples.ndim == 1:
-            return np.dot(plan["dense_forward"], samples).view(np.complex128)
-        # As in the inverse: matmul makes np.dot's BLAS call for each row.
+        # As in the inverse's stack: matmul makes np.dot's BLAS call for
+        # each row, and for a single field.
         return np.matmul(plan["dense_forward"], samples[..., None])[..., 0].view(np.complex128)
     table = plan["forward"]
     rows = None if work is None else work.rows
@@ -547,7 +532,7 @@ def _coeffs_from_phys(
             rows = np.empty(samples.shape[:-1] + (m + 1,), dtype=np.complex128)
         # A strided array would take numpy's own loop, not BLAS.
         samples = np.ascontiguousarray(samples)
-        _field_products(samples, plan["last_forward"], rows.view(np.float64), plan["last_blocks"])
+        _blocked_product(samples, plan["last_forward"], rows.view(np.float64), plan["last_blocks"])
     # The axis-0 FFT runs on the k_2 = 0..M columns only: per column it is
     # the transform rfft2 applies to them, for half of rfft2's axis-0 work.
     spec = np.fft.fft(rows, axis=-2, out=None if work is None else work.cols)

@@ -421,6 +421,68 @@ initial_data: {kind: modes, modes: [{k: 1, amplitude: 0.05}]}
         p.write_text("a: 5\nb: -3\nc: 1_000\n")
         assert load_yaml(p) == {"a": 5, "b": -3, "c": 1000}
 
+    # A second dt in the stepper's flow mapping, and a second model section:
+    # PyYAML let the last one win, and the run went on with it.
+    DUPLICATE_KEYS = [
+        (
+            RUN_TEXT.replace("DT", "1e-3").replace("5}", "5, dt: 2e-3}"),
+            "found duplicate key 'dt' at line 3, column 67",
+        ),
+        (
+            RUN_TEXT.replace("DT", "1e-3") + "model: {kind: adl}\n",
+            "found duplicate key 'model' at line 5, column 1",
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, problem", DUPLICATE_KEYS, ids=["flow-dt", "section"])
+    def test_repeated_key_is_refused_with_its_position(self, tmp_path, text, problem):
+        p = tmp_path / "run.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_yaml(p)
+        assert str(exc.value) == f"invalid YAML in {p}: while composing a mapping, {problem}"
+
+    @pytest.mark.parametrize("text, problem", DUPLICATE_KEYS, ids=["flow-dt", "section"])
+    def test_repeated_key_run_exits_one(self, tmp_path, capsys, text, problem):
+        p = tmp_path / "run.yaml"
+        p.write_text(text)
+        out = tmp_path / "results"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"config error: invalid YAML in {p}: while composing a mapping, {problem}"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "base: &b {x: 1, y: 2}\nother: {<<: *b, y: 3}\n",
+            "a: &a {x: 1}\nb: &b {y: 2}\nc:\n  <<: [*a, *b]\n  x: 3\n",
+            # A merge source that overrides a key it merges itself, merged
+            # again by a mapping built before it.
+            "a:\n  base: &x\n    <<: {k: 1}\n    k: 2\nother:\n  <<: *x\n",
+        ],
+        ids=["merge", "merge-list", "nested-merge"],
+    )
+    def test_merge_keys_load_as_before(self, tmp_path, text):
+        """A merge key (<<) brings in keys the mapping may override; that
+        is no repeated key."""
+        p = tmp_path / "merge.yaml"
+        p.write_text(text)
+        assert load_yaml(p) == yaml.safe_load(text)
+
+    def test_unhashable_key_keeps_its_own_error(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text("? [1]\n: 2\n")
+        with pytest.raises(ConfigError) as exc:
+            load_yaml(p)
+        assert str(exc.value) == (
+            f"invalid YAML in {p}: while constructing a mapping, found unhashable key "
+            "at line 1, column 3"
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -31,6 +31,7 @@ from crystalsurf.spectral import (
     _STACK_BYTES,
     GridSpec,
     SpectralField,
+    _plan,
     field_from_modes,
     from_physical,
     l2_norm,
@@ -136,8 +137,9 @@ def bits(x) -> bytes:
 
 
 # (dim, M): 1D grids on the dense transform path (P <= _DENSE_MAX_POINTS)
-# and past it, 2D grids, and M = 1 in both dimensions.
-RECORDER_GRIDS = [(1, 1), (1, 8), (1, 32), (1, 64), (1, 100), (2, 1), (2, 4), (2, 8)]
+# and past it, 2D grids on the dense last-axis pass and, at M = 35, on the
+# rfft one, and M = 1 in both dimensions.
+RECORDER_GRIDS = [(1, 1), (1, 8), (1, 32), (1, 64), (1, 100), (2, 1), (2, 4), (2, 8), (2, 35)]
 
 
 class TestOnePassRecorder:
@@ -147,6 +149,10 @@ class TestOnePassRecorder:
     def test_grids_cover_both_1d_transform_paths(self):
         points = [GridSpec.create(d, m).phys_points_per_axis for d, m in RECORDER_GRIDS if d == 1]
         assert min(points) <= _DENSE_MAX_POINTS < max(points)
+
+    def test_grids_cover_both_2d_last_axis_paths(self):
+        dense = [_plan(GridSpec.create(d, m))["last_inverse"] is not None for d, m in RECORDER_GRIDS if d == 2]
+        assert any(dense) and not all(dense)
 
     @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
     @pytest.mark.parametrize("dim, m", RECORDER_GRIDS)
@@ -332,12 +338,11 @@ class TestChunkedRecorder:
         rows = _chunk_rows(grid)
         recorder = TimeSeriesRecorder(EXPONENTIAL)
         recorder(0.0, zero_field(grid))
-        work_block = recorder._work.phys.base
         temporaries = [
             rows * len(WIENER_ORDERS) * (2 * m + 1) * 8,
             rows * grid.phys_points_per_axis * 8,
         ]
-        sizes = [recorder._coeffs.nbytes, recorder._block.nbytes, work_block.nbytes, *temporaries]
+        sizes = [recorder._coeffs.nbytes, recorder._block.nbytes, *temporaries]
         assert max(sizes) < 128 * 1024
         assert max(temporaries) <= _STACK_BYTES
         if (m, padding) == (32, 2.0):

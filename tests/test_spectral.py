@@ -463,14 +463,17 @@ class TestDenseLastAxis:
         and without a workspace and on a stack, has m*n*k at most
         _ONE_THREAD_GEMM_SIZE, below which OpenBLAS runs a product on the
         calling thread, and at least two rows, so numpy never makes it a
-        matrix-vector product, which OpenBLAS threads far earlier."""
+        matrix-vector product, which OpenBLAS threads far earlier.  A
+        stack's block is one np.matmul, one product per field of its
+        leading axes."""
         grid = GridSpec.create(2, m, padding_factor=padding)
         blocks = _plan(grid)["last_blocks"]
         shapes = []
         matmul = np.matmul
 
         def spy(a, b, **kwargs):
-            shapes.append((a.shape, b.shape, kwargs["out"].shape))
+            fields = math.prod(a.shape[:-2])
+            shapes.append((fields, a.shape[-2:], b.shape, kwargs["out"].shape[-2:]))
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
@@ -478,13 +481,14 @@ class TestDenseLastAxis:
         samples = _phys_from_coeffs(grid, halves[0])
         _coeffs_from_phys(grid, samples)
         _coeffs_from_phys(grid, samples, _Workspace(grid))
-        _phys_from_coeffs(grid, halves, _Workspace(grid, (2,)))
-        assert len(shapes) == 5 * len(blocks)
-        for (rows, inner), (inner_b, cols), out in shapes:
+        _phys_from_coeffs(grid, halves)
+        assert len(shapes) == 4 * len(blocks)
+        assert sum(fields for fields, _, _, _ in shapes) == 5 * len(blocks)
+        for _, (rows, inner), (inner_b, cols), out in shapes:
             assert inner == inner_b and out == (rows, cols)
             assert rows >= 2 and rows * inner * cols <= _ONE_THREAD_GEMM_SIZE
         p = grid.phys_points_per_axis
-        assert [b.stop - b.start for b in blocks] == [rows for (rows, _), _, _ in shapes[: len(blocks)]]
+        assert [b.stop - b.start for b in blocks] == [rows for _, (rows, _), _, _ in shapes[: len(blocks)]]
         assert sum(b.stop - b.start for b in blocks) == p
 
     @pytest.mark.parametrize("m, padding", LAST_AXIS_GRIDS)
@@ -525,16 +529,17 @@ class TestDenseLastAxis:
 
 # (dim, M): 1D grids on the dense path (M = 1, 32) and on the FFT path
 # (M = 64, 100), and 2D grids, at the benchmark's M = 32 where P^2 exceeds
-# numpy's 8192-element reduction buffer.
-STACK_GRIDS = [(1, 1), (1, 32), (1, 64), (1, 100), (2, 8), (2, 32)]
+# numpy's 8192-element reduction buffer, and at M = 35, past
+# _DENSE_2D_MAX_ENTRIES, on the rfft last-axis pass.
+STACK_GRIDS = [(1, 1), (1, 32), (1, 64), (1, 100), (2, 8), (2, 32), (2, 35)]
 # Stacks of one and two halves, of the recorder's 31-sample chunk at 1D
-# M=32, and of 64; 2D M=32 stops at two, as its 64-row stack and workspace
-# take about 40 MB.
+# M=32, and of 64; 2D M=32 and M=35 stop at two, as a 64-row stack and the
+# transform's intermediates take about 40 MB there.
 STACK_CASES = [
     (dim, m, batch)
     for dim, m in STACK_GRIDS
     for batch in (1, 2, 31, 64)
-    if (dim, m) != (2, 32) or batch <= 2
+    if (dim, m) not in ((2, 32), (2, 35)) or batch <= 2
 ]
 
 
@@ -550,20 +555,15 @@ class TestStacks:
         want = np.stack([_phys_from_coeffs(grid, half) for half in halves])
         assert want.shape == (batch,) + grid.phys_shape
         assert _phys_from_coeffs(grid, halves).tobytes() == want.tobytes()
-        work = _Workspace(grid, (batch,))
-        got = _phys_from_coeffs(grid, np.ascontiguousarray(halves), work)
-        assert np.shares_memory(got, work.phys)
+        got = _phys_from_coeffs(grid, np.ascontiguousarray(halves))
         assert got.tobytes() == want.tobytes()
-        if dim == 2:
-            p = grid.phys_points_per_axis
-            assert not np.any(work.spec[:, m + 1 : p - m])
 
     # 2D M=35 at padding 2 (P=142, 2*36*142 = 10 224 entries) is past
     # _DENSE_2D_MAX_ENTRIES: the rfft last-axis pass, which no CORE_GRIDS grid takes.
     @pytest.mark.parametrize("dim, m, padding", CORE_GRIDS + [(2, 35, 2.0)])
     def test_forward_rows_match_single_calls(self, dim, m, padding):
-        """The forward of a 3-field stack of samples, contiguous, strided
-        and through a workspace, is row by row the forward of each field."""
+        """The forward of a 3-field stack of samples, contiguous and
+        strided, is row by row the forward of each field."""
         grid = GridSpec.create(dim, m, padding_factor=padding)
         if (dim, m) == (2, 35):
             assert _last_axis_entries(m, padding) > _DENSE_2D_MAX_ENTRIES
@@ -574,8 +574,6 @@ class TestStacks:
             want = np.stack([_coeffs_from_phys(grid, s) for s in samples])
             assert want.shape == (3,) + grid.coeff_shape[:-1] + (m + 1,)
             assert _coeffs_from_phys(grid, samples).tobytes() == want.tobytes()
-            got = _coeffs_from_phys(grid, samples, _Workspace(grid, (3,)))
-            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim, m", STACK_GRIDS)
     def test_norm_and_quadrature_rows_match_single_fields(self, dim, m):
