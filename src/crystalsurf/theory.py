@@ -96,7 +96,7 @@ def smallness_report(kind: str, x: float) -> SmallnessReport:
 def threshold_bracket(kind: str, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, float]:
     """Bracket [lo, hi] of width <= tol around the unique root of
     delta(kind, .), by bisection from known-sign anchors."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too, which would skip the bisection
         raise ValueError("tol must be positive")
     lo, hi = 0.0, _ROOT_BRACKET_HI[kind]
     if not (delta(kind, lo) > 0 > delta(kind, hi)):
@@ -196,29 +196,36 @@ def interpolation_columns(grid: GridSpec, coeffs: np.ndarray, pairs) -> list[Int
     Every pair must satisfy 0 <= s <= r; that is checked for all of them
     before any norm is computed.  The Wiener norms at every order the pairs
     name, and at 0, come from one `_coeff_norms` pass over the stack, whose
-    row b is field b's own norms bit for bit.  Each side is then a Python
-    float expression per field (numpy's power rounds differently from
-    Python's on some inputs), so entry b is what field b alone gives.  The
-    inequality is a theorem for every field, so passed=False indicates an
-    implementation defect rather than a property of f.  A relative slack
-    of 1e-12 absorbs rounding.
+    row b is field b's own norms bit for bit, so entry b is what field b
+    alone gives.  The right side |f|_0^{1-θ} |f|_r^θ, θ = s/r, is
+    |f|_0 itself at θ = 0 (s = 0 or r = 0) and |f|_r at θ = 1 (s = r):
+    x**1.0 is x and x**0.0 is 1.0 exactly, for every float x.  Only for
+    0 < θ < 1 is it evaluated, per field as a Python float expression,
+    since numpy's power rounds differently from Python's on some inputs.
+    Each column's verdicts are one float64 comparison over the stack, the
+    same IEEE operations as the per-field Python ones.  The inequality is
+    a theorem for every field, so passed=False indicates an implementation
+    defect rather than a property of f.  A relative slack of 1e-12 absorbs
+    rounding.
     """
     pairs = list(pairs)
     for s, r in pairs:
         if not (0 <= s <= r):
             raise ValueError(f"need 0 <= s <= r, got s={s}, r={r}")
     orders = tuple(sorted({0.0, *(a for pair in pairs for a in pair)}))
-    norm = dict(zip(orders, _coeff_norms(grid, coeffs, wiener_orders=orders)[0].T.tolist()))
+    norm = dict(zip(orders, _coeff_norms(grid, coeffs, wiener_orders=orders)[0].T))
     columns = []
     for s, r in pairs:
         lhs = norm[s]
-        if r == 0:
-            rhs = norm[0.0]
+        if s == 0 or s == r:
+            rhs = norm[0.0 if s == 0 else r]
         else:
             theta = s / r
-            rhs = [a ** (1.0 - theta) * b ** theta for a, b in zip(norm[0.0], norm[r])]
-        passed = [x <= y * (1.0 + 1e-12) for x, y in zip(lhs, rhs)]
-        columns.append(InterpolationColumn(s, r, lhs, rhs, passed))
+            rhs = np.array(
+                [a ** (1.0 - theta) * b**theta for a, b in zip(norm[0.0].tolist(), norm[r].tolist())]
+            )
+        passed = lhs <= rhs * (1.0 + 1e-12)
+        columns.append(InterpolationColumn(s, r, lhs.tolist(), rhs.tolist(), passed.tolist()))
     return columns
 
 

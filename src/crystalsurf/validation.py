@@ -17,11 +17,22 @@ stack through stacked kernels, whose row b is field b's own result bit
 for bit: parseval one inverse transform and one quadrature, roundtrip one
 inverse and one forward transform and one mirror, linf_bound one inverse
 transform and one norm pass, interpolation one norm pass.
+
+Every check starts from a generator seeded alike, so parseval and
+roundtrip (200 fields) take the first chunk of the very ensemble that
+linf_bound and interpolation (1000 fields) take whole.  Within one
+run_checks call each stack is drawn once: `_ensemble` keeps it, read-only,
+under the generator's state before its draw, and a later draw from that
+state takes the kept stack and moves the generator on as the draw would
+have.  A run thus draws 25 stacks, not 60, and holds the whole ensemble,
+about 0.9 MB, until it returns; a check called on its own draws its own.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +69,24 @@ def random_field(grid: spectral.GridSpec, rng: np.random.Generator, scale: float
     return spectral.SpectralField(grid, _hermitian_stack(grid, draws, np.array([scale]))[0])
 
 
+def _draw_stack(rng: np.random.Generator, grid: spectral.GridSpec, size: int) -> np.ndarray:
+    """`size` fields on one grid, scales 10^U(-3, 1): one draw of the
+    scales, one of the coefficients' real and imaginary parts."""
+    scales = 10.0 ** rng.uniform(-3, 1, size)
+    draws = rng.standard_normal((size, 2) + grid.coeff_shape)
+    return _hermitian_stack(grid, draws, scales)
+
+
 # Fields per grid in one chunk of `_ensemble`: the largest grid's stack and
-# its samples then stay near 100 and 200 KB, so the checks add little to
-# the peak memory of a validate run.
+# its samples then stay near 100 and 200 KB, the transforms' temporaries
+# with them.  A run_checks call holds every stack it draws (the whole
+# 1000-field ensemble, about 0.9 MB), not one chunk at a time.
 _ENSEMBLE_ROWS = 40
+
+# The stacks drawn in the current run_checks call, keyed by (generator
+# state before the draw, grid, size) and each stored with the state after
+# it; None outside run_checks.
+_DRAWN: ContextVar[dict | None] = ContextVar("_DRAWN", default=None)
 
 
 def _ensemble(rng: np.random.Generator, count: int):
@@ -72,7 +97,15 @@ def _ensemble(rng: np.random.Generator, count: int):
     Field i lies on grid i % 5 and has scale 10^U(-3, 1).  Each stack takes
     one draw of its scales and one of its coefficients, real and imaginary
     parts, and is made Hermitian in one operation.
+
+    Inside run_checks a stack is drawn once: it is kept, read-only, under
+    the generator's full state before its draw, its grid and its size.  A
+    later draw from that state yields the kept stack and sets the generator
+    to the state the draw left, so it gives the bits a fresh draw would,
+    and so does every draw after it.  Outside run_checks every stack is
+    drawn afresh and is writable.
     """
+    drawn = _DRAWN.get()
     grids = [
         spectral.GridSpec.create(1, 4),
         spectral.GridSpec.create(1, 9),
@@ -85,9 +118,16 @@ def _ensemble(rng: np.random.Generator, count: int):
         stop = min(count, start + n * _ENSEMBLE_ROWS)
         for g, grid in enumerate(grids):
             size = len(range(start + g, stop, n))
-            scales = 10.0 ** rng.uniform(-3, 1, size)
-            draws = rng.standard_normal((size, 2) + grid.coeff_shape)
-            yield grid, _hermitian_stack(grid, draws, scales)
+            if drawn is None:
+                yield grid, _draw_stack(rng, grid, size)
+                continue
+            key = (pickle.dumps(rng.bit_generator.state), grid, size)
+            if key not in drawn:
+                stack = _draw_stack(rng, grid, size)
+                stack.flags.writeable = False
+                drawn[key] = stack, rng.bit_generator.state
+            stack, rng.bit_generator.state = drawn[key]
+            yield grid, stack
 
 
 def check_parseval(rng: np.random.Generator) -> CheckResult:
@@ -194,12 +234,17 @@ def check_binomial_identities(rng: np.random.Generator) -> CheckResult:
 _ORACLE_FACTORIALS = tuple(float(math.factorial(k)) for k in range(63))
 
 
-def _phi_oracle(z: float, m: int) -> float:
-    """Independent phi evaluation: compensated Taylor sum near 0, else expm1."""
+def _phi_oracle(z: float, m: int, powers: list[float] | None = None) -> float:
+    """Independent phi evaluation: compensated Taylor sum near 0, else expm1.
+
+    `powers`, if given, is [z**n for n in range(60)], for a caller that
+    evaluates several m at one z."""
     if m == 0:
         return math.exp(z)
     if abs(z) <= 4.0:
-        return math.fsum(z**n / _ORACLE_FACTORIALS[n + m] for n in range(60))
+        if powers is None:
+            powers = [z**n for n in range(60)]
+        return math.fsum(p / _ORACLE_FACTORIALS[n + m] for n, p in enumerate(powers))
     em = math.expm1(z)
     if m == 1:
         return em / z
@@ -211,12 +256,13 @@ def _phi_oracle(z: float, m: int) -> float:
 def check_phi_functions(rng: np.random.Generator) -> CheckResult:
     """phi_0..phi_3 within 1e-12 relative of the oracle, values in [0, 1]."""
     zs = np.concatenate([[0.0], -np.logspace(-10, 6, 120)])
-    vals = stepper.phi_functions(zs)
+    vals = np.array(stepper.phi_functions(zs)).T.tolist()
     worst = 0.0
     bounds_ok = True
-    for m in range(4):
-        for z, got in zip(zs, vals[m]):
-            ref = _phi_oracle(float(z), m)
+    for z, row in zip(zs.tolist(), vals):
+        powers = [z**n for n in range(60)] if abs(z) <= 4.0 else None
+        for m, got in enumerate(row):
+            ref = _phi_oracle(z, m, powers)
             if not (0.0 <= got <= 1.0 + 1e-15):
                 bounds_ok = False
             if ref != 0.0:
@@ -272,13 +318,20 @@ ALL_CHECKS = (
 def run_checks(name_filter: str | None = None, seed: int = DEFAULT_SEED):
     """Run all (or name-matching) checks and return their results.
 
-    The filter is a case-insensitive substring match on check names.
+    The filter is a case-insensitive substring match on check names.  Each
+    check gets a generator of its own seeded with `seed`; the ensemble
+    stacks drawn in this call are shared between the checks (see
+    `_ensemble`) and dropped when it returns or raises.
     """
     results = []
-    for fn in ALL_CHECKS:
-        name = fn.__name__.removeprefix("check_")
-        if name_filter and name_filter.lower() not in name.lower():
-            continue
-        rng = np.random.default_rng(seed)
-        results.append(fn(rng))
+    token = _DRAWN.set({})
+    try:
+        for fn in ALL_CHECKS:
+            name = fn.__name__.removeprefix("check_")
+            if name_filter and name_filter.lower() not in name.lower():
+                continue
+            rng = np.random.default_rng(seed)
+            results.append(fn(rng))
+    finally:
+        _DRAWN.reset(token)
     return results

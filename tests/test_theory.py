@@ -158,6 +158,16 @@ class TestThreshold:
         with pytest.raises(ValueError, match="tol must be positive"):
             threshold_bracket(EXPONENTIAL, tol=0.0)
 
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    @pytest.mark.parametrize("tol", [-1e-3, -math.inf, math.nan])
+    def test_every_tolerance_not_above_zero_is_refused(self, kind, tol):
+        """A NaN tol used to skip the bisection and return the anchors,
+        (0, 1) or (0, 0.5), as converged."""
+        with pytest.raises(ValueError, match="tol must be positive"):
+            threshold_bracket(kind, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            threshold_root(kind, tol)
+
     def test_reference_amplitudes_are_admissible(self):
         """The canonical demonstration amplitudes sit inside the thresholds."""
         assert threshold_root(EXPONENTIAL) > 0.1
