@@ -20,6 +20,7 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import ExitStack
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -380,10 +381,7 @@ def cmd_validate(args) -> int:
         return EXIT_USAGE
     if args.json:
         payload = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
+            "checks": [asdict(r) for r in results],
             "all_passed": all(r.passed for r in results),
         }
         json.dump(_json_safe(payload), sys.stdout, indent=2)

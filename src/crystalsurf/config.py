@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -460,16 +461,20 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
     fpath = Path(section.path)
     if config_dir is not None and not fpath.is_absolute():
         fpath = config_dir / fpath
+    # Anything that does not load as real numbers, such as a structured or
+    # string array, or an empty text file (a numpy warning, made an error
+    # here), is one config error.
     try:
-        if fpath.suffix == ".npy":
-            samples = np.load(fpath)
-        else:
-            samples = np.loadtxt(fpath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = np.load(fpath) if fpath.suffix == ".npy" else np.loadtxt(fpath)
+        if np.iscomplexobj(samples):
+            raise ConfigError(f"initial_data.path: {fpath} holds complex samples")
+        samples = np.asarray(samples, dtype=float)
+    except ConfigError:
+        raise
     except Exception as err:
         raise ConfigError(f"initial_data.path: cannot load {fpath}: {err}") from err
-    if np.iscomplexobj(samples):
-        raise ConfigError(f"initial_data.path: {fpath} holds complex samples")
-    samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ConfigError(f"initial_data.path: {fpath} holds non-finite samples")
     try:
@@ -480,6 +485,9 @@ def build_initial_field(cfg: RunConfig, grid: GridSpec, config_dir: Path | None 
             f"{grid.phys_shape}"
         ) from err
     f = from_physical(samples, grid)
+    # A zero-mean field written as text with 11 significant digits has a
+    # mean of at most 5e-11 max|v|, which this admits; the mean is then
+    # pinned to zero.
     mean = abs(f.mean_value)
     if mean > 1e-10 * (1.0 + extremes(grid, samples)[2]):
         raise ConfigError(

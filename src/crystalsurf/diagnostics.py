@@ -10,15 +10,17 @@ and coefficients into a chunk buffer; once per full chunk, and in
 `_coeff_norms` pass for all eight norms, one stacked transform to the
 collocation samples, and per-sample sums, mins and maxes of them, which
 give L2, the Lyapunov functional, the range of 1 + v and the max norm.
-Each number is, bit for bit, what the one-field function gives for that
-sample.  The downstream checks (envelope certification, Lyapunov
-monotonicity, positivity, fitted decay rates) all operate on that record.
+The recorder keeps each chunk's columns as the table they make, one row
+per sample, and `finalize` concatenates the tables and splits the series
+from their columns.  Each number is, bit for bit, what the one-field
+function gives for that sample.  The downstream checks (envelope
+certification, Lyapunov monotonicity, positivity, fitted decay rates) all
+operate on that record.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +102,12 @@ class TimeSeriesRecorder:
         if kind not in (EXPONENTIAL, ADL):
             raise ValueError(f"unknown model kind {kind!r}")
         self.kind = kind
-        # One row of _ROW_LENGTH values per sample: t, the Wiener and Sobolev
-        # norms in the order of WIENER_ORDERS and SOBOLEV_ORDERS, then l2,
-        # linf, lyapunov, min(1 + v) and max(1 + v).
-        self._rows = array("d")
+        # One table per flushed chunk, with one row of _ROW_LENGTH values per
+        # sample: t, the Wiener and Sobolev norms in the order of
+        # WIENER_ORDERS and SOBOLEV_ORDERS, then l2, linf, lyapunov,
+        # min(1 + v) and max(1 + v).  The empty first table lets a recorder
+        # without samples finalize.
+        self._tables = [np.empty((0, _ROW_LENGTH))]
         self._grid: GridSpec | None = None
         self._pending = 0  # samples in the chunk buffers
 
@@ -127,33 +131,24 @@ class TimeSeriesRecorder:
         self._grid = grid
         self._times = np.zeros(rows)
         self._coeffs = np.zeros((rows,) + grid.coeff_shape, dtype=np.complex128)
-        self._block = np.empty((rows, _ROW_LENGTH))
 
     def _flush(self) -> None:
-        """Append the rows of the buffered samples and empty the buffers."""
+        """Append the table of the buffered samples and empty the buffers."""
         n, grid = self._pending, self._grid
         coeffs = self._coeffs[:n]
         wiener, sobolev = _coeff_norms(grid, coeffs, WIENER_ORDERS, SOBOLEV_ORDERS)
         s = _phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
         lo, hi, linf = extremes(grid, s)
-        nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
-        block = self._block[:n]
-        block[:, 0] = self._times[:n]
-        block[:, 1 : 1 + nw] = wiener
-        block[:, 1 + nw : 1 + nw + ns] = sobolev
-        block[:, -5] = l2_quadrature(grid, s)
-        block[:, -4] = linf
-        block[:, -3] = lyapunov_quadrature(self.kind, grid, s)
-        block[:, -2] = 1.0 + lo
-        block[:, -1] = 1.0 + hi
-        self._rows.frombytes(memoryview(block).cast("B"))
+        l2, lyapunov = l2_quadrature(grid, s), lyapunov_quadrature(self.kind, grid, s)
+        table = (self._times[:n], wiener, sobolev, l2, linf, lyapunov, 1.0 + lo, 1.0 + hi)
+        self._tables.append(np.column_stack(table))
         self._pending = 0
 
     def finalize(self) -> TimeSeries:
         """The series of every sample so far; recording may go on after it."""
         if self._pending:
             self._flush()
-        cols = np.array(self._rows).reshape(-1, _ROW_LENGTH).T.copy()
+        cols = np.concatenate(self._tables).T.copy()
         nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
         wiener, sobolev = cols[1 : 1 + nw], cols[1 + nw : 1 + nw + ns]
         l2, linf, lyapunov, min1pv, max1pv = cols[1 + nw + ns :]

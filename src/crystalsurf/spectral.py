@@ -49,12 +49,13 @@ of the result is, bit for bit, the transform of that row alone.
 Both private transforms take an optional `_Workspace`: buffers allocated
 once per grid that hold one field's zero-padded spectrum, samples and
 intermediates of the two passes, so the march's remainder evaluator does
-not allocate (and page-fault in) a fresh P^d array per call.  The inverse
-then returns `work.phys` itself, which the next call with the same
-workspace overwrites; a workspace serves one field of one caller at a
-time and is not re-entrant.  The forward transform always returns a new
-half.  Without a workspace both run the same code on fresh arrays, as
-every stack does.
+not allocate (and page-fault in) a fresh P^d array per call.  On the FFT
+paths the inverse then returns `work.phys` itself, which the next call
+with the same workspace overwrites; a workspace serves one field of one
+caller at a time and is not re-entrant.  The dense 1D pair uses no
+workspace: each direction is one product into a new array, as for a
+stack.  The forward transform always returns a new half.  Without a
+workspace both run the same code on fresh arrays, as every stack does.
 
 Values are immutable: every operation returns a new SpectralField and no
 function mutates the coefficient array of its argument.
@@ -423,8 +424,9 @@ class _Workspace:
     2D on the dense last-axis path its retained k_2 = 0..M bins; `cols`
     the (P, M+1) complex FFT along axis 0, of `spec` in the inverse and of
     the retained columns of `rows` in the forward (2D only); `phys` the
-    P^d samples.  The dense 1D transforms use `phys` only.  A workspace
-    serves one field; a stack is transformed into fresh arrays.
+    P^d samples.  The dense 1D transforms use no workspace: each is one
+    product into a new array.  A workspace serves one field; a stack is
+    transformed into fresh arrays.
 
     The buffers are views of one zeroed block.  At 2D M=32 it is about
     0.34 MB, above glibc's mmap threshold; once such a block is freed,
@@ -461,24 +463,21 @@ def _phys_from_coeffs(
     shape (M+1,) in 1D, (2M+1, M+1) in 2D, or a stack of them, (B, M+1)
     or (B, 2M+1, M+1), whose row b of the result is, bit for bit, the
     transform of half[b] alone.  The FFT path zero-pads it to the P//2 + 1
-    bins of the grid.  With a workspace, for one field only, the samples
-    are written to `work.phys`.
+    bins of the grid.  The dense 1D path takes no workspace and returns a
+    new array; on the FFT paths, with a workspace, for one field only, the
+    samples are written to `work.phys`.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
     plan = _plan(grid)
-    out = None if work is None else work.phys
     if plan["dense_inverse"] is not None:
         # A strided half has no float64 view; a contiguous one is not copied.
         parts = np.ascontiguousarray(half).view(np.float64)
-        # One field keeps np.dot, which returns `out` itself: the stacked
-        # form below would return a view of it.
-        if parts.ndim == 1:
-            return np.dot(plan["dense_inverse"], parts, out=out)
-        # One matrix-vector product per half: matmul makes the BLAS call
-        # np.dot makes for a single half, where a matrix-matrix product of
-        # the stack would sum in another order.
+        # One matrix-vector BLAS call per half, for a single half as for
+        # each half of a stack, where a matrix-matrix product of the stack
+        # would sum in another order.
         return np.matmul(plan["dense_inverse"], parts[..., None])[..., 0]
+    out = None if work is None else work.phys
     table = plan["inverse"]
     if grid.dim == 1:
         spec = np.multiply(half, table, out=None if work is None else work.spec)
@@ -517,8 +516,8 @@ def _coeffs_from_phys(
     m = grid.modes_per_axis
     plan = _plan(grid)
     if plan["dense_forward"] is not None:
-        # As in the inverse's stack: matmul makes np.dot's BLAS call for
-        # each row, and for a single field.
+        # As in the inverse: matmul makes np.dot's BLAS call for each row,
+        # and for a single field.
         return np.matmul(plan["dense_forward"], samples[..., None])[..., 0].view(np.complex128)
     table = plan["forward"]
     rows = None if work is None else work.rows

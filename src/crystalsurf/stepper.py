@@ -437,6 +437,15 @@ class _Stepper:
         rounding is monotone, so a part below the smallest normal stays
         below it and one flush of the result zeroes what each step's flush
         would have.
+
+        Each form wins the cadence it serves, with the same bits (timeit,
+        best of 7, three alternations, on 63-sample blocks at 1D M=32 and
+        one 2D M=32 sample).  At `sample_every` 1 the prefix products took
+        26-28 us, per-sample reduces 151-159 us.  At 50 the reduces took
+        402-406 us, one accumulate over every step plus a pick of the
+        sample rows 1428-1473 us; in 2D at 5, 36-37 us against 207-209 us.
+        The benchmark's sweep16 samples every step, and so takes the first
+        form; ref1d (every 50 steps) and surface2d (every 5) take the second.
         """
         stack = self._tail_stack()
         out = np.empty((len(steps),) + stack.shape[1:])

@@ -17,6 +17,7 @@ from crystalsurf.diagnostics import (
     TimeSeries,
     TimeSeriesRecorder,
     TruncationResult,
+    _ROW_LENGTH,
     _chunk_rows,
     certify_decay,
     check_lyapunov_monotone,
@@ -331,9 +332,9 @@ class TestChunkedRecorder:
     @pytest.mark.parametrize("padding", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("m", [1, 8, 32, 47, 64, 100, 256])
     def test_1d_chunk_arrays_stay_below_the_mmap_threshold(self, m, padding):
-        """Every buffer, and the largest temporaries (the Wiener weight
-        product and the stacked samples), stay below glibc's 128 KiB mmap
-        threshold; at 1D M=32 a chunk holds 31 samples."""
+        """Every buffer, the chunk table, and the largest temporaries (the
+        Wiener weight product and the stacked samples) stay below glibc's
+        128 KiB mmap threshold; at 1D M=32 a chunk holds 31 samples."""
         grid = GridSpec.create(1, m, padding_factor=padding)
         rows = _chunk_rows(grid)
         recorder = TimeSeriesRecorder(EXPONENTIAL)
@@ -342,7 +343,8 @@ class TestChunkedRecorder:
             rows * len(WIENER_ORDERS) * (2 * m + 1) * 8,
             rows * grid.phys_points_per_axis * 8,
         ]
-        sizes = [recorder._coeffs.nbytes, recorder._block.nbytes, *temporaries]
+        table = rows * _ROW_LENGTH * 8
+        sizes = [recorder._coeffs.nbytes, table, *temporaries]
         assert max(sizes) < 128 * 1024
         assert max(temporaries) <= _STACK_BYTES
         if (m, padding) == (32, 2.0):

@@ -85,6 +85,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="below padding requirement"):
             GridSpec(1, 8, 18, padding_factor=2.0)
 
+    def test_padding_slack_absorbs_float_rounding_only(self):
+        """P must reach padding * (2M+1) to within 1e-9, which absorbs
+        the rounding of the product: padding 2.0000000000000004 at M = 1
+        gives a target of 6 plus two ulps, and still P = 6.  A padding
+        that asks for a 5e-7 fraction of a point more is honoured: at
+        (10 + 5e-7) / 9 and M = 4, create takes P = 12, and P = 10 is
+        refused."""
+        assert GridSpec.create(1, 1, padding_factor=2.0000000000000004).phys_points_per_axis == 6
+        padding = (10 + 5e-7) / 9
+        assert GridSpec.create(1, 4, padding_factor=padding).phys_points_per_axis == 12
+        with pytest.raises(ValueError, match="below padding requirement"):
+            GridSpec(1, 4, 10, padding_factor=padding)
+
     def test_rejects_padding_below_one(self):
         with pytest.raises(ValueError, match="padding_factor"):
             GridSpec.create(1, 8, padding_factor=0.5)
@@ -389,7 +402,9 @@ class TestWorkspace:
     def test_reused_workspace_matches_fresh_arrays(self, dim, m, padding):
         """Inverse and forward through one workspace on fields A, B, A give
         the fresh-array results bitwise; the inverse's zero rows stay zero,
-        and each forward half is a new array."""
+        the inverse returns the workspace's samples on the FFT paths (the
+        dense 1D pair takes no workspace), and each forward half is a new
+        array."""
         grid = GridSpec.create(dim, m, padding_factor=padding)
         halves = [hermitian_coeffs(grid, seed)[..., m:] for seed in (7, 8, 7)]
         work = _Workspace(grid)
@@ -397,7 +412,8 @@ class TestWorkspace:
         for half in halves:
             want_phys = _phys_from_coeffs(grid, half)
             got_phys = _phys_from_coeffs(grid, half, work)
-            assert got_phys is work.phys
+            if _plan(grid)["dense_inverse"] is None:
+                assert got_phys is work.phys
             assert got_phys.tobytes() == want_phys.tobytes()
             if dim == 2:
                 p = grid.phys_points_per_axis
@@ -690,6 +706,25 @@ class TestCalculus:
         g = with_zero_mean(f)
         assert g.coeff(0) == 0.0
         assert g.has_zero_mean
+
+    def test_require_zero_mean_tolerance(self):
+        """The zero-mean test allows a mean coefficient of 1e-12 (1 + sum|c|):
+        a transform round trip of an exactly zero-mean field leaves one far
+        below it, while an offset of 3e-12 (1 + sum|c|) is refused and one
+        of 3e-13 passes."""
+        grid = GridSpec.create(1, 8)
+        f = with_zero_mean(random_field(grid, seed=4))
+        trip = from_physical(to_physical(f), grid)
+        assert abs(trip.coeff(0)) <= 1e-15 * (1.0 + np.sum(np.abs(trip.coeffs)))
+        scale = 1.0 + float(np.sum(np.abs(f.coeffs)))
+        for fraction, accepted in [(3e-13, True), (3e-12, False)]:
+            c = f.coeffs.copy()
+            c[grid.zero_index] = fraction * scale
+            if accepted:
+                require_zero_mean(SpectralField(grid, c))
+            else:
+                with pytest.raises(ValueError, match="non-zero mean"):
+                    require_zero_mean(SpectralField(grid, c))
 
     def test_require_zero_mean_raises_on_offset(self):
         grid = GridSpec.create(1, 4)
