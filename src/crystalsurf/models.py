@@ -243,8 +243,10 @@ def remainder_fn(cfg: ModelConfig):
     returned half is a new array, so results of earlier calls stay valid.
     """
     grid = cfg.grid
-    k4 = _plan(grid)["k4_half"]
-    work = _Workspace(grid)
+    plan = _plan(grid)
+    k4 = plan["k4_half"]
+    # The dense 1D pair reads no workspace.
+    work = _Workspace(grid) if plan["dense_inverse"] is None else None
     point = np.empty(grid.phys_shape)
 
     def evaluate(coeffs: np.ndarray, time: float | None = None) -> np.ndarray:

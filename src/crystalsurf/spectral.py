@@ -15,24 +15,24 @@ carries an explicit phase (-1)^(k_1+...+k_d) relative to numpy's FFT bins;
 both transform directions below account for it.
 
 The transforms are real-to-complex: they work on the k_d >= 0 half of the
-last axis only, so a forward transform is Hermitian by construction.  How
-depends on the grid.  On 1D grids with P <= _DENSE_MAX_POINTS each
-direction is one product with a precomputed real matrix on the float64
-view of the half (`_dense_pair`): at these sizes numpy.fft's per-call cost
-outweighs the O(P M) products, so the dense pair is the faster one.  Larger
-1D grids use numpy's rfft/irfft.  In 2D each direction is two passes: a
-complex FFT along the first axis and a real pass along the last, the
-forward's complex pass on the retained k_2 = 0..M columns only.  On 2D
-grids whose last-axis matrix, 2(M+1) x P, has at most
-_DENSE_2D_MAX_ENTRIES entries, the last-axis pass is a product with the
-same matrices, on the float64 view of the P x (M+1) intermediate; larger
-2D grids use numpy's rfft/irfft along the last axis.
+last axis only, so a forward transform is Hermitian by construction.  One
+rule serves 1D and 2D.  Each direction is, in 2D only, a complex FFT along
+the leading axis (the forward's on the retained k_2 = 0..M columns only),
+then one pass along the last axis, of one of two kinds: numpy's
+rfft/irfft, or a product with a precomputed real matrix on the float64
+view of the bins (`_dense_pair`).  The product is the faster kind where
+numpy.fft's per-call cost outweighs its O(P M) work: on 1D grids with
+P <= _DENSE_MAX_POINTS, and on 2D grids whose last-axis matrix,
+2(M+1) x P, has at most _DENSE_2D_MAX_ENTRIES entries.  On a dense 1D grid
+that pass is the whole transform, and it keeps a matrix-vector form, one
+product per field: the matrix-matrix form of the 2D pass sums in another
+order and gives other bits on nearly every half.
 
-Every matrix product of the 2D passes runs on one OpenBLAS thread: it is
-split into row blocks of at most _ONE_THREAD_GEMM_SIZE multiply-adds, the
-size below which OpenBLAS never starts a second thread, so its bits do not
-depend on the thread count and no spinning thread slows the FFTs that
-follow.
+Every matrix product of the 2D last-axis pass runs on one OpenBLAS
+thread: it is split into row blocks of at most _ONE_THREAD_GEMM_SIZE
+multiply-adds, the size below which OpenBLAS never starts a second thread,
+so its bits do not depend on the thread count and no spinning thread slows
+the FFTs that follow.
 
 The private pair `_phys_from_coeffs`/`_coeffs_from_phys` takes and returns
 the half, coeffs[..., M:] of shape (M+1,) in 1D and (2M+1, M+1) in 2D; the
@@ -194,6 +194,12 @@ class GridSpec:
         return (self.phys_points_per_axis,) * self.dim
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """The grid's axes of a field's array, or of a stack of them: the
+        last dim axes, counted from the end."""
+        return tuple(range(-self.dim, 0))
+
+    @property
     def cell_volume(self) -> float:
         """Quadrature weight of one collocation cell, (2 pi / P)^d."""
         return (TWO_PI / self.phys_points_per_axis) ** self.dim
@@ -231,22 +237,17 @@ def _plan(grid: GridSpec):
     """
     m, p = grid.modes_per_axis, grid.phys_points_per_axis
     k = np.arange(-m, m + 1)
+    dense = p <= _DENSE_MAX_POINTS if grid.dim == 1 else 2 * (m + 1) * p <= _DENSE_2D_MAX_ENTRIES
+    last = dense and grid.dim == 2
     # (-1)^k per axis; the product over axes gives the node-offset phase.
+    # A dense last axis carries its sign and 1/P in its matrices.
     sign = np.where(k % 2 == 0, 1.0, -1.0)
-    if grid.dim == 1:
-        dense = p <= _DENSE_MAX_POINTS
-        phase, scale = sign, float(p)
-        ksq = (k.astype(float)) ** 2
-    else:
-        dense = 2 * (m + 1) * p <= _DENSE_2D_MAX_ENTRIES
-        phase = np.outer(sign, np.ones_like(sign) if dense else sign)
-        scale = float(p) if dense else float(p) ** 2
-        kf = k.astype(float)
-        ksq = kf[:, None] ** 2 + kf[None, :] ** 2
-    half_phase = phase[..., m:]
+    signs = [sign] * (grid.dim - 1) + [np.ones_like(sign) if last else sign]
+    half_phase = functools.reduce(np.multiply.outer, signs)[..., m:]
+    scale = float(p) ** (grid.dim - last)
+    ksq = functools.reduce(np.add.outer, [k.astype(float) ** 2] * grid.dim)
     kmag = np.sqrt(ksq)
     inverse, forward = _dense_pair(grid) if dense else (None, None)
-    last = dense and grid.dim == 2
     if last:
         # C-contiguous copies: a transposed view made the products up to 2x slower.
         inverse, forward = np.ascontiguousarray(inverse.T), np.ascontiguousarray(forward.T)
@@ -418,13 +419,14 @@ def _stack_rows(row_nbytes: int, least: int) -> int:
 class _Workspace:
     """Scratch buffers of the transform pair on one grid.
 
-    `spec` is the zero-padded spectrum the inverse reads, (P, M+1) in 2D
-    with rows k_1 = M+1..P-M-1 left zero, (M+1,) in 1D; `rows` the
-    forward's last-axis pass of the samples, its P//2 + 1 rfft bins, or in
-    2D on the dense last-axis path its retained k_2 = 0..M bins; `cols`
-    the (P, M+1) complex FFT along axis 0, of `spec` in the inverse and of
-    the retained columns of `rows` in the forward (2D only); `phys` the
-    P^d samples.  The dense 1D transforms use no workspace: each is one
+    Each buffer but `phys` has one leading axis of P in 2D and none in 1D.
+    `spec` is the zero-padded spectrum the inverse reads, M+1 bins per row,
+    with rows k_1 = M+1..P-M-1 left zero in 2D; `rows` the forward's
+    last-axis pass of the samples, its P//2 + 1 rfft bins, or on the dense
+    last-axis pass its retained k_d = 0..M bins; `cols` the complex FFT
+    along the leading axis, of `spec` in the inverse and of the retained
+    columns of `rows` in the forward (unused in 1D); `phys` the P^d
+    samples.  The dense 1D transforms use no workspace: each is one
     product into a new array.  A workspace serves one field; a stack is
     transformed into fresh arrays.
 
@@ -434,16 +436,19 @@ class _Workspace:
     observer's per-sample P^d temporaries reuse heap pages instead of
     being mapped and faulted in afresh at every sample; `_stack_rows`
     keeps the stacks of the recorder and the tail below that threshold.
+    tests/test_stepper.py::TestColdRunPageFaults pins the effect: a fresh
+    process's first 100-step 2D M=32 run takes about 550 minor faults, and
+    a sample buffer alone in place of the workspace crossed 10 000.
     """
 
     def __init__(self, grid: GridSpec):
         m, p = grid.modes_per_axis, grid.phys_points_per_axis
-        lead = (p,) if grid.dim == 2 else ()
+        lead = (p,) * (grid.dim - 1)
         bins = m + 1 if _plan(grid)["last_forward"] is not None else p // 2 + 1
         layout = [
             ("spec", lead + (m + 1,), np.complex128),
             ("rows", lead + (bins,), np.complex128),
-            ("cols", lead + (m + 1,) if grid.dim == 2 else (0,), np.complex128),
+            ("cols", lead + (m + 1,), np.complex128),
             ("phys", grid.phys_shape, np.float64),
         ]
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in layout]
@@ -462,10 +467,13 @@ def _phys_from_coeffs(
     `half` is the k_d >= 0 half of the coefficients, coeffs[..., M:]:
     shape (M+1,) in 1D, (2M+1, M+1) in 2D, or a stack of them, (B, M+1)
     or (B, 2M+1, M+1), whose row b of the result is, bit for bit, the
-    transform of half[b] alone.  The FFT path zero-pads it to the P//2 + 1
-    bins of the grid.  The dense 1D path takes no workspace and returns a
-    new array; on the FFT paths, with a workspace, for one field only, the
-    samples are written to `work.phys`.
+    transform of half[b] alone.  The half takes its phase and scale; in 2D
+    its rows are zero-padded to P and the inverse FFT runs along the
+    leading axis; then the last-axis pass, irfft from the P//2 + 1 bins
+    of the grid or the dense product, makes the samples.  The dense 1D
+    path is the whole transform in one product, takes no workspace and
+    returns a new array; on the other paths, with a workspace, for one
+    field only, the samples are written to `work.phys`.
     """
     m = grid.modes_per_axis
     p = grid.phys_points_per_axis
@@ -475,28 +483,32 @@ def _phys_from_coeffs(
         parts = np.ascontiguousarray(half).view(np.float64)
         # One matrix-vector BLAS call per half, for a single half as for
         # each half of a stack, where a matrix-matrix product of the stack
-        # would sum in another order.
+        # would sum in another order.  The 2D pass's row form,
+        # parts[None, :] @ the transposed matrix, is such a product too: on
+        # every dense 1D grid it gave other bits for nearly every random
+        # half (811 of 820 inverse, 817 of 820 forward halves), so 1D
+        # keeps this form.
         return np.matmul(plan["dense_inverse"], parts[..., None])[..., 0]
     out = None if work is None else work.phys
     table = plan["inverse"]
     if grid.dim == 1:
         spec = np.multiply(half, table, out=None if work is None else work.spec)
-        return np.fft.irfft(spec, n=p, out=out)
-    # Rows in FFT order: k_1 = 0..M first, k_1 = -M..-1 last, zeros between.
-    if work is None:
-        spec = np.zeros(half.shape[:-2] + (p, m + 1), dtype=np.complex128)
     else:
-        spec = work.spec
-    np.multiply(half[..., m:, :], table[m:], out=spec[..., : m + 1, :])
-    np.multiply(half[..., :m, :], table[:m], out=spec[..., p - m :, :])
-    # irfft2's own two passes, spelled out, because irfft2 drops its `out`
-    # argument (numpy 2.4 passes out=None on to irfftn).
-    cols = np.fft.ifft(spec, axis=-2, out=None if work is None else work.cols)
+        # Rows in FFT order: k_1 = 0..M first, k_1 = -M..-1 last, zeros between.
+        if work is None:
+            spec = np.zeros(half.shape[:-2] + (p, m + 1), dtype=np.complex128)
+        else:
+            spec = work.spec
+        np.multiply(half[..., m:, :], table[m:], out=spec[..., : m + 1, :])
+        np.multiply(half[..., :m, :], table[:m], out=spec[..., p - m :, :])
+        # irfft2's own two passes, spelled out, because irfft2 drops its `out`
+        # argument (numpy 2.4 passes out=None on to irfftn).
+        spec = np.fft.ifft(spec, axis=-2, out=None if work is None else work.cols)
     if plan["last_inverse"] is None:
-        return np.fft.irfft(cols, n=p, axis=-1, out=out)
+        return np.fft.irfft(spec, n=p, axis=-1, out=out)
     if out is None:
-        out = np.empty(cols.shape[:-1] + (p,))
-    return _blocked_product(cols.view(np.float64), plan["last_inverse"], out, plan["last_blocks"])
+        out = np.empty(spec.shape[:-1] + (p,))
+    return _blocked_product(spec.view(np.float64), plan["last_inverse"], out, plan["last_blocks"])
 
 
 def _coeffs_from_phys(
@@ -506,9 +518,11 @@ def _coeffs_from_phys(
 
     `samples` is one field's P^d array or a stack of them, (B,) + P^d,
     whose row b of the result is, bit for bit, the transform of
-    samples[b] alone: the dense 1D path makes one matrix-vector product
-    per row, the 2D dense last-axis pass one BLAS product per field and
-    row block, and the FFTs run along the field's own axes.  With a
+    samples[b] alone.  The inverse's steps run in reverse: the last-axis
+    pass, rfft cut to the k_d = 0..M bins or the dense product (one BLAS
+    product per field and row block), then in 2D the FFT along the leading
+    axis on those columns, and the phase and scale.  The dense 1D path is
+    the whole transform, one matrix-vector product per field.  With a
     workspace, for one field only, the intermediates go to its buffers.
     The half is always a new array.  `_mirror` rebuilds the full layout
     from it, exactly Hermitian.
@@ -517,21 +531,20 @@ def _coeffs_from_phys(
     plan = _plan(grid)
     if plan["dense_forward"] is not None:
         # As in the inverse: matmul makes np.dot's BLAS call for each row,
-        # and for a single field.
+        # and for a single field, and the row form would change the bits.
         return np.matmul(plan["dense_forward"], samples[..., None])[..., 0].view(np.complex128)
     table = plan["forward"]
     rows = None if work is None else work.rows
     if plan["last_forward"] is None:
-        rows = np.fft.rfft(samples, out=rows)
-        if grid.dim == 1:
-            return rows[..., : m + 1] * table
-        rows = rows[..., : m + 1]
+        rows = np.fft.rfft(samples, out=rows)[..., : m + 1]
     else:
         if rows is None:
             rows = np.empty(samples.shape[:-1] + (m + 1,), dtype=np.complex128)
         # A strided array would take numpy's own loop, not BLAS.
         samples = np.ascontiguousarray(samples)
         _blocked_product(samples, plan["last_forward"], rows.view(np.float64), plan["last_blocks"])
+    if grid.dim == 1:
+        return rows * table
     # The axis-0 FFT runs on the k_2 = 0..M columns only: per column it is
     # the transform rfft2 applies to them, for half of rfft2's axis-0 work.
     spec = np.fft.fft(rows, axis=-2, out=None if work is None else work.cols)
@@ -546,16 +559,17 @@ def _coeffs_from_phys(
     return half
 
 
+# Per dimension, the index of a half (or a stack of them) that yields its
+# k_d < 0 mirror, conjugate aside: every axis reversed, the last without
+# its k_d = 0 column.  A constant: built in each `_mirror` call, the index
+# cost a 1D call 17%.
+_HALF_FLIP = {1: np.s_[..., :0:-1], 2: np.s_[..., ::-1, :0:-1]}
+
+
 def _mirror(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     """Full (2M+1)^d coefficient array from its k_d >= 0 half, c(-k) = conj(c(k));
     for a stack of halves, (B,) + the half's shape, the stack of their full arrays."""
-    m = grid.modes_per_axis
-    if grid.dim == 1:
-        return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
-    full = np.empty(half.shape[:-2] + grid.coeff_shape, dtype=np.complex128)
-    full[..., m:] = half
-    full[..., :m] = np.conj(half[..., ::-1, :0:-1])
-    return full
+    return np.concatenate((np.conj(half[_HALF_FLIP[grid.dim]]), half), axis=-1)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
@@ -697,7 +711,7 @@ def l2_quadrature(grid: GridSpec, samples: np.ndarray) -> np.floating | np.ndarr
     samples give a float64 scalar, a stack of them an array of one norm
     per field, bit for bit each field's own.
     """
-    squares = (samples * samples).sum(axis=tuple(range(-grid.dim, 0)))
+    squares = (samples * samples).sum(axis=grid.axes)
     return np.sqrt(grid.cell_volume * squares)
 
 
@@ -711,8 +725,7 @@ def extremes(grid: GridSpec, samples: np.ndarray):
     negative-zero samples into 0.0: bit for bit np.max(np.abs(samples)),
     without its P^d temporary.
     """
-    axes = tuple(range(-grid.dim, 0))
-    lo, hi = samples.min(axis=axes), samples.max(axis=axes)
+    lo, hi = samples.min(axis=grid.axes), samples.max(axis=grid.axes)
     return lo, hi, np.abs(np.where(-lo > hi, -lo, hi))
 
 

@@ -497,8 +497,9 @@ def dt_guard(cfg: ModelConfig, v: SpectralField) -> float:
     Its `nonlinear_remainder` call builds and frees a remainder workspace
     (0.34 MB at 2D M=32).  That free raises glibc's mmap and trim
     thresholds before the march, which spares a process's first 2D
-    trajectory about 32 000 minor page faults: a replacement of this
-    evaluation (ROADMAP item 3A) must keep that free or re-measure them.
+    trajectory thousands of minor page faults: a replacement of this
+    evaluation (ROADMAP item 3A) must keep that free, or an equivalent, and
+    pass tests/test_stepper.py::TestColdRunPageFaults.
     """
     c = cfg.linear_coefficient
     x = wiener_norm(v, 0.0)

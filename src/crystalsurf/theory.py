@@ -94,8 +94,14 @@ def smallness_report(kind: str, x: float) -> SmallnessReport:
 
 
 def threshold_bracket(kind: str, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, float]:
-    """Bracket [lo, hi] of width <= tol around the unique root of
-    delta(kind, .), by bisection from known-sign anchors."""
+    """Bracket [lo, hi] around the unique root of delta(kind, .), by
+    bisection from known-sign anchors: delta(kind, lo) > 0 >= delta(kind, hi).
+
+    The width is at most tol, or one float spacing where tol is below it:
+    then lo and hi are adjacent floats.  A tol that small buys no accuracy,
+    because within a few floats of the root the rounding of delta can give
+    it the wrong sign (adl's float delta changes sign 2-3 floats below its
+    exact root)."""
     if not tol > 0:  # NaN too, which would skip the bisection
         raise ValueError("tol must be positive")
     lo, hi = 0.0, _ROOT_BRACKET_HI[kind]
@@ -103,6 +109,8 @@ def threshold_bracket(kind: str, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, 
         raise RuntimeError("root bracket anchors lost their sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no float lies between them
+            break
         if delta(kind, mid) > 0:
             lo = mid
         else:
@@ -131,10 +139,9 @@ def lyapunov_quadrature(
     samples give a float64 scalar, a stack of them an array of one value
     per field, bit for bit each field's own.
     """
-    axes = tuple(range(-grid.dim, 0))
     if kind == EXPONENTIAL:
-        return grid.cell_volume * np.exp(-samples).sum(axis=axes)
-    return grid.cell_volume * ((1.0 + samples) ** -2).sum(axis=axes)
+        return grid.cell_volume * np.exp(-samples).sum(axis=grid.axes)
+    return grid.cell_volume * ((1.0 + samples) ** -2).sum(axis=grid.axes)
 
 
 def lyapunov_l1(v: SpectralField) -> float:

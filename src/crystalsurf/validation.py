@@ -56,7 +56,7 @@ def _hermitian_stack(grid: spectral.GridSpec, draws: np.ndarray, scales: np.ndar
     mirror so it is exactly Hermitian.  Elementwise, so every row has the
     bits it would have alone."""
     raw = (draws[:, 0] + 1j * draws[:, 1]) * scales.reshape((-1,) + (1,) * grid.dim)
-    return 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(1, grid.dim + 1)))))
+    return 0.5 * (raw + np.conj(np.flip(raw, axis=grid.axes)))
 
 
 def random_field(grid: spectral.GridSpec, rng: np.random.Generator, scale: float = 1.0):
@@ -138,7 +138,7 @@ def check_parseval(rng: np.random.Generator) -> CheckResult:
     for grid, coeffs in _ensemble(rng, 200):
         samples = spectral._phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
         lhs = spectral.l2_quadrature(grid, samples)
-        squares = np.sum(np.abs(coeffs) ** 2, axis=tuple(range(-grid.dim, 0)))
+        squares = np.sum(np.abs(coeffs) ** 2, axis=grid.axes)
         rhs = np.sqrt(spectral.TWO_PI**grid.dim * squares)
         gaps.append(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300))
     worst = float(np.max(np.concatenate(gaps)))
@@ -152,11 +152,10 @@ def check_roundtrip(rng: np.random.Generator) -> CheckResult:
     mirror, the steps of that pair of public functions."""
     gaps = []
     for grid, coeffs in _ensemble(rng, 200):
-        axes = tuple(range(-grid.dim, 0))
         samples = spectral._phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
         back = spectral._mirror(grid, spectral._coeffs_from_phys(grid, samples))
-        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
-        gaps.append(np.max(np.abs(back - coeffs), axis=axes) / scale)
+        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=grid.axes))
+        gaps.append(np.max(np.abs(back - coeffs), axis=grid.axes) / scale)
     worst = float(np.max(np.concatenate(gaps)))
     return CheckResult("roundtrip", worst <= 1e-12, f"worst scaled gap {worst:.3e}")
 
@@ -169,11 +168,10 @@ def check_linf_bound(rng: np.random.Generator) -> CheckResult:
     takes one inverse transform and one norm pass."""
     excess, shortfall = [], []
     for grid, coeffs in _ensemble(rng, 1000):
-        axes = tuple(range(-grid.dim, 0))
         samples = spectral._phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
         linf = spectral.extremes(grid, samples)[2]
         excess.append(linf - spectral._coeff_norms(grid, coeffs, (0.0,))[0][:, 0])
-        floor = np.max(np.abs(coeffs), axis=axes)
+        floor = np.max(np.abs(coeffs), axis=grid.axes)
         shortfall.append((floor - linf) / floor)
     worst = float(np.max(np.concatenate(excess)))
     short = float(np.max(np.concatenate(shortfall)))

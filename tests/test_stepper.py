@@ -11,6 +11,8 @@ orders of the two schemes.
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -191,6 +193,41 @@ class TestDtGuard:
         small = dt_guard(cfg, field_from_modes(grid, [(1, 0.05, 0.0)]))
         large = dt_guard(cfg, field_from_modes(grid, [(1, 0.6, 0.0)]))
         assert 0.0 < large < small
+
+
+# A fresh interpreter's first 2D M=32 adl run, 100 steps, timed in minor
+# page faults around cli.execute_run.  Linux's getrusage counts them.
+_COLD_RUN = """
+import resource
+from crystalsurf import cli
+cfg = cli.parse_run_config({
+    "model": {"kind": "adl"},
+    "grid": {"dim": 2, "modes": 32},
+    "stepper": {"scheme": "etdrk4", "dt": 1e-3, "t_end": 0.1, "sample_every": 5},
+    "initial_data": {"kind": "modes", "modes": [{"k": [2, 1], "amplitude": 0.02, "phase": 0.3}]},
+})
+v0 = cli.build_initial_field(cfg, cli.build_grid(cfg))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cli.execute_run(cfg, v0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc, Linux rusage")
+class TestColdRunPageFaults:
+    def test_first_2d_run_reuses_heap_pages(self):
+        """The march's remainder workspace, and dt_guard's throwaway one
+        freed before the march, raise glibc's mmap threshold past the
+        per-sample P^2 temporaries, which then reuse heap pages.  A cold
+        run takes about 550 minor faults so; without the workspace (an
+        out= sample buffer alone), with a forward that takes no buffers,
+        or with dt_guard's evaluation stubbed out, 4 700 to 10 600.  The
+        benchmark's warm rounds do not see this, so it is pinned here."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_RUN], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2000
 
 
 class TestIntegrate:

@@ -9,7 +9,11 @@ collocation quadrature being tested.
 """
 
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +130,20 @@ class TestSmallnessReport:
         assert report.admissible is False
 
 
+def _exact_margin_sign(kind: str, x: float) -> int:
+    """Sign of delta(kind, x) at the float x, in exact rationals (adl) or
+    300-bit arithmetic (exp)."""
+    if kind == ADL:
+        q = Fraction(x)
+        r = q / (1 - q)
+        value = 6 - 3 * (1 + r * (28 + r * (120 + 120 * r))) / (1 - q) ** 4
+    else:
+        with mpmath.workprec(300):
+            q = mpmath.mpf(x)
+            value = 2 - mpmath.exp(q) * (1 + q * (7 + q * (6 + q)))
+    return (value > 0) - (value < 0)
+
+
 class TestThreshold:
     @pytest.mark.parametrize("kind, lo_expected, hi_expected", [
         (EXPONENTIAL, 0.104, 0.105),
@@ -167,6 +185,43 @@ class TestThreshold:
             threshold_bracket(kind, tol=tol)
         with pytest.raises(ValueError, match="tol must be positive"):
             threshold_root(kind, tol)
+
+    @pytest.mark.parametrize("kind, tol", [(EXPONENTIAL, 1e-17), (ADL, 3e-18)])
+    def test_tolerance_below_the_float_spacing_returns_adjacent_floats(self, kind, tol):
+        """A tol below the float spacing at the root used to loop forever:
+        once the midpoint rounds to an end, bisection changes nothing.  The
+        call runs in a subprocess, so a hang fails this test by timing out
+        instead of hanging the suite."""
+        code = (
+            "import sys; from crystalsurf.theory import threshold_bracket\n"
+            "lo, hi = threshold_bracket(sys.argv[1], float(sys.argv[2]))\n"
+            "print(lo.hex(), hi.hex())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, kind, repr(tol)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lo, hi = (float.fromhex(word) for word in proc.stdout.split())
+        assert hi == math.nextafter(lo, math.inf)
+        assert delta(kind, lo) > 0 >= delta(kind, hi)
+
+    @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
+    def test_float_margin_signs_match_exact_arithmetic(self, kind):
+        """Bisection steers by the sign of the float margin, so the bracket
+        holds the exact root only where that sign is the exact one.  Here
+        it is, at both ends of the default bracket and at the 40 floats on
+        each side of the reported root: adl's margin is evaluated in exact
+        rationals, exp's with 300-bit mpmath (e^x has no rational value)."""
+        lo, hi = threshold_bracket(kind)
+        points = [lo, hi]
+        below = above = threshold_root(kind)
+        for _ in range(40):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            points += [below, above]
+        for x in points:
+            assert np.sign(delta(kind, x)) == _exact_margin_sign(kind, x), x
+        assert _exact_margin_sign(kind, lo) > 0 > _exact_margin_sign(kind, hi)
 
     def test_reference_amplitudes_are_admissible(self):
         """The canonical demonstration amplitudes sit inside the thresholds."""
