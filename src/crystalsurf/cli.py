@@ -299,6 +299,7 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     grid = build_grid(cfg)
+    build_stepper(cfg)  # refuses e.g. a step count past max_steps before the warning
     v0 = build_initial_field(cfg, grid, Path(args.config).resolve().parent)
     out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
     check_output_target(out_dir)
@@ -448,7 +449,7 @@ def cmd_sweep(args) -> int:
     workers = sweep.workers if args.workers is None else as_worker_count(args.workers, "--workers")
     base = sweep.base
     grid = build_grid(base)
-    build_stepper(base)  # refuses e.g. sample_every < 1 before any member runs
+    build_stepper(base)  # refuses e.g. sample_every < 1 or too many steps before any member runs
     v0 = build_initial_field(base, grid, Path(args.config).resolve().parent)
     x0 = wiener_norm(v0, 0.0)
     if x0 == 0:
@@ -555,7 +556,8 @@ def main(argv=None) -> int:
     except OSError as err:
         message, code = f"cannot write output: {err}", EXIT_USAGE
     except ValueError as err:
-        # ConfigError, and integrate's dt-guard and max_steps refusals.
+        # ConfigError (a StepperConfig refusal, max_steps included, is
+        # one), and integrate's dt-guard refusal.
         message, code = f"config error: {err}", EXIT_USAGE
     except MemoryError as err:
         message, code = f"out of memory: {err}", EXIT_USAGE

@@ -65,6 +65,8 @@ times propagators of modulus at most 1.  Truncated models and
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +126,9 @@ class StepperConfig:
         scheme: "etd1" or "etdrk4".
         t_end: final time; the number of steps is round(t_end / dt).
         sample_every: observer cadence in steps.
-        max_steps: refuse runs needing more steps than this.
+        max_steps: the largest number of steps a run may take; a config
+            whose t_end / dt is not finite or rounds past it is refused
+            here, so a run or sweep refuses it before any step.
         allow_large_dt: skip the dt_guard admissibility refusal.
     """
 
@@ -136,16 +140,19 @@ class StepperConfig:
     allow_large_dt: bool = False
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN too
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError("t_end must be >= 0")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and round(steps) <= self.max_steps):
+            raise ValueError(f"run needs {steps:.0f} steps, exceeding max_steps={self.max_steps}")
 
     @property
     def n_steps(self) -> int:
@@ -254,22 +261,15 @@ def _etd_step(tables: dict, c: np.ndarray, remainder, t: float | None) -> np.nda
 _X_LAYOUT = (2, 0, 1, 3, 4)
 
 
-def _x_layout(p: int, n: int) -> tuple[list[int], int]:
-    """Offset in x of each multiplier row's block, and the length of x."""
-    offsets, start = [0] * len(_X_LAYOUT), 0
-    for row in _X_LAYOUT:
-        offsets[row] = start
-        start += n if row == 0 else p
-    return offsets, start
-
-
 @functools.lru_cache(maxsize=8)
 def _fused_matrices(
     grid: GridSpec, linear_coefficient: float, dt: float, scheme: str
-) -> tuple[tuple[np.ndarray, int], ...]:
-    """Read-only matrices of the fused 1D step, each with the offset of the
-    slice of x it reads: per remainder evaluation, the samples of its
-    state; last, the new half.
+) -> tuple[int, slice, tuple[tuple, ...]]:
+    """The fused 1D step: the length of x, the slice of x that holds c, and
+    per remainder evaluation a read-only matrix with the slice of x it
+    reads and the slot of x its pointwise samples fill; last, the new
+    half's matrix with the slice it reads.  The slices are the only
+    statement of x's layout (`_X_LAYOUT`); a stepper takes views by them.
 
     With Inv (P x 2(M+1)) and Fwd (2(M+1) x P) the dense pair, the
     remainder of a state u is K Fwd g(Inv u), K the "k4_half" diagonal and
@@ -299,8 +299,9 @@ def _fused_matrices(
     inverse, forward = plan["dense_inverse"], plan["dense_forward"]
     k4 = plan["k4_half"]
     p, n = inverse.shape
-    offsets, _ = _x_layout(p, n)
     width = [n, p, p, p, p]
+    ends = list(itertools.accumulate(width[row] for row in _X_LAYOUT))
+    at = {row: slice(end - width[row], end) for row, end in zip(_X_LAYOUT, ends)}
     unit = np.eye(5)[:, :, None].repeat(grid.modes_per_axis + 1, axis=2)
     states = []
 
@@ -309,33 +310,36 @@ def _fused_matrices(
         return unit[len(states)]
 
     def reads(f):  # the rows whose x blocks f's matrix reads, in x order
-        at = [_X_LAYOUT.index(row) for row in np.flatnonzero(f.any(axis=1))]
-        return _X_LAYOUT[min(at) : max(at) + 1]
+        used = [_X_LAYOUT.index(row) for row in np.flatnonzero(f.any(axis=1))]
+        return _X_LAYOUT[min(used) : max(used) + 1]
 
     new_half = _etd_step(_etd_tables(grid, linear_coefficient, dt, scheme), unit[0], remainder, None)
-    combos = [(f, True, reads(f)) for f in states] + [(new_half, False, reads(new_half))]
-    shapes = [(p if samples else n, sum(width[row] for row in rows)) for _, samples, rows in combos]
+    # (multipliers, the slot the i-th remainder's samples fill, its rows read)
+    combos = [(f, at[i], reads(f)) for i, f in enumerate(states, 1)]
+    combos.append((new_half, None, reads(new_half)))
+    shapes = [(n if fill is None else p, sum(width[row] for row in rows)) for _, fill, rows in combos]
     block = np.zeros(sum(rows * cols for rows, cols in shapes))
-    matrices, start = [], 0
-    for (f, samples, read), (rows, cols) in zip(combos, shapes):
+    layout, start = [], 0
+    for (f, fill, read), (rows, cols) in zip(combos, shapes):
         matrix = block[start : start + rows * cols].reshape(rows, cols)
         start += rows * cols
         col = 0
         for row in read:
             out, col = matrix[:, col : col + width[row]], col + width[row]
             w = np.repeat(f[0] if row == 0 else f[row] * k4, 2)  # on the float64 view
-            if row == 0 and samples:  # Inv D(f_c)
+            if row == 0 and fill is not None:  # Inv D(f_c)
                 np.multiply(inverse, w, out=out)
             elif row == 0:  # D(f_c)
                 out[np.arange(n), np.arange(n)] = w
-            elif samples:  # B(f_i): out[j, l] = column[(j - l) % p], from a view
+            elif fill is not None:  # B(f_i): out[j, l] = column[(j - l) % p], from a view
                 column = inverse @ (w * forward[:, 0])
                 out[...] = sliding_window_view(np.concatenate([column[::-1], column[:0:-1]]), p)[::-1]
             else:  # D(f_i) K Fwd
                 np.multiply(w[:, None], forward, out=out)
         matrix.flags.writeable = False
-        matrices.append((matrix, offsets[read[0]]))
-    return tuple(matrices)
+        span = (matrix, slice(at[read[0]].start, at[read[-1]].stop))
+        layout.append(span if fill is None else (*span, fill))
+    return ends[-1], at[0], tuple(layout)
 
 
 class _Stepper:
@@ -343,11 +347,13 @@ class _Stepper:
 
     Two forms, chosen by the grid and `remainder` alone.  On 1D grids where
     `_plan` holds the dense transform pair, with no `remainder` given, the
-    step is fused: the `_fused_matrices` act on the float64 vector x
-    (`_X_LAYOUT`), which the stepper reuses, so it serves one march at a
-    time.  Elsewhere (2D grids, larger 1D grids, and a `remainder` given,
-    as `integrate` passes its override) `_etd_step` runs on the half with
-    the `_etd_tables`, through `remainder` or the model's `remainder_fn`.
+    step is fused: the `_fused_matrices` act on the float64 vector x,
+    which the stepper allocates at the length they give and reuses, so it
+    serves one march at a time; its views of x are at the slices they
+    give, and it places no block itself.  Elsewhere (2D grids, larger 1D
+    grids, and a `remainder` given, as `integrate` passes its override)
+    `_etd_step` runs on the half with the `_etd_tables`, through
+    `remainder` or the model's `remainder_fn`.
     Both forms keep the propagator for `tail`, which a `remainder` given
     turns off (`tail_bound` 0.0).
     """
@@ -363,20 +369,14 @@ class _Stepper:
             self.tables = tables
             self.remainder = remainder_fn(cfg) if remainder is None else remainder
             return
-        *stages, (self._final, final_at) = _fused_matrices(*key)
-        p, n = _plan(cfg.grid)["dense_inverse"].shape
-        offsets, size = _x_layout(p, n)
+        size, c_at, (*stages, (self._final, final_at)) = _fused_matrices(*key)
         x = np.zeros(size)
-        self._c_part = x[offsets[0] : offsets[0] + n]
-        self._c_view = self._c_part.view(np.complex128)
-        self._v = np.empty(p)
+        self._c_view = x[c_at].view(np.complex128)
+        # (matrix, its input view of x, the slot g_i its pointwise values fill)
+        self._stages = tuple((m, x[r], x[f]) for m, r, f in stages)
+        self._v = np.empty_like(self._stages[0][2])
         self._cfg = cfg
-        # (matrix, its input slice of x, the slot g_i its pointwise values fill)
-        self._stages = tuple(
-            (matrix, x[at : at + matrix.shape[1]], x[offsets[i] : offsets[i] + p])
-            for i, (matrix, at) in enumerate(stages, 1)
-        )
-        self._final_in = x[final_at : final_at + self._final.shape[1]]
+        self._final_in = x[final_at]
 
     def _fused_step(self, c: np.ndarray, t: float) -> np.ndarray:
         """One fused step of `c`, before the flush; the result is a new array."""
@@ -534,8 +534,9 @@ def integrate(
             same shape; a run with one takes the stage form.
 
     Raises:
-        ValueError: on a non-zero-mean initial state, a step budget beyond
-            max_steps, or a dt rejected by the guard.
+        ValueError: on a non-zero-mean initial state or a dt rejected by
+            the guard.  A step count beyond max_steps is refused earlier,
+            by StepperConfig.
         SingularityError: propagated from the adl nonlinearity with the
             failing time attached, or the step's start and end times when
             an intermediate stage failed.
@@ -545,11 +546,6 @@ def integrate(
     _require_model_grid(cfg, v0)
     require_zero_mean(v0)
 
-    n_steps = scfg.n_steps
-    if n_steps > scfg.max_steps:
-        raise ValueError(
-            f"run needs {n_steps} steps, exceeding max_steps={scfg.max_steps}"
-        )
     try:
         recommended = dt_guard(cfg, v0)
     except SingularityError as err:
@@ -579,7 +575,7 @@ def integrate(
     c[grid.zero_index] = 0.0
     c = c[..., m:]
 
-    dt, every = scfg.dt, scfg.sample_every
+    dt, every, n_steps = scfg.dt, scfg.sample_every, scfg.n_steps
     # A pre-tail sample is checked for finiteness and for the tail at once;
     # the tail is exact from any state below the bound, so testing for it at
     # samples only moves no bit, and the state only shrinks in it, so the

@@ -773,6 +773,27 @@ class TestCliRun:
             f"aborting: --strict refuses inadmissible initial data: x0 = {past}"
         ]
 
+    @pytest.mark.parametrize(
+        "stepper_keys, message",
+        [
+            ({"sample_every": 0}, "config error: stepper: sample_every must be >= 1"),
+            ({"max_steps": 10}, "config error: stepper: run needs 50 steps, exceeding max_steps=10"),
+        ],
+    )
+    def test_stepper_refusal_comes_before_the_inadmissibility_warning(
+        self, tmp_path, capsys, stepper_keys, message
+    ):
+        """Every stepper rule is refused before the data are judged: one
+        line, no warning (the warning and then the config error before)."""
+        raw = base_run_dict()
+        raw["initial_data"]["modes"][0]["amplitude"] = 0.5
+        raw["stepper"].update(stepper_keys)
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "results"
+        assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     def test_singular_adl_run_exits_three(self, tmp_path, capsys):
         raw = base_run_dict()
         raw["model"]["kind"] = "adl"
@@ -1195,6 +1216,23 @@ class TestCliSweep:
         assert lines[0].startswith("cannot write output: ")
         assert pool_sizes == []
 
+    def test_step_count_past_max_steps_is_refused_before_any_member(
+        self, tmp_path, capsys, pool_sizes
+    ):
+        """A base stepper whose 300 steps pass max_steps is one config error
+        before any member runs (the sweep exited 0 before, every aggregate
+        row reading the refusal)."""
+        raw = {"sweep": {"amplitudes": [0.02, 0.2], "workers": 2}, "base": base_run_dict()}
+        raw["base"]["stepper"].update(dt=0.001, t_end=0.3, max_steps=10)
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: stepper: run needs 300 steps, exceeding max_steps=10"
+        ]
+        assert not out.exists()
+        assert pool_sizes == []
+
     def test_members_match_a_single_run_of_the_scaled_field(self, tmp_path, capsys):
         """Each member's files equal those of execute_run on the base field
         rescaled to the amplitude, byte for byte, once the report is marked
@@ -1349,7 +1387,7 @@ class TestCliSweep:
         errors = [row["error"] for row in rows]
         assert errors[0] == ""
         assert errors[1].startswith("singularity at t = 0")
-        assert errors[2] == "run needs 50 steps, exceeding max_steps=10"
+        assert errors[2] == "stepper: run needs 50 steps, exceeding max_steps=10"
         aggregate = tmp_path / "sweep_aggregate.csv"
         cli.write_sweep_aggregate(aggregate, rows)
         assert aggregate.read_text().splitlines()[3].endswith(f',"{errors[2]}"')

@@ -10,6 +10,7 @@ orders of the two schemes.
 """
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -162,6 +163,17 @@ class TestStepperConfig:
             ({"dt": 0.1, "t_end": -1.0}, "t_end must be >= 0"),
             ({"dt": 0.1, "sample_every": 0}, "sample_every must be >= 1"),
             ({"dt": 0.1, "max_steps": 0}, "max_steps must be >= 1"),
+            # The config owns the step budget, so a run or sweep refuses it
+            # before any step; a count that is not finite is refused too
+            # (dt = 5e-324 constructed, and its n_steps raised OverflowError).
+            (
+                {"dt": 1e-3, "t_end": 0.3, "max_steps": 10},
+                "^run needs 300 steps, exceeding max_steps=10$",
+            ),
+            ({"dt": 5e-324}, "^run needs inf steps, exceeding max_steps=10000000$"),
+            ({"dt": 0.1, "t_end": math.inf}, "^run needs inf steps"),
+            ({"dt": math.nan}, "dt must be positive"),
+            ({"dt": 0.1, "t_end": math.nan}, "t_end must be >= 0"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -174,6 +186,9 @@ class TestStepperConfig:
     )
     def test_n_steps_rounds(self, dt, t_end, expected):
         assert StepperConfig(dt=dt, t_end=t_end).n_steps == expected
+
+    def test_step_count_at_max_steps_is_admitted(self):
+        assert StepperConfig(dt=1e-3, t_end=0.3, max_steps=300).n_steps == 300
 
     def test_frozen(self):
         cfg = StepperConfig(dt=0.1)
@@ -616,6 +631,82 @@ class TestFusedStep:
         for got, want in zip(states, alone):
             assert got.tobytes() == want.tobytes()
         assert alone[0].tobytes() != alone[1].tobytes()
+
+
+# Every dense 1D grid: each M whose P is at most 192 at paddings 1 and 2.
+ALL_DENSE_1D_GRIDS = [
+    grid
+    for padding in (1, 2)
+    for grid in itertools.takewhile(
+        lambda g: stepper._plan(g)["dense_inverse"] is not None,
+        (GridSpec.create(1, m, padding_factor=padding) for m in itertools.count(1)),
+    )
+]
+
+# The multiplier rows [c, g0, g1, g2, g3] whose x blocks each matrix of a
+# scheme reads, per remainder evaluation and last the new half, read off the
+# Cox-Matthews stages: ETD1's state is c and its new half c and n0;
+# ETDRK4's states are c, a (c, n0), b (c, n1) and s (c, n0, n2).
+FUSED_READS = {
+    SCHEME_ETD1: ([0], [0, 1]),
+    SCHEME_ETDRK4: ([0], [0, 1], [0, 2], [0, 1, 3], [0, 1, 2, 3, 4]),
+}
+
+
+class TestFusedLayout:
+    """`_fused_matrices` alone places the blocks of the fused step's vector
+    x; `_Stepper` only takes views by the slices it returns."""
+
+    @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
+    def test_slices_tile_x_and_match_each_matrix(self, scheme):
+        assert len(ALL_DENSE_1D_GRIDS) == 95 + 47
+        for grid in ALL_DENSE_1D_GRIDS:
+            p, n = grid.phys_points_per_axis, 2 * (grid.modes_per_axis + 1)
+            # x is [g1 | c | g0 | g2 | g3]: row 0 is c, row i the i-th slot
+            width = {2: p, 0: n, 1: p, 3: p, 4: p}
+            starts = np.cumsum([0] + [width[row] for row in stepper._X_LAYOUT])
+            block = {row: range(a, a + width[row]) for row, a in zip(stepper._X_LAYOUT, starts)}
+            size, c_at, (*stages, final) = stepper._fused_matrices.__wrapped__(
+                grid, 1.0, 1e-3, scheme
+            )
+            assert size == n + 4 * p == starts[-1]
+            assert range(size)[c_at] == block[0]
+            fills = [range(size)[fill] for _, _, fill in stages]
+            assert fills == [block[i] for i in range(1, len(stages) + 1)], grid
+            taken = [range(size)[c_at], *fills]
+            assert len(set().union(*taken)) == sum(map(len, taken))  # disjoint
+            if scheme == SCHEME_ETDRK4:
+                assert set().union(*taken) == set(range(size))
+            reads = FUSED_READS[scheme]
+            assert len(stages) + 1 == len(reads)
+            for (matrix, read, *_), rows in zip([*stages, final], reads):
+                span = range(size)[read]
+                assert span.step == 1
+                assert list(span) == sorted(i for row in rows for i in block[row]), (grid, rows)
+                assert matrix.shape == (n if matrix is final[0] else p, len(span))
+                assert not matrix.flags.writeable
+
+    def test_stepper_views_are_the_returned_slices(self):
+        """The stepper's views are of one x, at the returned slices."""
+        grid = GridSpec.create(1, 32)
+        cfg = ModelConfig(EXPONENTIAL, grid)
+        worker = _Stepper(cfg, StepperConfig(dt=1e-3))
+        size, c_at, (*stages, (final, final_at)) = stepper._fused_matrices(
+            grid, cfg.linear_coefficient, 1e-3, SCHEME_ETDRK4
+        )
+        x = worker._final_in.base
+        assert x.shape == (size,)
+
+        def place(view):  # address and length in float64s
+            return view.__array_interface__["data"][0], view.nbytes // 8
+
+        assert place(worker._c_view) == place(x[c_at])
+        assert place(worker._final_in) == place(x[final_at])
+        assert worker._final is final
+        for (matrix, state, slot), (m, read, fill) in zip(worker._stages, stages, strict=True):
+            assert matrix is m
+            assert state.base is x and slot.base is x
+            assert (place(state), place(slot)) == (place(x[read]), place(x[fill]))
 
 
 @pytest.fixture
