@@ -43,10 +43,8 @@ from .config import (
 )
 from .diagnostics import (
     RunReport,
-    SOBOLEV_ORDERS,
-    TimeSeries,
+    SERIES_COLUMNS,
     TimeSeriesRecorder,
-    WIENER_ORDERS,
     certify_decay,
     check_lyapunov_monotone,
     check_positivity,
@@ -79,34 +77,10 @@ THRESHOLD_TABLE_STEP = 0.01
 _WRITE_CHUNK_ROWS = 256
 
 
-def _norm_label(prefix: str, order: float) -> str:
-    return prefix + f"{order:g}".replace(".", "_")
-
-
-def timeseries_columns(series: TimeSeries) -> tuple[list[str], list[np.ndarray]]:
-    """Declared column order shared by the CSV writer and the JSON report."""
-    names = ["t"]
-    cols = [series.times]
-    for a in WIENER_ORDERS:
-        names.append(_norm_label("wiener_", a))
-        cols.append(series.wiener[a])
-    names.append("l2")
-    cols.append(series.l2)
-    for a in SOBOLEV_ORDERS:
-        names.append(_norm_label("h", a))
-        cols.append(series.sobolev[a])
-    names.extend(["linf", "lyapunov", "min_one_plus_v", "max_one_plus_v"])
-    cols.extend(
-        [series.linf, series.lyapunov, series.min_one_plus_v, series.max_one_plus_v]
-    )
-    return names, cols
-
-
-def _formatted_chunks(columns) -> Iterator[tuple[int, np.ndarray, list[str]]]:
-    """The float64 table of these columns, _WRITE_CHUNK_ROWS rows at a time:
-    each chunk's first row index, the chunk, and the repr of its cells row
-    by row, the shortest text that reads back to the same double."""
-    table = np.column_stack(columns)
+def _formatted_chunks(table: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[str]]]:
+    """The float64 table, _WRITE_CHUNK_ROWS rows at a time: each chunk's
+    first row index, the chunk, and the repr of its cells row by row, the
+    shortest text that reads back to the same double."""
     for start in range(0, len(table), _WRITE_CHUNK_ROWS):
         chunk = table[start : start + _WRITE_CHUNK_ROWS]
         yield start, chunk, list(map(repr, chunk.ravel().tolist()))
@@ -127,7 +101,6 @@ def _json_safe(obj):
 
 def _report_head(report: RunReport) -> dict:
     """report_payload with an empty list for the series rows."""
-    names, _ = timeseries_columns(report.series)
     cert = report.certificate
     cert_payload = None
     if cert is not None:
@@ -151,7 +124,7 @@ def _report_head(report: RunReport) -> dict:
         "lyapunov_monotone": report.lyapunov_monotone,
         "positivity_ok": report.positivity_ok,
         "hr_decay_fits": {f"{a:g}": r for a, r in report.hr_decay_fits.items()},
-        "series": {"columns": names, "rows": []},
+        "series": {"columns": list(SERIES_COLUMNS), "rows": []},
     })
     return _json_safe(payload)
 
@@ -159,8 +132,7 @@ def _report_head(report: RunReport) -> dict:
 def report_payload(report: RunReport) -> dict:
     """JSON-ready dictionary for a RunReport, schema version 1."""
     payload = _report_head(report)
-    table = np.column_stack(timeseries_columns(report.series)[1])
-    payload["series"]["rows"] = _json_safe(table.tolist())
+    payload["series"]["rows"] = _json_safe(report.series.table().tolist())
     return payload
 
 
@@ -255,10 +227,10 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {f: out_dir / name for f, name in OUTPUT_FILES.items() if f in formats}
-    names, cols = timeseries_columns(report.series)
+    table = report.series.table()
     if paths.keys() == {"plot"}:
-        cols = cols[:2]  # t and wiener_0, the columns decay_plot.csv shares
-    width = len(cols)
+        table = table[:, :2]  # t and wiener_0, the columns decay_plot.csv shares
+    width = table.shape[1]
     csv_row = ",".join(["%s"] * width) + "\n"
     json_row = "      [\n        " + ",\n        ".join(["%s"] * width) + "\n      ]"
     cert = report.certificate
@@ -266,16 +238,16 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
     with ExitStack() as stack:
         fh = {f: stack.enter_context(open(p, "w")) for f, p in paths.items()}
         if "csv" in fh:
-            fh["csv"].write(",".join(names) + "\n")
+            fh["csv"].write(",".join(SERIES_COLUMNS) + "\n")
         if "json" in fh:
             head = json.dumps(_report_head(report), indent=2)
             if len(report.series):
                 head = head.removesuffix(_ROWS_EMPTY_TAIL) + "["
             fh["json"].write(head + "\n")
         if "plot" in fh:
-            fh["plot"].write("t,wiener_0,envelope\n")
+            fh["plot"].write(",".join(SERIES_COLUMNS[:2]) + ",envelope\n")
         separator = ""
-        for start, chunk, cells in _formatted_chunks(cols):
+        for start, chunk, cells in _formatted_chunks(table):
             n = len(chunk)
             if "csv" in fh:
                 fh["csv"].write(csv_row * n % tuple(cells))

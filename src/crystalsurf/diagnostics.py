@@ -11,11 +11,11 @@ and coefficients into a chunk buffer; once per full chunk, and in
 collocation samples, and per-sample sums, mins and maxes of them, which
 give L2, the Lyapunov functional, the range of 1 + v and the max norm.
 The recorder keeps each chunk's columns as the table they make, one row
-per sample, and `finalize` concatenates the tables and splits the series
-from their columns.  Each number is, bit for bit, what the one-field
-function gives for that sample.  The downstream checks (envelope
-certification, Lyapunov monotonicity, positivity, fitted decay rates) all
-operate on that record.
+per sample in SERIES_COLUMNS order, and `finalize` concatenates the tables
+and splits the series from their columns.  Each number is, bit for bit,
+what the one-field function gives for that sample.  The downstream checks
+(envelope certification, Lyapunov monotonicity, positivity, fitted decay
+rates) all operate on that record.
 """
 
 from __future__ import annotations
@@ -44,7 +44,18 @@ from .theory import ENVELOPE_SLACK_FACTOR, decay_envelope, lyapunov_quadrature
 
 WIENER_ORDERS = (0.0, 1.0, 2.0, 4.0)
 SOBOLEV_ORDERS = (0.0, 1.0, 1.9, 2.0)
-_ROW_LENGTH = 1 + len(WIENER_ORDERS) + len(SOBOLEV_ORDERS) + 5
+
+# The series columns, in the order of the recorder's rows, of
+# TimeSeries.table() and of the written files.  A norm's column is named
+# by its order with "_" for the point: wiener_1 is |v|_{A^1}, h1_9 the
+# Sobolev norm of order 1.9.
+SERIES_COLUMNS = (
+    "t",
+    *(f"wiener_{a:g}".replace(".", "_") for a in WIENER_ORDERS),
+    "l2",
+    *(f"h{a:g}".replace(".", "_") for a in SOBOLEV_ORDERS),
+    *("linf", "lyapunov", "min_one_plus_v", "max_one_plus_v"),
+)
 
 # Rate fitting drops this leading fraction of samples as transient and
 # ignores amplitudes below the floor, where rounding noise dominates.
@@ -71,6 +82,16 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def table(self) -> np.ndarray:
+        """The series as one row per sample, columns in SERIES_COLUMNS order."""
+        return np.column_stack([
+            self.times,
+            *(self.wiener[a] for a in WIENER_ORDERS),
+            self.l2,
+            *(self.sobolev[a] for a in SOBOLEV_ORDERS),
+            *(self.linf, self.lyapunov, self.min_one_plus_v, self.max_one_plus_v),
+        ])
 
 
 def _chunk_rows(grid: GridSpec) -> int:
@@ -102,12 +123,10 @@ class TimeSeriesRecorder:
         if kind not in (EXPONENTIAL, ADL):
             raise ValueError(f"unknown model kind {kind!r}")
         self.kind = kind
-        # One table per flushed chunk, with one row of _ROW_LENGTH values per
-        # sample: t, the Wiener and Sobolev norms in the order of
-        # WIENER_ORDERS and SOBOLEV_ORDERS, then l2, linf, lyapunov,
-        # min(1 + v) and max(1 + v).  The empty first table lets a recorder
-        # without samples finalize.
-        self._tables = [np.empty((0, _ROW_LENGTH))]
+        # One table per flushed chunk, one row per sample, its columns those
+        # of SERIES_COLUMNS.  The empty first table lets a recorder without
+        # samples finalize.
+        self._tables = [np.empty((0, len(SERIES_COLUMNS)))]
         self._grid: GridSpec | None = None
         self._pending = 0  # samples in the chunk buffers
 
@@ -140,7 +159,7 @@ class TimeSeriesRecorder:
         s = _phys_from_coeffs(grid, coeffs[..., grid.modes_per_axis :])
         lo, hi, linf = extremes(grid, s)
         l2, lyapunov = l2_quadrature(grid, s), lyapunov_quadrature(self.kind, grid, s)
-        table = (self._times[:n], wiener, sobolev, l2, linf, lyapunov, 1.0 + lo, 1.0 + hi)
+        table = (self._times[:n], wiener, l2, sobolev, linf, lyapunov, 1.0 + lo, 1.0 + hi)
         self._tables.append(np.column_stack(table))
         self._pending = 0
 
@@ -148,20 +167,19 @@ class TimeSeriesRecorder:
         """The series of every sample so far; recording may go on after it."""
         if self._pending:
             self._flush()
-        cols = np.concatenate(self._tables).T.copy()
-        nw, ns = len(WIENER_ORDERS), len(SOBOLEV_ORDERS)
-        wiener, sobolev = cols[1 : 1 + nw], cols[1 + nw : 1 + nw + ns]
-        l2, linf, lyapunov, min1pv, max1pv = cols[1 + nw + ns :]
+        # The columns are taken in SERIES_COLUMNS order; zip stops at the
+        # end of its orders, so it takes one column per order.
+        cols = iter(np.concatenate(self._tables).T.copy())
         return TimeSeries(
             kind=self.kind,
-            times=cols[0],
-            wiener=dict(zip(WIENER_ORDERS, wiener)),
-            sobolev=dict(zip(SOBOLEV_ORDERS, sobolev)),
-            l2=l2,
-            linf=linf,
-            lyapunov=lyapunov,
-            min_one_plus_v=min1pv,
-            max_one_plus_v=max1pv,
+            times=next(cols),
+            wiener=dict(zip(WIENER_ORDERS, cols)),
+            l2=next(cols),
+            sobolev=dict(zip(SOBOLEV_ORDERS, cols)),
+            linf=next(cols),
+            lyapunov=next(cols),
+            min_one_plus_v=next(cols),
+            max_one_plus_v=next(cols),
         )
 
 

@@ -152,7 +152,7 @@ class StepperConfig:
             raise ValueError("max_steps must be >= 1")
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and round(steps) <= self.max_steps):
-            raise ValueError(f"run needs {steps:.0f} steps, exceeding max_steps={self.max_steps}")
+            raise ValueError(f"run needs {steps:.15g} steps, exceeding max_steps={self.max_steps}")
 
     @property
     def n_steps(self) -> int:

@@ -40,6 +40,7 @@ from crystalsurf.config import (
 )
 from crystalsurf.models import MAX_TRUNCATION_ORDER, SingularityError
 from crystalsurf.diagnostics import (
+    SERIES_COLUMNS,
     SOBOLEV_ORDERS,
     WIENER_ORDERS,
     DecayCertificate,
@@ -1552,6 +1553,21 @@ class TestMainOwnsExitCodes:
         self.check(["sweep", config, "--out", str(tmp_path / "sweepout")], err, code, line, capsys)
 
     @pytest.mark.parametrize(
+        "err, line",
+        [
+            (SingularityError("x"), "singularity: x"),
+            (SingularityError("x", time=0.25), "singularity at t = 0.25: x"),
+            (
+                SingularityError("x", time=0.25, step_end=0.5),
+                "singularity in the step from t = 0.25 to t = 0.5: x",
+            ),
+        ],
+        ids=["untimed", "timed", "in-step"],
+    )
+    def test_failure_message_places_a_singularity(self, err, line):
+        assert cli.failure_message(err) == line
+
+    @pytest.mark.parametrize(
         "grid, line",
         [
             (
@@ -1741,6 +1757,24 @@ class TestWriters:
         if non_finite and n_rows > 2:
             assert {"nan", "inf", "-inf"} <= {x for row in rows for x in row if isinstance(x, str)}
 
+    def test_file_columns_are_drawn_from_series_columns(self, tmp_path, monkeypatch):
+        """timeseries.csv's header, report.json's series.columns and the
+        first two names of decay_plot.csv are SERIES_COLUMNS, renamed with
+        it, and timeseries.csv's column j is column j of series.table()."""
+        report = synthetic_report(7, seed=4)
+        renamed = tuple(f"col{j}" for j in range(len(SERIES_COLUMNS)))
+        for names in (SERIES_COLUMNS, renamed):
+            monkeypatch.setattr(cli, "SERIES_COLUMNS", names)
+            cli.write_output_bundle(report, tmp_path, ("csv", "json", "plot"))
+            with open(tmp_path / "timeseries.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == list(names)
+            assert np.array(rows, dtype=float).tobytes() == report.series.table().tobytes()
+            payload = json.loads((tmp_path / "report.json").read_text())
+            assert payload["series"]["columns"] == list(names)
+            plot_header = (tmp_path / "decay_plot.csv").read_text().split("\n", 1)[0]
+            assert plot_header == f"{names[0]},{names[1]},envelope"
+
     def test_report_json_of_runs_equals_stdlib(self, tmp_path):
         """An admissible run longer than one write chunk, an inadmissible
         run and a sweep member's report."""
@@ -1777,8 +1811,7 @@ class TestWriters:
                 n_rows, seed=n_rows + 1, non_finite=True, admissible=admissible
             )
             cli.write_output_bundle(report, tmp_path, ("csv", "plot"))
-            names, cols = cli.timeseries_columns(report.series)
-            want = per_cell_csv(names, zip(*cols))
+            want = per_cell_csv(SERIES_COLUMNS, report.series.table())
             assert (tmp_path / "timeseries.csv").read_text() == want
             env = report.certificate.envelope if admissible else [math.nan] * n_rows
             want = per_cell_csv(["t", "wiener_0", "envelope"],

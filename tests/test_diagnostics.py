@@ -12,12 +12,12 @@ import pytest
 
 from crystalsurf.diagnostics import (
     RATE_FIT_FLOOR,
+    SERIES_COLUMNS,
     SOBOLEV_ORDERS,
     WIENER_ORDERS,
     TimeSeries,
     TimeSeriesRecorder,
     TruncationResult,
-    _ROW_LENGTH,
     _chunk_rows,
     certify_decay,
     check_lyapunov_monotone,
@@ -26,7 +26,7 @@ from crystalsurf.diagnostics import (
     hr_decay_fit,
     truncation_study,
 )
-from crystalsurf.models import ADL, EXPONENTIAL, SingularityError
+from crystalsurf.models import ADL, EXPONENTIAL, ModelConfig, SingularityError
 from crystalsurf.spectral import (
     _DENSE_MAX_POINTS,
     _STACK_BYTES,
@@ -42,6 +42,7 @@ from crystalsurf.spectral import (
     wiener_norm,
     zero_field,
 )
+from crystalsurf.stepper import StepperConfig, integrate
 from crystalsurf.theory import lyapunov, lyapunov_l2, lyapunov_quadrature
 
 
@@ -217,21 +218,14 @@ class TestOnePassRecorder:
         assert series.wiener[0.0].shape == (0,) and series.max_one_plus_v.shape == (0,)
 
 
-def series_table(series: TimeSeries) -> np.ndarray:
-    """The series as (samples, 14) rows, in the recorder's column order."""
-    return np.column_stack([
-        series.times, *series.wiener.values(), *series.sobolev.values(), series.l2,
-        series.linf, series.lyapunov, series.min_one_plus_v, series.max_one_plus_v,
-    ])
-
-
 def public_row(kind: str, v) -> list[float]:
-    """The 13 columns after t, from the public one-quantity functions."""
+    """The 13 columns after t, in SERIES_COLUMNS order, from the public
+    one-quantity functions."""
     s = to_physical(v)
     return [
         *(wiener_norm(v, a) for a in WIENER_ORDERS),
-        *(sobolev_norm(v, a) for a in SOBOLEV_ORDERS),
         l2_norm(v),
+        *(sobolev_norm(v, a) for a in SOBOLEV_ORDERS),
         linf_norm(v),
         lyapunov_quadrature(kind, v.grid, s),
         1.0 + np.min(s),
@@ -243,6 +237,59 @@ def differing(got: np.ndarray, want: np.ndarray) -> list:
     """(row, column) of every entry whose bits differ."""
     assert got.shape == want.shape
     return np.argwhere(got.view(np.int64) != want.view(np.int64)).tolist()
+
+
+def named_quantity(series: TimeSeries, name: str) -> np.ndarray:
+    """The TimeSeries array a series column name stands for: t, wiener_a
+    and h_a for the norms of order a (with "_" for the point), and the
+    field of that name for the rest."""
+    if name == "t":
+        return series.times
+    if name.startswith("wiener_"):
+        return series.wiener[float(name.removeprefix("wiener_").replace("_", "."))]
+    if name.startswith("h"):
+        return series.sobolev[float(name.removeprefix("h").replace("_", "."))]
+    return getattr(series, name)
+
+
+class TestSeriesLayout:
+    """SERIES_COLUMNS names every column of the recorder's rows and of
+    TimeSeries.table(), in file order."""
+
+    def test_columns_in_file_order(self):
+        assert SERIES_COLUMNS == (
+            "t", "wiener_0", "wiener_1", "wiener_2", "wiener_4", "l2",
+            "h0", "h1", "h1_9", "h2", "linf", "lyapunov", "min_one_plus_v", "max_one_plus_v",
+        )
+
+    @pytest.mark.parametrize("kind, dim, m, t_end", [(EXPONENTIAL, 1, 8, 0.15), (ADL, 2, 4, 0.02)])
+    def test_each_column_holds_the_quantity_it_names(self, kind, dim, m, t_end):
+        """On a recorded run of two chunks, column j of table() is the
+        quantity SERIES_COLUMNS[j] names, the recorder's rows are that
+        table bit for bit, and its first row is the public functions' values
+        of v0."""
+        grid = GridSpec.create(dim, m)
+        k = 2 if dim == 1 else (2, 1)
+        v0 = field_from_modes(grid, [(k, 0.05, 0.3)])
+        recorder = TimeSeriesRecorder(kind)
+        integrate(ModelConfig(kind, grid), StepperConfig(dt=1e-3, t_end=t_end), v0, recorder)
+        series = recorder.finalize()
+        table = series.table()
+        assert len(recorder._tables) == 3  # the empty table and two chunks
+        assert differing(np.concatenate(recorder._tables), table) == []
+        assert differing(table[:1], np.array([[0.0, *public_row(kind, v0)]])) == []
+        assert table.shape == (len(series), len(SERIES_COLUMNS))
+        for j, name in enumerate(SERIES_COLUMNS):
+            assert table[:, j].tobytes() == named_quantity(series, name).tobytes(), name
+        # No two columns agree, so a swapped pair would show.
+        columns = {table[:, j].tobytes() for j in range(table.shape[1])}
+        assert len(columns) == len(SERIES_COLUMNS)
+
+    def test_a_series_without_an_order_has_no_table(self):
+        series = synthetic_series([0.0, 1.0], [1.0, 0.5])
+        del series.sobolev[1.9]
+        with pytest.raises(KeyError):
+            series.table()
 
 
 class TestChunkedRecorder:
@@ -265,7 +312,7 @@ class TestChunkedRecorder:
             recorder = TimeSeriesRecorder(kind)
             for i in range(count):
                 recorder(0.25 * i, fields[i % len(fields)])
-            got = series_table(recorder.finalize())
+            got = recorder.finalize().table()
             picks = np.arange(count) % len(fields)
             want = np.column_stack([0.25 * np.arange(count), want_rows[picks]])
             assert differing(got, want) == [], f"{count} samples, {rows} per chunk"
@@ -280,7 +327,7 @@ class TestChunkedRecorder:
         recorder = TimeSeriesRecorder(ADL)
         recorder(0.0, v)
         v.coeffs[:] = 0.0
-        assert differing(series_table(recorder.finalize())[:, 1:], np.array([want])) == []
+        assert differing(recorder.finalize().table()[:, 1:], np.array([want])) == []
 
     def test_finalize_twice_and_record_after_it(self):
         grid = GridSpec.create(1, 8)
@@ -288,11 +335,11 @@ class TestChunkedRecorder:
         recorder = TimeSeriesRecorder(EXPONENTIAL)
         for i in range(3):
             recorder(float(i), fields[i])
-        first = series_table(recorder.finalize())
-        assert differing(series_table(recorder.finalize()), first) == []
+        first = recorder.finalize().table()
+        assert differing(recorder.finalize().table(), first) == []
         for i in range(3, 5):
             recorder(float(i), fields[i])
-        later = series_table(recorder.finalize())
+        later = recorder.finalize().table()
         want = np.column_stack([np.arange(5.0), [public_row(EXPONENTIAL, v) for v in fields]])
         assert differing(later, want) == []
         assert differing(later[:3], first) == []
@@ -324,7 +371,7 @@ class TestChunkedRecorder:
         with np.errstate(over="ignore", invalid="ignore"):
             for i, v in enumerate(fields):
                 recorder(float(i), v)
-            got = series_table(recorder.finalize())
+            got = recorder.finalize().table()
             want = np.column_stack([np.arange(3.0), [public_row(ADL, v) for v in fields]])
         assert not np.isfinite(got[1]).all()
         assert differing(got, want) == []
@@ -343,7 +390,7 @@ class TestChunkedRecorder:
             rows * len(WIENER_ORDERS) * (2 * m + 1) * 8,
             rows * grid.phys_points_per_axis * 8,
         ]
-        table = rows * _ROW_LENGTH * 8
+        table = rows * len(SERIES_COLUMNS) * 8
         sizes = [recorder._coeffs.nbytes, table, *temporaries]
         assert max(sizes) < 128 * 1024
         assert max(temporaries) <= _STACK_BYTES

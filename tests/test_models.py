@@ -93,6 +93,8 @@ class TestModelConfig:
     def test_linear_coefficients(self):
         assert linear_coefficient(EXPONENTIAL) == 1.0
         assert linear_coefficient(ADL) == 3.0
+        with pytest.raises(ValueError, match="^unknown model kind 'bogus'$"):
+            linear_coefficient("bogus")
 
     def test_config_exposes_linear_coefficient(self):
         grid = GridSpec.create(1, 4)

@@ -77,6 +77,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="must be even"):
             GridSpec(1, 8, 33)
 
+    def test_field_refuses_coefficients_of_another_shape(self):
+        grid = GridSpec.create(1, 4)
+        match = r"^coefficient shape \(8,\) does not match grid \(9,\)$"
+        with pytest.raises(ValueError, match=match):
+            SpectralField(grid, np.zeros(8))
+
     def test_rejects_underresolved_points(self):
         with pytest.raises(ValueError, match="cannot resolve"):
             GridSpec(1, 8, 16, padding_factor=1.0)

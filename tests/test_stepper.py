@@ -174,6 +174,16 @@ class TestStepperConfig:
             ({"dt": 0.1, "t_end": math.inf}, "^run needs inf steps"),
             ({"dt": math.nan}, "dt must be positive"),
             ({"dt": 0.1, "t_end": math.nan}, "t_end must be >= 0"),
+            # A huge count reads in exponent form, not as the hundreds of
+            # digits of its double; one just past the budget reads whole.
+            (
+                {"dt": 1e-300, "t_end": 1.0},
+                r"^run needs 1e\+300 steps, exceeding max_steps=10000000$",
+            ),
+            (
+                {"dt": 0.1, "t_end": 1_000_000.1},
+                "^run needs 10000001 steps, exceeding max_steps=10000000$",
+            ),
         ],
     )
     def test_validation(self, kwargs, match):

@@ -339,3 +339,23 @@ def test_interpolation_slack_refuses_a_3e12_excess(monkeypatch):
     result = validation.check_interpolation(rng)
     assert result.passed is False
     assert result.detail == "15012/15015 instances hold"
+
+
+def test_binomial_check_counts_a_wrong_coefficient(monkeypatch):
+    """C(20, 10) off by one breaks the 18 instances that use it on one
+    side only: the check fails and counts them, while its spot values
+    C(4, 2) still hold."""
+    real = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, k: real(n, k) + ((n, k) == (20, 10)))
+    result = validation.check_binomial_identities(np.random.default_rng(0))
+    assert result.passed is False
+    assert result.detail == "1771 subset-of-subset instances, 18 failures"
+
+
+def test_phi_check_reports_values_above_one(monkeypatch):
+    """phi_m(z) for z <= 0 lies in [0, 1]; doubled values break that bound."""
+    real = stepper.phi_functions
+    monkeypatch.setattr(stepper, "phi_functions", lambda z: 2.0 * np.array(real(z)))
+    result = validation.check_phi_functions(np.random.default_rng(0))
+    assert result.passed is False
+    assert result.detail.endswith(", bounds violated")
