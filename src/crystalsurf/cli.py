@@ -132,7 +132,7 @@ def _report_head(report: RunReport) -> dict:
 def report_payload(report: RunReport) -> dict:
     """JSON-ready dictionary for a RunReport, schema version 1."""
     payload = _report_head(report)
-    payload["series"]["rows"] = _json_safe(report.series.table().tolist())
+    payload["series"]["rows"] = _json_safe(report.series.table.tolist())
     return payload
 
 
@@ -227,7 +227,7 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {f: out_dir / name for f, name in OUTPUT_FILES.items() if f in formats}
-    table = report.series.table()
+    table = report.series.table
     if paths.keys() == {"plot"}:
         table = table[:, :2]  # t and wiener_0, the columns decay_plot.csv shares
     width = table.shape[1]

@@ -12,8 +12,8 @@ collocation samples, and per-sample sums, mins and maxes of them, which
 give L2, the Lyapunov functional, the range of 1 + v and the max norm.
 The recorder keeps each chunk's columns as the table they make, one row
 per sample in SERIES_COLUMNS order, and `finalize` concatenates the tables
-and splits the series from their columns.  Each number is, bit for bit,
-what the one-field function gives for that sample.  The downstream checks
+into the series' one table.  Each number is, bit for bit, what the
+one-field function gives for that sample.  The downstream checks
 (envelope certification, Lyapunov monotonicity, positivity, fitted decay
 rates) all operate on that record.
 """
@@ -46,7 +46,7 @@ WIENER_ORDERS = (0.0, 1.0, 2.0, 4.0)
 SOBOLEV_ORDERS = (0.0, 1.0, 1.9, 2.0)
 
 # The series columns, in the order of the recorder's rows, of
-# TimeSeries.table() and of the written files.  A norm's column is named
+# TimeSeries.table and of the written files.  A norm's column is named
 # by its order with "_" for the point: wiener_1 is |v|_{A^1}, h1_9 the
 # Sobolev norm of order 1.9.
 SERIES_COLUMNS = (
@@ -66,32 +66,52 @@ RATE_FIT_FLOOR = 1e-13
 MONOTONE_REL_SLACK = 1e-10
 
 
-@dataclass
+@dataclass(init=False)
 class TimeSeries:
-    """Sampled norms and functionals along one trajectory."""
+    """Sampled norms and functionals along one trajectory.
+
+    `table` holds one row per sample, its columns in SERIES_COLUMNS order,
+    column-major so that each column is a contiguous float64 array.  The
+    attributes `__init__` names (times, wiener[a], l2 and the rest) are
+    views of those columns, so a value written through one shows in
+    `table` and in the files.
+
+    A series may also be given column by column, by those names:
+    `TimeSeries(kind, times=t, wiener={0.0: w}, ...)` writes each one into
+    a table of NaN, and a norm dict keeps only the orders it was given.
+    """
 
     kind: str
-    times: np.ndarray
-    wiener: dict[float, np.ndarray]
-    sobolev: dict[float, np.ndarray]
-    l2: np.ndarray
-    linf: np.ndarray
-    lyapunov: np.ndarray
-    min_one_plus_v: np.ndarray
-    max_one_plus_v: np.ndarray
+    table: np.ndarray
+
+    def __init__(self, kind: str, table: np.ndarray | None = None, **columns) -> None:
+        if table is None:
+            table = np.full((len(columns["times"]), len(SERIES_COLUMNS)), np.nan)
+        table = np.asfortranarray(table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != len(SERIES_COLUMNS):
+            raise ValueError(
+                f"series table has shape {table.shape}; SERIES_COLUMNS names "
+                f"{len(SERIES_COLUMNS)} columns"
+            )
+        self.kind, self.table = kind, table
+        # zip stops at the end of its orders, so it takes one column per order.
+        cols = iter(table.T)
+        self.times = next(cols)
+        self.wiener = dict(zip(WIENER_ORDERS, cols))
+        self.l2 = next(cols)
+        self.sobolev = dict(zip(SOBOLEV_ORDERS, cols))
+        self.linf, self.lyapunov, self.min_one_plus_v, self.max_one_plus_v = cols
+        for name, given in columns.items():
+            view = getattr(self, name)
+            if isinstance(view, dict):
+                for a, values in given.items():
+                    view[a][:] = values
+                setattr(self, name, {a: view[a] for a in given})
+            else:
+                view[:] = given
 
     def __len__(self) -> int:
-        return len(self.times)
-
-    def table(self) -> np.ndarray:
-        """The series as one row per sample, columns in SERIES_COLUMNS order."""
-        return np.column_stack([
-            self.times,
-            *(self.wiener[a] for a in WIENER_ORDERS),
-            self.l2,
-            *(self.sobolev[a] for a in SOBOLEV_ORDERS),
-            *(self.linf, self.lyapunov, self.min_one_plus_v, self.max_one_plus_v),
-        ])
+        return len(self.table)
 
 
 def _chunk_rows(grid: GridSpec) -> int:
@@ -167,20 +187,7 @@ class TimeSeriesRecorder:
         """The series of every sample so far; recording may go on after it."""
         if self._pending:
             self._flush()
-        # The columns are taken in SERIES_COLUMNS order; zip stops at the
-        # end of its orders, so it takes one column per order.
-        cols = iter(np.concatenate(self._tables).T.copy())
-        return TimeSeries(
-            kind=self.kind,
-            times=next(cols),
-            wiener=dict(zip(WIENER_ORDERS, cols)),
-            l2=next(cols),
-            sobolev=dict(zip(SOBOLEV_ORDERS, cols)),
-            linf=next(cols),
-            lyapunov=next(cols),
-            min_one_plus_v=next(cols),
-            max_one_plus_v=next(cols),
-        )
+        return TimeSeries(self.kind, np.concatenate(self._tables))
 
 
 @dataclass(frozen=True)

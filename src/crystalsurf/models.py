@@ -67,15 +67,24 @@ MAX_TRUNCATION_ORDER = 177
 # adl nonlinearity rather than a resolvable state.
 ADL_SINGULAR_FLOOR = 1e-8
 
-# Bound on 2 sum|c_half|, which bounds max|v| on the grid, at every ETD
-# stage state too (|propagator| <= 1).  Below 2^-54 ~ 5.55e-17, where the
-# first dropped term x^2/2 is far below half an ulp of x, expm1(x) and
-# log1p(x) return x itself.  The largest argument either full remainder
-# passes them is the adl chain's 3 max|v| <= 3e-17, so log1p(v) == v,
-# expm1(-y) == -y with y = 3.0 * v, and both remainders, expm1(-v) + v and
-# expm1(-3 log1p(v)) + 3v, are -y + y = +0.0 exactly: an ETD step is then
-# the propagator alone (test_models checks the identities on every binade).
-EXACT_TAIL_BOUND = 1e-17
+# Bound on c max|v| on the grid (c the linear coefficient) below which
+# both full remainders are exactly +0.0; `exact_tail_bound` divides it by c
+# to bound 2 sum|c_half|, the stepper's test.  Below 2^-54 ~ 5.55e-17,
+# where the first dropped term x^2/2 is below half an ulp of x, expm1(x)
+# and log1p(x) return x itself.  Both remainders are then expm1(-y) + y,
+# with y = v for exp and, as log1p(v) == v, y = 3.0 * v for adl, whose
+# rounding keeps |y| <= fl(c max|v|) < 2^-54; so each is -y + y = +0.0
+# exactly, signed zeros included, and an ETD step is the propagator alone
+# (test_models checks the identities on every binade up to each model's
+# bound, and c times it for expm1).  2 sum|c_half| bounds max|v| at every
+# ETD stage state too, as |propagator| <= 1 and the remainders vanish.
+# Rounding: every inverse path (the dense 1D and last-axis products, the
+# fused step's matrices, the FFT passes) forms a sample from coefficient
+# parts and factors of modulus at most 2, so a computed sample exceeds
+# 2 sum|c_half| by at most about (terms per sample) * 2^-53 relative, and
+# the stepper's rounded sum falls short of it by as little; the factor 0.9
+# leaves 10% for both, which no grid this package can hold comes near.
+EXACT_TAIL_ARGUMENT = 0.9 * 2.0**-54
 
 
 class SingularityError(ArithmeticError):
@@ -213,9 +222,10 @@ def _superlinear_pointwise(
 
 def exact_tail_bound(cfg: ModelConfig) -> float:
     """Bound on 2 sum|c_half| below which `_superlinear_pointwise` is exactly
-    +0.0 at every sample: EXACT_TAIL_BOUND for the full forms, 0.0 (never)
-    for the truncated ones, whose Horner `* x * x` leaves about x^2."""
-    return EXACT_TAIL_BOUND if cfg.mode == FULL else 0.0
+    +0.0 at every sample: EXACT_TAIL_ARGUMENT / c for the full forms (about
+    5.0e-17 for exp, 1.67e-17 for adl), 0.0 (never) for the truncated ones,
+    whose Horner `* x * x` leaves about x^2."""
+    return EXACT_TAIL_ARGUMENT / cfg.linear_coefficient if cfg.mode == FULL else 0.0
 
 
 def _check_adl_positivity(v_phys: np.ndarray, time: float | None = None) -> None:

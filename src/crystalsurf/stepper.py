@@ -40,22 +40,21 @@ and take |k|^4 of the half from `spectral._plan`'s "k4_half".
 
 Exact linear tail.  The solutions decay exponentially, and a long run
 spends most of its steps near rounding noise.  Once 2 sum|c_half|, which
-bounds max|v| on the grid, falls below `models.exact_tail_bound` (1e-17 for
-the full nonlinearities: the adl chain then passes expm1 at most 3e-17,
-below the 2^-54 under which expm1 and log1p return their argument), the
-full remainder is exactly +0.0 at every sample, stage states included, so
-each step is `propagator * c` bit for bit.  The bound is tested at step 0
-and after each sample, from the same sum of |c| that checks the sample for
-finiteness, and not before every step; the state cannot leave the tail,
-so the test stops at its first hit.  `integrate` then marches the
-remaining samples in blocks of as many full arrays as fit in 64 KiB
-(`spectral._stack_rows`: 63 at 1D M=32, one at 2D M=32), one
-`_Stepper.tail` call, one flush and one `_mirror` per block.  The tail
-multiplies float64 views by a stack of propagator rows (64 KiB, at least
-three rows; 124 at 1D M=32, three at 2D M=32): at `sample_every` 1 a
-block is the prefix products of the stack, one `np.multiply.accumulate`;
-at longer cadences each sample is one `np.multiply.reduce` per piece of
-as many steps as the stack has rows.  Both multiply in step order, so the
+bounds max|v| on the grid, falls below `models.exact_tail_bound` (about
+5.0e-17 for full exp and 1.67e-17 for full adl; the proof is at
+`models.EXACT_TAIL_ARGUMENT`), the full remainder is exactly +0.0 at every
+sample, stage states included, so each step is `propagator * c` bit for
+bit.  The bound is tested at step 0 and after each sample, from the same
+sum of |c| that checks the sample for finiteness, and not before every
+step; the state cannot leave the tail, so the test stops at its first hit.
+`integrate` then marches the remaining samples in blocks of as many full
+arrays as fit in 64 KiB (`spectral._stack_rows`: 63 at 1D M=32, one at 2D
+M=32), one `_Stepper.tail` call, one flush and one `_mirror` per block.
+The tail multiplies float64 views by a stack of propagator rows (64 KiB, at
+least three rows; 124 at 1D M=32, three at 2D M=32): at `sample_every` 1 a
+block is the prefix products of the stack, one `np.multiply.accumulate`; at
+longer cadences each sample is one `np.multiply.reduce` per piece of as
+many steps as the stack has rows.  Both multiply in step order, so the
 observer sees the same steps and the same bits as without the tail.  Tail
 samples are not checked for finiteness: each is a checked finite state
 times propagators of modulus at most 1.  Truncated models and
@@ -405,7 +404,7 @@ class _Stepper:
 
     def check_sample(self, c: np.ndarray, time: float) -> bool:
         """Whether every step from the sampled state `c` on is `propagator * c`
-        exactly (see models.EXACT_TAIL_BOUND).
+        exactly (see models.exact_tail_bound).
 
         Raises NonFiniteStateError at `time` when `c` holds an inf or NaN.
         One sum of |c| serves both tests: `np.isfinite` runs only when that

@@ -1760,7 +1760,7 @@ class TestWriters:
     def test_file_columns_are_drawn_from_series_columns(self, tmp_path, monkeypatch):
         """timeseries.csv's header, report.json's series.columns and the
         first two names of decay_plot.csv are SERIES_COLUMNS, renamed with
-        it, and timeseries.csv's column j is column j of series.table()."""
+        it, and timeseries.csv's column j is column j of series.table."""
         report = synthetic_report(7, seed=4)
         renamed = tuple(f"col{j}" for j in range(len(SERIES_COLUMNS)))
         for names in (SERIES_COLUMNS, renamed):
@@ -1769,11 +1769,26 @@ class TestWriters:
             with open(tmp_path / "timeseries.csv", newline="") as fh:
                 header, *rows = csv.reader(fh)
             assert header == list(names)
-            assert np.array(rows, dtype=float).tobytes() == report.series.table().tobytes()
+            assert np.array(rows, dtype=float).tobytes() == report.series.table.tobytes()
             payload = json.loads((tmp_path / "report.json").read_text())
             assert payload["series"]["columns"] == list(names)
             plot_header = (tmp_path / "decay_plot.csv").read_text().split("\n", 1)[0]
             assert plot_header == f"{names[0]},{names[1]},envelope"
+
+    def test_column_written_through_its_attribute_is_in_every_file(self, tmp_path):
+        """The series' named columns are views of its table, so a value
+        written through one is in each file's cell."""
+        report = synthetic_report(4, seed=9)
+        report.series.l2[2] = 0.125
+        report.series.wiener[0.0][1] = 0.375
+        cli.write_output_bundle(report, tmp_path, ("csv", "json", "plot"))
+        with open(tmp_path / "timeseries.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows[2][header.index("l2")] == "0.125"
+        assert rows[1][header.index("wiener_0")] == "0.375"
+        json_rows = json.loads((tmp_path / "report.json").read_text())["series"]["rows"]
+        assert json_rows[2][SERIES_COLUMNS.index("l2")] == 0.125
+        assert (tmp_path / "decay_plot.csv").read_text().splitlines()[2].split(",")[1] == "0.375"
 
     def test_report_json_of_runs_equals_stdlib(self, tmp_path):
         """An admissible run longer than one write chunk, an inadmissible
@@ -1811,7 +1826,7 @@ class TestWriters:
                 n_rows, seed=n_rows + 1, non_finite=True, admissible=admissible
             )
             cli.write_output_bundle(report, tmp_path, ("csv", "plot"))
-            want = per_cell_csv(SERIES_COLUMNS, report.series.table())
+            want = per_cell_csv(SERIES_COLUMNS, report.series.table)
             assert (tmp_path / "timeseries.csv").read_text() == want
             env = report.certificate.envelope if admissible else [math.nan] * n_rows
             want = per_cell_csv(["t", "wiener_0", "envelope"],

@@ -6,6 +6,7 @@ certification code, so every numeric expectation is computable by hand.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def named_quantity(series: TimeSeries, name: str) -> np.ndarray:
 
 class TestSeriesLayout:
     """SERIES_COLUMNS names every column of the recorder's rows and of
-    TimeSeries.table(), in file order."""
+    TimeSeries.table, in file order."""
 
     def test_columns_in_file_order(self):
         assert SERIES_COLUMNS == (
@@ -264,7 +265,7 @@ class TestSeriesLayout:
 
     @pytest.mark.parametrize("kind, dim, m, t_end", [(EXPONENTIAL, 1, 8, 0.15), (ADL, 2, 4, 0.02)])
     def test_each_column_holds_the_quantity_it_names(self, kind, dim, m, t_end):
-        """On a recorded run of two chunks, column j of table() is the
+        """On a recorded run of two chunks, column j of the table is the
         quantity SERIES_COLUMNS[j] names, the recorder's rows are that
         table bit for bit, and its first row is the public functions' values
         of v0."""
@@ -274,7 +275,7 @@ class TestSeriesLayout:
         recorder = TimeSeriesRecorder(kind)
         integrate(ModelConfig(kind, grid), StepperConfig(dt=1e-3, t_end=t_end), v0, recorder)
         series = recorder.finalize()
-        table = series.table()
+        table = series.table
         assert len(recorder._tables) == 3  # the empty table and two chunks
         assert differing(np.concatenate(recorder._tables), table) == []
         assert differing(table[:1], np.array([[0.0, *public_row(kind, v0)]])) == []
@@ -285,11 +286,48 @@ class TestSeriesLayout:
         columns = {table[:, j].tobytes() for j in range(table.shape[1])}
         assert len(columns) == len(SERIES_COLUMNS)
 
-    def test_a_series_without_an_order_has_no_table(self):
-        series = synthetic_series([0.0, 1.0], [1.0, 0.5])
-        del series.sobolev[1.9]
-        with pytest.raises(KeyError):
-            series.table()
+    @pytest.mark.parametrize("shape", [(3, 13), (3, 15), (0, 13), (14,), (3, 14, 1)])
+    def test_table_of_another_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}; SERIES_COLUMNS names 14 columns$"):
+            TimeSeries(EXPONENTIAL, np.zeros(shape))
+
+    def test_columns_are_views_of_the_table(self):
+        """Each named column is column j of the table, in memory: a value
+        written through the attribute is in the table, and one written in
+        the table is in the attribute; a C-ordered table is copied once
+        into column-major order."""
+        table = np.arange(3.0 * len(SERIES_COLUMNS)).reshape(3, -1)
+        series = TimeSeries(ADL, table)
+        assert series.table.flags.f_contiguous and not np.shares_memory(series.table, table)
+        assert series.table.tobytes() == table.tobytes()
+        for j, name in enumerate(SERIES_COLUMNS):
+            column = named_quantity(series, name)
+            assert np.shares_memory(column, series.table) and column.flags.c_contiguous
+            column[1] = -1.0 - j
+            assert series.table[1, j] == -1.0 - j, name
+            series.table[2, j] = 0.5 + j
+            assert column[2] == 0.5 + j, name
+        assert TimeSeries(ADL, series.table).table is series.table
+
+    def test_a_series_given_without_an_order_has_nan_in_its_column(self):
+        """A series given column by column (as the benchmark's checks build
+        one) keeps the columns it was given in its table, leaves the rest
+        NaN, and its norm dicts hold only the orders given."""
+        w0 = np.array([1.0, 0.5, 0.25])
+        series = TimeSeries(EXPONENTIAL, times=[0.0, 1.0, 2.0], wiener={0.0: w0},
+                            sobolev={1.9: 2 * w0}, lyapunov=[3.0, 2.0, 1.0])
+        assert list(series.wiener) == [0.0] and list(series.sobolev) == [1.9]
+        for name in SERIES_COLUMNS:
+            given = {"t": [0.0, 1.0, 2.0], "wiener_0": w0, "h1_9": 2 * w0,
+                     "lyapunov": [3.0, 2.0, 1.0]}.get(name)
+            column = series.table[:, SERIES_COLUMNS.index(name)]
+            if given is None:
+                assert np.isnan(column).all(), name
+            else:
+                assert column.tolist() == list(given), name
+        assert np.shares_memory(series.wiener[0.0], series.table)
+        with pytest.raises(AttributeError, match="no attribute 'wiener_0'"):
+            TimeSeries(EXPONENTIAL, times=[0.0], wiener_0=[1.0])
 
 
 class TestChunkedRecorder:
@@ -312,7 +350,7 @@ class TestChunkedRecorder:
             recorder = TimeSeriesRecorder(kind)
             for i in range(count):
                 recorder(0.25 * i, fields[i % len(fields)])
-            got = recorder.finalize().table()
+            got = recorder.finalize().table
             picks = np.arange(count) % len(fields)
             want = np.column_stack([0.25 * np.arange(count), want_rows[picks]])
             assert differing(got, want) == [], f"{count} samples, {rows} per chunk"
@@ -327,7 +365,7 @@ class TestChunkedRecorder:
         recorder = TimeSeriesRecorder(ADL)
         recorder(0.0, v)
         v.coeffs[:] = 0.0
-        assert differing(recorder.finalize().table()[:, 1:], np.array([want])) == []
+        assert differing(recorder.finalize().table[:, 1:], np.array([want])) == []
 
     def test_finalize_twice_and_record_after_it(self):
         grid = GridSpec.create(1, 8)
@@ -335,11 +373,11 @@ class TestChunkedRecorder:
         recorder = TimeSeriesRecorder(EXPONENTIAL)
         for i in range(3):
             recorder(float(i), fields[i])
-        first = recorder.finalize().table()
-        assert differing(recorder.finalize().table(), first) == []
+        first = recorder.finalize().table
+        assert differing(recorder.finalize().table, first) == []
         for i in range(3, 5):
             recorder(float(i), fields[i])
-        later = recorder.finalize().table()
+        later = recorder.finalize().table
         want = np.column_stack([np.arange(5.0), [public_row(EXPONENTIAL, v) for v in fields]])
         assert differing(later, want) == []
         assert differing(later[:3], first) == []
@@ -371,7 +409,7 @@ class TestChunkedRecorder:
         with np.errstate(over="ignore", invalid="ignore"):
             for i, v in enumerate(fields):
                 recorder(float(i), v)
-            got = recorder.finalize().table()
+            got = recorder.finalize().table
             want = np.column_stack([np.arange(3.0), [public_row(ADL, v) for v in fields]])
         assert not np.isfinite(got[1]).all()
         assert differing(got, want) == []

@@ -19,7 +19,7 @@ from crystalsurf.models import (
     ADL,
     ADL_SINGULAR_FLOOR,
     DEFAULT_TRUNCATION_ORDER,
-    EXACT_TAIL_BOUND,
+    EXACT_TAIL_ARGUMENT,
     EXPONENTIAL,
     FULL,
     MAX_TRUNCATION_ORDER,
@@ -440,7 +440,11 @@ class TestRemainder:
             assert out.has_zero_mean
 
 
-def _tail_probes(limit=EXACT_TAIL_BOUND, per_binade=64, seed=17):
+def _tail_bound(kind):
+    return exact_tail_bound(ModelConfig(kind, GridSpec.create(1, 4)))
+
+
+def _tail_probes(limit, per_binade=64, seed=17):
     """Both signs of: random mantissas in every binade from the smallest
     normal float64 up to `limit`, `limit` itself, random and extreme
     subnormals, and zero."""
@@ -458,32 +462,37 @@ def _tail_probes(limit=EXACT_TAIL_BOUND, per_binade=64, seed=17):
 
 
 class TestExactTail:
-    """Below EXACT_TAIL_BOUND both full remainders are exactly +0.0, so the
+    """Below its model's bound each full remainder is exactly +0.0, so the
     stepper may march with the propagator alone."""
 
     def test_probes_cover_every_binade_up_to_the_bound(self):
-        x = _tail_probes()
-        assert np.abs(x).max() == EXACT_TAIL_BOUND
-        exponents = np.frexp(np.abs(x[np.abs(x) >= np.finfo(np.float64).tiny]))[1]
-        assert np.unique(exponents).size == math.frexp(EXACT_TAIL_BOUND)[1] + 1022
-        assert np.signbit(x).any() and np.signbit(-x).any()
+        for kind in (EXPONENTIAL, ADL):
+            bound = _tail_bound(kind)
+            x = _tail_probes(bound)
+            assert np.abs(x).max() == bound
+            exponents = np.frexp(np.abs(x[np.abs(x) >= np.finfo(np.float64).tiny]))[1]
+            assert np.unique(exponents).size == math.frexp(bound)[1] + 1022
+            assert np.signbit(x).any() and np.signbit(-x).any()
 
     def test_expm1_and_log1p_return_their_argument_there(self):
         """The bound's proof on this numpy: below 2^-54 expm1 and log1p return
-        their argument, and the adl chain passes log1p at most max|v| and
-        expm1 at most 3 max|v|, so both must hold bit for bit, signed zeros
-        included, on every binade up to the bound and three times it."""
-        assert 3.0 * EXACT_TAIL_BOUND < 2.0**-54
-        x = _tail_probes(3.0 * EXACT_TAIL_BOUND)
-        assert np.abs(x).max() == 3.0 * EXACT_TAIL_BOUND
-        assert np.expm1(x).tobytes() == x.tobytes()
-        x = _tail_probes()
-        assert np.log1p(x).tobytes() == x.tobytes()
+        their argument, and a full remainder passes log1p at most max|v| and
+        expm1 at most c max|v|, so both must hold bit for bit, signed zeros
+        included, on every binade up to each model's bound and c times it,
+        and on every binade below 2^-54."""
+        limits = [np.nextafter(2.0**-54, 0.0)]
+        for kind in (EXPONENTIAL, ADL):
+            limits += [_tail_bound(kind), linear_coefficient(kind) * _tail_bound(kind)]
+        for limit in limits:
+            x = _tail_probes(limit)
+            assert np.abs(x).max() == limit
+            assert np.expm1(x).tobytes() == x.tobytes(), limit
+            assert np.log1p(x).tobytes() == x.tobytes(), limit
 
     @pytest.mark.parametrize("kind", [EXPONENTIAL, ADL])
     def test_full_remainder_is_positive_zero_at_or_below_the_bound(self, kind):
         cfg = ModelConfig(kind, GridSpec.create(1, 4))
-        x = _tail_probes()
+        x = _tail_probes(_tail_bound(kind))
         got = _superlinear_pointwise(cfg, x, out=np.empty_like(x))
         assert got.tobytes() == np.zeros_like(x).tobytes()
 
@@ -492,15 +501,22 @@ class TestExactTail:
     def test_truncated_remainder_is_not_zero_there(self, kind, order):
         """Horner's `* x * x` leaves a_2 x^2, nonzero wherever x^2 is normal."""
         cfg = ModelConfig(kind, GridSpec.create(1, 4), mode=TRUNCATED, truncation_order=order)
-        x = _tail_probes()
+        x = _tail_probes(_tail_bound(kind))
         x = x[np.abs(x) >= 1e-150]
         assert x.size > 1000
         assert np.all(_superlinear_pointwise(cfg, x) != 0.0)
 
     def test_bound_is_given_to_full_modes_only(self):
+        """0.9 * 2^-54 / c for the full forms: about 5.0e-17 for exp and
+        1.67e-17 for adl, whose c times it stays below 2^-54."""
+        assert EXACT_TAIL_ARGUMENT == 0.9 * 2.0**-54
+        assert 4.99e-17 < _tail_bound(EXPONENTIAL) < 5.0e-17
+        assert 1.66e-17 < _tail_bound(ADL) < 1.67e-17
         grid = GridSpec.create(1, 4)
         for kind in (EXPONENTIAL, ADL):
-            assert exact_tail_bound(ModelConfig(kind, grid)) == EXACT_TAIL_BOUND
+            want = EXACT_TAIL_ARGUMENT / linear_coefficient(kind)
+            assert exact_tail_bound(ModelConfig(kind, grid)) == want
+            assert linear_coefficient(kind) * want < 2.0**-54
             for order in (0, 1, 2, DEFAULT_TRUNCATION_ORDER):
                 cfg = ModelConfig(kind, grid, mode=TRUNCATED, truncation_order=order)
                 assert exact_tail_bound(cfg) == 0.0

@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 from crystalsurf import models, stepper
 from crystalsurf.models import (
     ADL,
-    EXACT_TAIL_BOUND,
+    EXACT_TAIL_ARGUMENT,
     EXPONENTIAL,
     ModelConfig,
     SingularityError,
+    exact_tail_bound,
     nonlinear_remainder,
     remainder_fn,
 )
@@ -741,7 +742,8 @@ def _march(cfg, scfg, v0, **kwargs):
 
 
 # (kind, dim, M, initial mode, amplitude, scheme, dt, t_end, sample_every):
-# short marches whose state falls below EXACT_TAIL_BOUND about half way.
+# short marches whose state falls below their model's exact_tail_bound
+# about half way.
 TAIL_MARCHES = {
     "dense-exp-etdrk4-every1": (EXPONENTIAL, 1, 8, 4, 0.05, SCHEME_ETDRK4, 1e-3, 0.3, 1),
     "dense-adl-etdrk4-partial": (ADL, 1, 8, 3, 0.02, SCHEME_ETDRK4, 1e-3, 0.3, 7),
@@ -760,16 +762,17 @@ def _tail_march(name):
 
 
 class TestExactTail:
-    """Once 2 sum|c_half| < EXACT_TAIL_BOUND the remainder is exactly +0.0
+    """Once 2 sum|c_half| < exact_tail_bound the remainder is exactly +0.0
     (see test_models), and integrate marches each sample interval with the
     propagator alone; nothing it reports may move."""
 
     @pytest.mark.parametrize("name", TAIL_MARCHES)
     def test_march_is_bitwise_the_march_without_tail(self, name, monkeypatch, tail_calls):
         cfg, scfg, v0 = _tail_march(name)
+        bound = exact_tail_bound(cfg)
         with_tail = _march(cfg, scfg, v0)
         blocks = list(tail_calls)
-        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        monkeypatch.setattr(models, "EXACT_TAIL_ARGUMENT", 0.0)
         without = _march(cfg, scfg, v0)
         assert len(tail_calls) == len(blocks) >= 1  # none without the tail
         assert [t for t, _ in with_tail] == [t for t, _ in without]
@@ -783,7 +786,28 @@ class TestExactTail:
         # the march took full steps before; they now take the tail.
         m, shape = cfg.grid.modes_per_axis, cfg.grid.coeff_shape
         levels = [2.0 * np.abs(np.frombuffer(c, complex).reshape(shape)[..., m:]).sum() for _, c in with_tail]
-        assert any(EXACT_TAIL_BOUND > level >= 1e-18 for level in levels)
+        assert any(bound > level >= 1e-18 for level in levels)
+
+    @pytest.mark.parametrize("kind, c, amplitude, t_end", [(EXPONENTIAL, 1.0, 0.05, 0.5), (ADL, 3.0, 0.02, 0.2)])
+    def test_tail_starts_at_the_first_sample_below_its_models_bound(
+        self, kind, c, amplitude, t_end, monkeypatch, tail_calls
+    ):
+        """At 1D M=16 and sample_every 1 the march takes `advance` steps up
+        to the first sample whose 2 sum|c_half| is below 0.9 * 2^-54 / c,
+        and the tail from there on: some samples now take the tail that
+        took full steps under the earlier bound of 1e-17 for both models."""
+        grid = GridSpec.create(1, 16)
+        cfg = ModelConfig(kind, grid)
+        scfg = StepperConfig(dt=1e-3, t_end=t_end, sample_every=1)
+        steps = []
+        advance = _Stepper.advance
+        monkeypatch.setattr(_Stepper, "advance", lambda self, c, t: steps.append(t) or advance(self, c, t))
+        march = _march(cfg, scfg, field_from_modes(grid, [(3, amplitude, 0.3)]))
+        levels = [2.0 * np.abs(np.frombuffer(coeffs, complex)[16:]).sum() for _, coeffs in march]
+        first = next(i for i, level in enumerate(levels) if level < 0.9 * 2.0**-54 / c)
+        assert len(steps) == first
+        assert sum(len(block) for block in tail_calls) == scfg.n_steps - first
+        assert next(i for i, level in enumerate(levels) if level < 1e-17) > first
 
     @pytest.mark.parametrize("scheme", [SCHEME_ETD1, SCHEME_ETDRK4])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -815,16 +839,16 @@ class TestExactTail:
     def test_state_at_or_above_the_bound_takes_the_full_step(self, bound, monkeypatch, tail_calls):
         grid = GridSpec.create(1, 8)
         cfg = ModelConfig(EXPONENTIAL, grid)
-        v0 = field_from_modes(grid, [(1, EXACT_TAIL_BOUND, 0.3), (2, 1e-19, 0.0)])
+        v0 = field_from_modes(grid, [(1, EXACT_TAIL_ARGUMENT, 0.3), (2, 1e-19, 0.0)])
         level = 2.0 * np.abs(v0.coeffs[8:]).sum()
         steps = []
         advance = _Stepper.advance
         monkeypatch.setattr(_Stepper, "advance", lambda self, c, t: steps.append(t) or advance(self, c, t))
         scfg = StepperConfig(dt=1e-3, t_end=1e-3)
-        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", level if bound == "equal" else np.nextafter(level, 0.0))
+        monkeypatch.setattr(models, "EXACT_TAIL_ARGUMENT", level if bound == "equal" else np.nextafter(level, 0.0))
         integrate(cfg, scfg, v0)
         assert (steps, tail_calls) == ([0.0], [])
-        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", np.nextafter(level, np.inf))
+        monkeypatch.setattr(models, "EXACT_TAIL_ARGUMENT", np.nextafter(level, np.inf))
         integrate(cfg, scfg, v0)
         assert (steps, tail_calls) == ([0.0], [[1]])
 
@@ -865,7 +889,7 @@ class TestExactTail:
             assert np.abs(huge).sum() == np.inf
             assert not worker.check_sample(huge, 0.25)
         assert worker.check_sample(np.array([0.0, 1e-18, complex(0.0, -1e-18)]), 0.25)
-        assert not worker.check_sample(np.array([0.0, EXACT_TAIL_BOUND, 0.0]), 0.25)
+        assert not worker.check_sample(np.array([0.0, EXACT_TAIL_ARGUMENT, 0.0]), 0.25)
 
     def test_truncated_mode_and_override_never_take_the_tail(self, tail_calls):
         grid = GridSpec.create(1, 8)
@@ -874,15 +898,15 @@ class TestExactTail:
         for kind in (EXPONENTIAL, ADL):
             full = ModelConfig(kind, grid)
             truncated = ModelConfig(kind, grid, mode="truncated", truncation_order=2)
-            assert _Stepper(full, scfg).tail_bound == EXACT_TAIL_BOUND
+            assert _Stepper(full, scfg).tail_bound == exact_tail_bound(full)
             assert _Stepper(truncated, scfg).tail_bound == 0.0
             assert _Stepper(full, scfg, remainder_fn(full)).tail_bound == 0.0
             state = integrate(truncated, scfg, v0)
-            assert 2.0 * np.abs(state.v.coeffs).sum() < EXACT_TAIL_BOUND
+            assert 2.0 * np.abs(state.v.coeffs).sum() < exact_tail_bound(full)
             state = integrate(
                 full, scfg, v0, nonlinearity=lambda c: nonlinear_remainder(full, SpectralField(grid, c)).coeffs
             )
-            assert 2.0 * np.abs(state.v.coeffs).sum() < EXACT_TAIL_BOUND
+            assert 2.0 * np.abs(state.v.coeffs).sum() < exact_tail_bound(full)
         assert tail_calls == []
 
     @pytest.mark.parametrize("parts", ["signed_zeros", "subnormal", "crossing"])
@@ -931,7 +955,7 @@ class TestExactTail:
         assert len(_Stepper(cfg, scfg)._tail_stack()) < 400
         with_tail = _march(cfg, scfg, v0)
         assert tail_calls == [[400, 400, 400, 400]]
-        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        monkeypatch.setattr(models, "EXACT_TAIL_ARGUMENT", 0.0)
         assert _march(cfg, scfg, v0) == with_tail
         assert len(tail_calls) == 1
 
@@ -964,7 +988,7 @@ class TestExactTail:
         with_tail = _march(cfg, scfg, v0)
         calls = len(tail_calls)
         assert calls >= 9 and all(block == [50] for block in tail_calls)
-        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        monkeypatch.setattr(models, "EXACT_TAIL_ARGUMENT", 0.0)
         assert _march(cfg, scfg, v0) == with_tail
         assert len(tail_calls) == calls
 
@@ -986,7 +1010,7 @@ class TestExactTail:
         assert len(blocks) >= 2 and set(blocks[:-1]) == {rows} and 0 < blocks[-1] < rows
         assert all(v.coeffs.tobytes() == seen for _, v, seen in kept)
         with_tail = [(t, seen) for t, _, seen in kept] + [(state.t, state.v.coeffs.tobytes())]
-        monkeypatch.setattr(models, "EXACT_TAIL_BOUND", 0.0)
+        monkeypatch.setattr(models, "EXACT_TAIL_ARGUMENT", 0.0)
         assert _march(cfg, scfg, v0) == with_tail
         assert len(tail_calls) == len(blocks)
 
