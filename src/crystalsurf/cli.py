@@ -271,7 +271,9 @@ def write_output_bundle(report: RunReport, out_dir: Path, formats) -> list[Path]
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     grid = build_grid(cfg)
-    build_stepper(cfg)  # refuses e.g. a step count past max_steps before the warning
+    # Refuses e.g. a step count past max_steps, or a t_end off dt's step
+    # grid, before the warning.
+    build_stepper(cfg)
     v0 = build_initial_field(cfg, grid, Path(args.config).resolve().parent)
     out_dir = Path(args.out) if args.out else Path(cfg.outputs.directory)
     check_output_target(out_dir)
@@ -421,7 +423,9 @@ def cmd_sweep(args) -> int:
     workers = sweep.workers if args.workers is None else as_worker_count(args.workers, "--workers")
     base = sweep.base
     grid = build_grid(base)
-    build_stepper(base)  # refuses e.g. sample_every < 1 or too many steps before any member runs
+    # Refuses e.g. sample_every < 1, too many steps, or a t_end off dt's
+    # step grid, before any member runs.
+    build_stepper(base)
     v0 = build_initial_field(base, grid, Path(args.config).resolve().parent)
     x0 = wiener_norm(v0, 0.0)
     if x0 == 0:
@@ -528,8 +532,8 @@ def main(argv=None) -> int:
     except OSError as err:
         message, code = f"cannot write output: {err}", EXIT_USAGE
     except ValueError as err:
-        # ConfigError (a StepperConfig refusal, max_steps included, is
-        # one), and integrate's dt-guard refusal.
+        # ConfigError (a StepperConfig refusal, max_steps and a t_end off
+        # dt's step grid included, is one), and integrate's dt-guard refusal.
         message, code = f"config error: {err}", EXIT_USAGE
     except MemoryError as err:
         message, code = f"out of memory: {err}", EXIT_USAGE

@@ -238,21 +238,6 @@ def _parse(cls, raw, path: str, /, **context_checks):
     return cls(**values)
 
 
-def _parse_stepper(raw, path: str) -> StepperSection:
-    section = _parse(StepperSection, raw, path)
-    dt, t_end = section.dt, section.t_end
-    # The stepper takes round(t_end / dt) fixed steps, so any other t_end
-    # would silently end the run early or late; 1e-9 absorbs the rounding
-    # of decimal inputs such as 5.0 / 1e-4.
-    if dt > 0:
-        steps = t_end / dt
-        if not (math.isfinite(steps) and math.isclose(round(steps) * dt, t_end, rel_tol=1e-9)):
-            raise ConfigError(
-                f"{path}.t_end: {t_end!r} is not a whole number of steps of dt = {dt!r}"
-            )
-    return section
-
-
 def _refuse(message: str):
     """A check that refuses any value of its key with `message`."""
 
@@ -285,7 +270,7 @@ def parse_run_config(raw, path: str = "") -> RunConfig:
     return RunConfig(
         model=_parse(ModelSection, _get(m, "model", path or "<config>"), f"{prefix}model"),
         grid=grid,
-        stepper=_parse_stepper(_get(m, "stepper", path or "<config>"), f"{prefix}stepper"),
+        stepper=_parse(StepperSection, _get(m, "stepper", path or "<config>"), f"{prefix}stepper"),
         initial_data=_parse_initial_data(
             _get(m, "initial_data", path or "<config>"), f"{prefix}initial_data", grid.dim
         ),

@@ -123,7 +123,9 @@ class StepperConfig:
     Attributes:
         dt: fixed step size.
         scheme: "etd1" or "etdrk4".
-        t_end: final time; the number of steps is round(t_end / dt).
+        t_end: final time; the run takes round(t_end / dt) steps, and a
+            t_end that is not that whole number of steps of dt (within a
+            relative 1e-9) is refused here.
         sample_every: observer cadence in steps.
         max_steps: the largest number of steps a run may take; a config
             whose t_end / dt is not finite or rounds past it is refused
@@ -152,6 +154,13 @@ class StepperConfig:
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and round(steps) <= self.max_steps):
             raise ValueError(f"run needs {steps:.15g} steps, exceeding max_steps={self.max_steps}")
+        # The run takes round(t_end / dt) fixed steps, so any other t_end
+        # would silently end it early or late; 1e-9 absorbs the rounding of
+        # decimal inputs such as 5.0 / 1e-4.
+        if not math.isclose(round(steps) * self.dt, self.t_end, rel_tol=1e-9):
+            raise ValueError(
+                f"t_end {self.t_end!r} is not a whole number of steps of dt = {self.dt!r}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -534,8 +543,9 @@ def integrate(
 
     Raises:
         ValueError: on a non-zero-mean initial state or a dt rejected by
-            the guard.  A step count beyond max_steps is refused earlier,
-            by StepperConfig.
+            the guard.  A step count beyond max_steps, and a t_end that is
+            not a whole number of steps of dt, are refused earlier, by
+            StepperConfig.
         SingularityError: propagated from the adl nonlinearity with the
             failing time attached, or the step's start and end times when
             an intermediate stage failed.

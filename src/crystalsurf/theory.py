@@ -67,12 +67,14 @@ def delta_adl(x: float) -> float:
     return 6.0 - 3.0 * bracket / (1.0 - x) ** 4
 
 
+def _require_kind(kind: str) -> None:
+    if kind not in (EXPONENTIAL, ADL):
+        raise ValueError(f"unknown model kind {kind!r}")
+
+
 def delta(kind: str, x: float) -> float:
-    if kind == EXPONENTIAL:
-        return delta_exp(x)
-    if kind == ADL:
-        return delta_adl(x)
-    raise ValueError(f"unknown model kind {kind!r}")
+    _require_kind(kind)
+    return delta_exp(x) if kind == EXPONENTIAL else delta_adl(x)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,7 @@ def threshold_bracket(kind: str, tol: float = DEFAULT_ROOT_TOL) -> tuple[float, 
     exact root)."""
     if not tol > 0:  # NaN too, which would skip the bisection
         raise ValueError("tol must be positive")
+    _require_kind(kind)
     lo, hi = 0.0, _ROOT_BRACKET_HI[kind]
     if not (delta(kind, lo) > 0 > delta(kind, hi)):
         raise RuntimeError("root bracket anchors lost their sign change")
@@ -139,6 +142,7 @@ def lyapunov_quadrature(
     samples give a float64 scalar, a stack of them an array of one value
     per field, bit for bit each field's own.
     """
+    _require_kind(kind)
     if kind == EXPONENTIAL:
         return grid.cell_volume * np.exp(-samples).sum(axis=grid.axes)
     return grid.cell_volume * ((1.0 + samples) ** -2).sum(axis=grid.axes)
@@ -170,6 +174,7 @@ def lyapunov_l2(v: SpectralField) -> float:
 
 
 def lyapunov(kind: str, v: SpectralField) -> float:
+    _require_kind(kind)
     return lyapunov_l1(v) if kind == EXPONENTIAL else lyapunov_l2(v)
 
 

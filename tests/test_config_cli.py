@@ -883,8 +883,9 @@ class TestCliRun:
         config = write_config(tmp_path, raw)
         out = tmp_path / "results"
         assert main(["run", config, "--out", str(out)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "stepper.t_end: 0.05 is not a whole number of steps of dt = 0.003" in err
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: stepper: t_end 0.05 is not a whole number of steps of dt = 0.003"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("dt, t_end", [(1e-4, 5.0), (0.1, 0.3), (1e-3, 0.0)])
@@ -897,13 +898,11 @@ class TestCliRun:
         """The whole-steps test allows a relative gap of 1e-9: decimal
         inputs leave gaps near 1e-16 (round(0.3 / 0.1) * 0.1 is 0.3 plus
         one ulp), while t_end = 1.000000005 at dt = 0.001 is off the step
-        grid by a relative 5e-9 and is refused."""
-        raw = base_run_dict()
-        raw["stepper"].update(dt=0.001, t_end=1.000000005)
-        with pytest.raises(ConfigError, match="is not a whole number of steps"):
-            parse_run_config(raw)
-        raw["stepper"].update(dt=1e-4, t_end=5.0)
-        assert parse_run_config(raw).stepper.t_end == 5.0
+        grid by a relative 5e-9 and is refused.  StepperConfig owns the
+        rule, for a config file and a library call alike."""
+        with pytest.raises(ValueError, match="is not a whole number of steps"):
+            stepper.StepperConfig(dt=0.001, t_end=1.000000005)
+        assert stepper.StepperConfig(dt=1e-4, t_end=5.0).t_end == 5.0
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -1230,6 +1229,23 @@ class TestCliSweep:
         assert main(["sweep", config, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [
             "config error: stepper: run needs 300 steps, exceeding max_steps=10"
+        ]
+        assert not out.exists()
+        assert pool_sizes == []
+
+    def test_t_end_off_the_step_grid_is_refused_before_any_member(
+        self, tmp_path, capsys, pool_sizes
+    ):
+        """A base t_end that dt does not divide is one config error, with the
+        `stepper:` prefix of every StepperConfig refusal, before any member
+        runs or a pool is built."""
+        raw = {"sweep": {"amplitudes": [0.02, 0.05], "workers": 2}, "base": base_run_dict()}
+        raw["base"]["stepper"].update(dt=0.003, t_end=0.05)
+        config = write_config(tmp_path, raw, name="sweep.yaml")
+        out = tmp_path / "sweepout"
+        assert main(["sweep", config, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: stepper: t_end 0.05 is not a whole number of steps of dt = 0.003"
         ]
         assert not out.exists()
         assert pool_sizes == []

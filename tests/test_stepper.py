@@ -12,6 +12,7 @@ orders of the two schemes.
 import dataclasses
 import itertools
 import math
+import re
 import subprocess
 import sys
 
@@ -193,10 +194,28 @@ class TestStepperConfig:
 
     @pytest.mark.parametrize(
         "dt, t_end, expected",
-        [(1e-4, 5.0, 50_000), (0.3, 1.0, 3), (0.1, 0.0, 0), (0.25, 1.0, 4)],
+        # Decimal inputs leave gaps near 1e-16 (round(0.3 / 0.1) * 0.1 is
+        # 0.3 plus one ulp); a gap of a relative 5e-10 is still inside the
+        # whole-step rule's 1e-9.
+        [
+            (1e-4, 5.0, 50_000),
+            (0.1, 0.3, 3),
+            (0.1, 0.0, 0),
+            (0.25, 1.0, 4),
+            (1e-3, 1.0000000005, 1000),
+        ],
     )
     def test_n_steps_rounds(self, dt, t_end, expected):
         assert StepperConfig(dt=dt, t_end=t_end).n_steps == expected
+
+    @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.4, 1.0)])
+    def test_t_end_off_the_step_grid_is_refused(self, dt, t_end):
+        """round(t_end / dt) steps would stop these runs at 0.9 and at 0.8
+        (round takes 2.5 to even); both constructed before, and integrate
+        returned the early state without a word."""
+        message = f"t_end {t_end!r} is not a whole number of steps of dt = {dt!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StepperConfig(dt=dt, t_end=t_end)
 
     def test_step_count_at_max_steps_is_admitted(self):
         assert StepperConfig(dt=1e-3, t_end=0.3, max_steps=300).n_steps == 300

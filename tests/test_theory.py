@@ -26,6 +26,7 @@ from crystalsurf.spectral import (
     GridSpec,
     field_from_modes,
     from_physical,
+    to_physical,
     wiener_norm,
     zero_field,
 )
@@ -42,6 +43,7 @@ from crystalsurf.theory import (
     lyapunov,
     lyapunov_l1,
     lyapunov_l2,
+    lyapunov_quadrature,
     series_identity_check,
     smallness_report,
     threshold_bracket,
@@ -282,6 +284,27 @@ class TestLyapunov:
         v = field_from_modes(grid, [(1, 1.2, 0.0)])
         with pytest.raises(SingularityError, match="lyapunov_l2 undefined"):
             lyapunov_l2(v)
+
+
+class TestUnknownKind:
+    """Every kind-taking function refuses an unknown kind with delta's
+    error (lyapunov and lyapunov_quadrature returned the adl functional,
+    and threshold_bracket raised KeyError)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: lyapunov("heat", v),
+            lambda v: lyapunov_quadrature("heat", v.grid, to_physical(v)),
+            lambda v: threshold_bracket("heat"),
+            lambda v: delta("heat", 0.1),
+        ],
+        ids=["lyapunov", "lyapunov_quadrature", "threshold_bracket", "delta"],
+    )
+    def test_refused(self, call):
+        v = field_from_modes(GridSpec.create(1, 4), [(1, 0.1, 0.0)])
+        with pytest.raises(ValueError, match="^unknown model kind 'heat'$"):
+            call(v)
 
 
 class TestInterpolation:
